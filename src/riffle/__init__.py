@@ -23,6 +23,7 @@ from .continuous_time import (
     UnitTimePackLaw,
     continuous_cutoff_report,
     poissonized_law,
+    poissonized_laws,
     unit_time_pack_law,
 )
 from .cutoff import (
@@ -54,6 +55,7 @@ from .laws import (
     law_from_json,
     law_to_json,
     m_shuffle_law,
+    product_laws,
     product_power,
     tail_set_gap,
     tv_to_uniform,

@@ -28,12 +28,13 @@ from .cutoff import (
     log_moments,
     truncation_report,
 )
-from .continuous_time import poissonized_law
+from .continuous_time import poissonized_laws
 from .laws import (
     PackDistribution,
     SizeGuardError,
     inverse_square_pack,
-    law_after_k,
+    mixture_of_m_shuffles,
+    product_laws,
     tv_to_uniform,
 )
 from .verify import SUITES, suite_names
@@ -178,7 +179,26 @@ def _require_fixed_pack(parsed, spec: str) -> PackDistribution:
     return parsed
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that maps library errors onto the exit-code contract.
+
+    A size guard exits 3; a ``ValueError`` is an input value the parsers
+    could not judge (a deck size of 0, say) and exits 2 like a usage error.
+    Either way stderr gets one line and no traceback.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except SizeGuardError as exc:
+            click.echo(f"size guard: {exc}", err=True)
+            sys.exit(3)
+        except ValueError as exc:
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact and Monte-Carlo mixing profiles for randomized riffle shuffles."""
 
@@ -203,22 +223,21 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
     pack = _require_fixed_pack(parse_pack_spec(p_spec), p_spec)
     ks = parse_k_range(k_range)
     mu, _ = log_moments(pack)
-    try:
-        rows = []
-        for k in ks:
-            tv = tv_to_uniform(law_after_k(n, pack, k))
-            estimate = cutoff_shape(math.exp(1.5 * math.log(n) - k * mu)) if mu > 0 else 1.0
-            rows.append(
-                {
-                    "k": k,
-                    "tv_exact": f"{tv.numerator}/{tv.denominator}",
-                    "tv_float": _fmt(float(tv)),
-                    "bd_estimate": _fmt(estimate),
-                }
-            )
-    except SizeGuardError as exc:
-        click.echo(f"size guard: {exc}", err=True)
-        sys.exit(3)
+    rows = []
+    # One pass over the product laws; zip stops before building step b + 1.
+    for k, step in zip(range(ks.stop), product_laws(pack)):
+        if k < ks.start:
+            continue
+        tv = tv_to_uniform(mixture_of_m_shuffles(n, *step))
+        estimate = cutoff_shape(math.exp(1.5 * math.log(n) - k * mu)) if mu > 0 else 1.0
+        rows.append(
+            {
+                "k": k,
+                "tv_exact": f"{tv.numerator}/{tv.denominator}",
+                "tv_float": _fmt(float(tv)),
+                "bd_estimate": _fmt(estimate),
+            }
+        )
     _emit_rows(rows, ["k", "tv_exact", "tv_float", "bd_estimate"], fmt, config)
 
 
@@ -249,10 +268,7 @@ def cutoff(
 
     if n is not None:
         pack = _require_fixed_pack(parsed, p_spec)
-        try:
-            report = cutoff_report(pack, n)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
+        report = cutoff_report(pack, n)
         payload = {"config": json.loads(config.to_json()), "report": report.to_json_dict()}
         if a_n_expr is not None:
             trunc = truncation_report(pack, n, parse_a_n(a_n_expr, n))
@@ -336,9 +352,6 @@ def verify(
             if name == "sampler" and dump_sink is not None:
                 kwargs["dump"] = dump_sink
             results[name] = SUITES[name](**kwargs)
-    except SizeGuardError as exc:
-        click.echo(f"size guard: {exc}", err=True)
-        sys.exit(3)
     finally:
         if dump_csv is not None:
             handle.close()
@@ -369,22 +382,18 @@ def poisson(
     pack = _require_fixed_pack(parse_pack_spec(p_spec), p_spec)
     if not 0 < tol < 1:
         raise click.UsageError(f"tolerance must be in (0, 1), got {tol}")
+    ts = parse_float_grid(t_grid)
     rows = []
-    try:
-        for t in parse_float_grid(t_grid):
-            law = poissonized_law(n, pack, t, tol)
-            tv = law.tv_to_uniform()
-            rows.append(
-                {
-                    "t": _fmt(t),
-                    "tv": _fmt(tv.value),
-                    "certificate": _fmt(tv.certificate),
-                    "truncation_k": law.truncation_k,
-                }
-            )
-    except SizeGuardError as exc:
-        click.echo(f"size guard: {exc}", err=True)
-        sys.exit(3)
+    for t, law in zip(ts, poissonized_laws(n, pack, ts, tol)):
+        tv = law.tv_to_uniform()
+        rows.append(
+            {
+                "t": _fmt(t),
+                "tv": _fmt(tv.value),
+                "certificate": _fmt(tv.certificate),
+                "truncation_k": law.truncation_k,
+            }
+        )
     _emit_rows(rows, ["t", "tv", "certificate", "truncation_k"], fmt, config)
 
 

@@ -146,8 +146,8 @@ class EulerianCache:
 
     File format: ``eulerian_<n>.txt`` holding decimal integers, one per line;
     the first line is n and line i+1 is the count for r = i. Writes go through
-    a temp file and an atomic rename, so concurrent readers always see a
-    complete row (single-writer, multi-reader contract).
+    a per-writer temp file and an atomic rename, so concurrent readers always
+    see a complete row and concurrent writers of one row all succeed.
     """
 
     def __init__(self, directory: str | os.PathLike[str]):
@@ -175,7 +175,9 @@ class EulerianCache:
     def write(self, row: EulerianRow) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(row.n)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        # One temp file per writing thread, so concurrent writers never rename
+        # each other's file away.
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         body = "\n".join([str(row.n), *(str(c) for c in row.counts)]) + "\n"
         tmp.write_text(body)
         os.replace(tmp, path)

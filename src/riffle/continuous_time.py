@@ -12,14 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterable, NamedTuple
 
-from .combinatorics import eulerian_row, factorial
+from .combinatorics import factorial
 from .cutoff import log_moments, _fmt
 from .laws import (
+    ClassNumerators,
     PackDistribution,
     SizeGuardError,
     mixture_of_m_shuffles,
+    product_laws,
+    tv_to_uniform,
 )
 
 __all__ = [
@@ -29,6 +33,7 @@ __all__ = [
     "UnitTimePackLaw",
     "continuous_cutoff_report",
     "poissonized_law",
+    "poissonized_laws",
     "unit_time_pack_law",
 ]
 
@@ -42,32 +47,22 @@ class PoissonizedTv(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PoissonizedLaw:
+class PoissonizedLaw(ClassNumerators):
     """Deck law of the continuous-time chain at time t, tail-truncated.
 
-    The Poisson weights are floats; each weight is mixed into the exact class
-    probabilities at its exact dyadic value, in fixed ascending k order, so
-    the truncated law itself is exact and runs are byte-reproducible. The only
-    gap to the true time-t law is the discarded Poisson tail, whose mass is
-    below the requested tolerance.
+    Each float Poisson weight enters at its exact dyadic value, so the law
+    (class masses summing to ``mass``) is exact and byte-reproducible; its
+    only gap to the true time-t law is the discarded tail, below ``tol``.
     """
 
     n: int
     t: float
     tol: float
     truncation_k: int
-    class_prob: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
     mass: Fraction
     weights: tuple[float, ...]
-
-    @property
-    def tail_mass_bound(self) -> float:
-        return float(1 - self.mass)
-
-    def prob(self, r: int) -> Fraction:
-        if not 1 <= r <= self.n:
-            raise ValueError(f"r must be in 1..{self.n}, got {r}")
-        return self.class_prob[r - 1]
 
     def tv_to_uniform(self) -> PoissonizedTv:
         """TV distance to uniform of the truncated law, with certificate.
@@ -75,91 +70,66 @@ class PoissonizedLaw:
         The true time-t distance differs from the exact value by at most the
         discarded tail mass, hence by less than the stored tolerance.
         """
-        row = eulerian_row(self.n)
-        u = Fraction(1, factorial(self.n))
-        total = Fraction(0)
-        for r in range(1, self.n + 1):
-            total += row.count(r) * abs(self.class_prob[r - 1] - u)
-        exact = total / 2
+        exact = tv_to_uniform(self)
         return PoissonizedTv(exact, float(exact), self.tol)
 
-    def to_json_dict(self) -> dict:
-        row = eulerian_row(self.n)
-        entries = [
-            {
-                "r": r,
-                "count": str(row.count(r)),
-                "prob_num": str(self.class_prob[r - 1].numerator),
-                "prob_den": str(self.class_prob[r - 1].denominator),
-            }
-            for r in range(1, self.n + 1)
-        ]
-        return {
-            "n": self.n,
-            "t": _fmt(self.t),
-            "tol": _fmt(self.tol),
-            "truncation_k": self.truncation_k,
-            "entries": entries,
-        }
+
+def poissonized_laws(
+    n: int, p: PackDistribution, ts: Iterable[float], tol: float
+) -> list[PoissonizedLaw]:
+    """Truncated deck laws of the continuous-time p-shuffle chain at times ts.
+
+    Time t is truncated at the smallest K whose retained Poisson(t) mass, the
+    sum of the exact values of the float weights, exceeds 1 - tol. Each k-step
+    law is built once and added into the integer accumulator of every time
+    still short of its K; none is kept past its step.
+    """
+    ts = [float(t) for t in ts]
+    for t in ts:
+        if not 0 <= t <= 700:
+            raise ValueError(f"time must be in [0, 700] for float Poisson weights, got {t}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must be in (0, 1), got {tol}")
+
+    tol_frac = Fraction(tol)
+    weights = [[math.exp(-t)] for t in ts]
+    # Per time: integer numerators, their denominator, and the weight mass.
+    accs = [([0] * n, 1, Fraction(0)) for _ in ts]
+    out: list = [None] * len(ts)
+    open_ts = list(range(len(ts)))
+    for k, step in enumerate(product_laws(p)):
+        law = mixture_of_m_shuffles(n, *step)
+        for i in list(open_ts):
+            a, b = weights[i][-1].as_integer_ratio()
+            acc, acc_den, mass = accs[i]
+            mass += Fraction(a, b)
+            den = math.lcm(acc_den, b * law.den)
+            up, scale = den // acc_den, den // (b * law.den) * a
+            acc = [x * up + y * scale for x, y in zip(acc, law.nums)]
+            accs[i] = acc, den, mass
+            if 1 - mass < tol_frac:
+                if mass > 1:
+                    # Float weights can overshoot 1 by rounding; rescale
+                    # exactly so the mass certificate stays valid.
+                    acc = [x * mass.denominator for x in acc]
+                    den, mass = den * mass.numerator, Fraction(1)
+                out[i] = PoissonizedLaw(
+                    n, ts[i], float(tol), k, tuple(acc), den, mass, tuple(weights[i])
+                )
+                open_ts.remove(i)
+            elif k >= _MAX_POISSON_TERMS:
+                raise SizeGuardError("Poisson truncation did not converge")
+            else:
+                weights[i].append(weights[i][-1] * ts[i] / (k + 1))
+        if not open_ts:
+            return out
 
 
 def poissonized_law(
     n: int, p: PackDistribution, t: float, tol: float
 ) -> PoissonizedLaw:
-    """Truncated deck law of the continuous-time p-shuffle chain at time t.
-
-    The truncation point is the smallest K whose retained Poisson(t) mass
-    exceeds 1 - tol, found by incremental summation of the exact values of
-    the float weights; tighter truncation keeps the product laws small.
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if not 0 < tol < 1:
-        raise ValueError(f"tolerance must be in (0, 1), got {tol}")
-    if t > 700:
-        raise ValueError("time too large for float Poisson weights")
-
-    tol_frac = Fraction(tol)
-    probs = [Fraction(0)] * n
-    weights: list[float] = []
-    mass = Fraction(0)
-    prod: dict[int, Fraction] = {1: Fraction(1)}
-    weight = math.exp(-t)
-    k = 0
-    while True:
-        weights.append(weight)
-        w_exact = Fraction(weight)
-        term = mixture_of_m_shuffles(n, sorted(prod.items()))
-        for i in range(n):
-            probs[i] += w_exact * term.class_prob[i]
-        mass += w_exact
-        if 1 - mass < tol_frac:
-            break
-        k += 1
-        if k > _MAX_POISSON_TERMS:
-            raise SizeGuardError("Poisson truncation did not converge")
-        weight = weight * t / k
-        nxt: dict[int, Fraction] = {}
-        for v, w in prod.items():
-            for m, q in p.atoms:
-                key = v * m
-                nxt[key] = nxt.get(key, Fraction(0)) + w * q
-        prod = nxt
-
-    if mass > 1:
-        # Float weights can overshoot 1 by rounding; rescale exactly so the
-        # mass certificate stays valid.
-        probs = [q / mass for q in probs]
-        mass = Fraction(1)
-    return PoissonizedLaw(
-        n=n,
-        t=float(t),
-        tol=float(tol),
-        truncation_k=k,
-        class_prob=tuple(probs),
-        mass=mass,
-        weights=tuple(weights),
-    )
+    """Truncated deck law at time t: the one-time :func:`poissonized_laws`."""
+    return poissonized_laws(n, p, [t], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -224,18 +194,12 @@ def unit_time_pack_law(p: PackDistribution, tol: float) -> UnitTimePackLaw:
         tail -= bounds[j_trunc - 1]
 
     base: dict[int, Fraction] = {}
-    prod: dict[int, Fraction] = {1: Fraction(1)}
-    for j in range(1, j_trunc + 1):
-        nxt: dict[int, Fraction] = {}
-        for v, w in prod.items():
-            for m, q in p.atoms:
-                key = v * m
-                nxt[key] = nxt.get(key, Fraction(0)) + w * q
-        prod = nxt
-        inv_jfact = Fraction(1, factorial(j))
-        for l, w in prod.items():
+    steps = islice(product_laws(p), 1, j_trunc + 1)
+    for j, (weights, den) in enumerate(steps, 1):
+        scale = factorial(j) * den
+        for l, w in weights.items():
             if l > 1:
-                base[l] = base.get(l, Fraction(0)) + inv_jfact * w
+                base[l] = base.get(l, Fraction(0)) + Fraction(w, scale)
 
     atoms = {l: e_inv * float(w) for l, w in sorted(base.items())}
     atoms[1] = math.exp(-float(1 - p.prob_of(1)))

@@ -2,8 +2,10 @@
 
 A deck law here is always constant on rising-sequence classes, so it is
 represented by the probability of each *single arrangement* in class r (not
-the class mass). All arithmetic is exact rational; floats only appear when a
-caller explicitly renders a value.
+the class mass): n integer numerators over one common denominator, in lowest
+terms. Every m-shuffle probability is an integer over m**n and a k-step law
+is an integer-weighted mixture of them; ``Fraction`` appears only at the
+interface, and floats only when a caller explicitly renders a value.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
-from .combinatorics import EulerianRow, binomial_big, eulerian_row, factorial
+from .combinatorics import eulerian_row, factorial
 
 __all__ = [
+    "ClassNumerators",
     "PackDistribution",
     "ProductLaw",
     "RisingSeqLaw",
@@ -28,6 +32,8 @@ __all__ = [
     "law_from_json",
     "law_to_json",
     "m_shuffle_law",
+    "mixture_of_m_shuffles",
+    "product_laws",
     "product_power",
     "tail_set_gap",
     "tv_to_uniform",
@@ -46,50 +52,88 @@ def _default_max_atoms() -> int:
     return int(raw) if raw else 1_000_000
 
 
-@dataclass(frozen=True)
-class RisingSeqLaw:
-    """Probability law on deck arrangements, constant on rising-seq classes.
+class ClassNumerators:
+    """Base of frozen dataclasses with fields ``n``, ``nums`` and ``den``.
 
-    ``class_prob[i]`` is the probability of each individual arrangement with
-    ``r = i + 1`` rising sequences. Construction verifies exact normalization
-    (sum over classes of count * prob equals 1) and that the per-arrangement
-    probability is nonincreasing in r, which holds for every m-shuffle law and
-    every mixture of them.
+    ``nums[i] / den`` is the probability of each arrangement with r = i + 1
+    rising sequences; construction reduces it to lowest terms with one gcd.
     """
 
-    n: int
-    class_prob: tuple[Fraction, ...]
-
     def __post_init__(self) -> None:
-        n = self.n
-        if len(self.class_prob) != n:
-            raise ValueError(f"law for n={n} needs {n} class entries")
-        row = eulerian_row(n)
-        total = Fraction(0)
-        prev = None
-        for r in range(1, n + 1):
-            q = self.class_prob[r - 1]
-            if q < 0 or q > 1:
-                raise ValueError(f"class probability out of [0,1] at r={r}")
-            if prev is not None and q > prev:
-                raise ValueError(f"class probability increases at r={r}")
-            prev = q
-            total += row.count(r) * q
-        if total != 1:
-            raise ValueError(f"law for n={n} has total mass {total}, not 1")
+        g = math.gcd(self.den, *self.nums)
+        object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
+        object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def class_prob(self) -> tuple[Fraction, ...]:
+        """Per-arrangement probability of each class r = 1..n, as fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def prob(self, r: int) -> Fraction:
         """Probability of one arrangement with r rising sequences."""
         if not 1 <= r <= self.n:
             raise ValueError(f"r must be in 1..{self.n}, got {r}")
-        return self.class_prob[r - 1]
+        return Fraction(self.nums[r - 1], self.den)
+
+
+@dataclass(frozen=True)
+class RisingSeqLaw(ClassNumerators):
+    """Probability law on deck arrangements, constant on rising-seq classes.
+
+    Construction also verifies, in integers, exact normalization (sum over
+    classes of count * num equals den) and that the per-arrangement
+    probability is nonincreasing in r, which holds for every m-shuffle law
+    and every mixture of them.
+    """
+
+    n: int
+    nums: tuple[int, ...]
+    den: int
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if n < 1:
+            raise ValueError(f"deck size must be >= 1, got {n}")
+        if len(self.nums) != n or self.den < 1:
+            raise ValueError(f"law for n={n} needs {n} class entries over a positive den")
+        super().__post_init__()
+        nums, den = self.nums, self.den
+        for r in range(2, n + 1):
+            if nums[r - 1] > nums[r - 2]:
+                raise ValueError(f"class probability increases at r={r}")
+        if nums[0] > den or nums[-1] < 0:
+            raise ValueError("class probability out of [0,1]")
+        total = sum(c * x for c, x in zip(eulerian_row(n).counts, nums))
+        if total != den:
+            raise ValueError(f"law for n={n} has total mass {Fraction(total, den)}, not 1")
+
+    @classmethod
+    def from_probs(cls, n: int, probs: Iterable[Fraction]) -> "RisingSeqLaw":
+        """Law from exact per-arrangement probabilities, class r = 1..n in order."""
+        probs = [Fraction(q) for q in probs]
+        den = math.lcm(*(q.denominator for q in probs))
+        return cls(n, tuple(q.numerator * (den // q.denominator) for q in probs), den)
 
     def class_mass(self, r: int) -> Fraction:
         """Total probability of the class of arrangements with r rising seqs."""
         return eulerian_row(self.n).count(r) * self.prob(r)
 
-    def row(self) -> EulerianRow:
-        return eulerian_row(self.n)
+
+def _shuffle_numerators(n: int, m: int, scale: int = 1) -> list[int]:
+    """``scale * C(n + m - r, n)`` for r = 1..n: m-shuffle numerators over m**n.
+
+    Each entry comes from the one before by the exact ratio
+    ``(m - r) / (n + m - r)``, a small multiply and divide, so only the first
+    is a binomial; the entries vanish from r = m + 1 on.
+    """
+    if n < 1:
+        raise ValueError(f"deck size must be >= 1, got {n}")
+    if m < 1:
+        raise ValueError(f"pack count must be >= 1, got {m}")
+    out = [scale * math.comb(n + m - 1, n)]
+    for r in range(1, n):
+        out.append(out[-1] * (m - r) // (n + m - r))
+    return out
 
 
 def m_shuffle_law(n: int, m: int) -> RisingSeqLaw:
@@ -99,15 +143,7 @@ def m_shuffle_law(n: int, m: int) -> RisingSeqLaw:
     ``C(n + m - r, n) / m**n``; it vanishes for r > m. ``m`` may be a huge
     integer (compositions of many shuffles are a single ``prod(m_i)``-shuffle).
     """
-    if n < 1:
-        raise ValueError(f"deck size must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"pack count must be >= 1, got {m}")
-    den = m**n
-    probs = tuple(
-        Fraction(binomial_big(n + m - r, n), den) for r in range(1, n + 1)
-    )
-    return RisingSeqLaw(n, probs)
+    return RisingSeqLaw(n, tuple(_shuffle_numerators(n, m)), m**n)
 
 
 class PackDistribution:
@@ -249,39 +285,51 @@ class ProductLaw:
         if total != 1:
             raise ValueError(f"product law has total mass {total}, not 1")
 
-    def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self.atoms.items())
+
+def product_laws(
+    p: PackDistribution, max_atoms: int | None = None
+) -> Iterator[tuple[dict[int, int], int]]:
+    """Laws of the product of k independent draws from p, for k = 0, 1, 2, ...
+
+    Step k is ``(weights, den)``: product v has probability weights[v] / den,
+    with den = q**k for q the lcm of p's denominators. Step k is step k - 1
+    convolved with p, colliding products (2*6 = 3*4) merged. A step of more
+    than ``max_atoms`` products raises :class:`SizeGuardError`.
+    """
+    if max_atoms is None:
+        max_atoms = _default_max_atoms()
+    q = math.lcm(*(w.denominator for _, w in p.atoms))
+    step = [(m, w.numerator * (q // w.denominator)) for m, w in p.atoms]
+    weights, den = {1: 1}, 1
+    while True:
+        yield weights, den
+        nxt: dict[int, int] = {}
+        for v, w in weights.items():
+            for m, c in step:
+                key = v * m
+                if key in nxt:
+                    nxt[key] += w * c
+                else:
+                    nxt[key] = w * c
+                    if len(nxt) > max_atoms:
+                        raise SizeGuardError(f"product law would exceed {max_atoms} atoms")
+        weights, den = nxt, den * q
+
+
+def _product_step(
+    p: PackDistribution, k: int, max_atoms: int | None
+) -> tuple[dict[int, int], int]:
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return next(islice(product_laws(p, max_atoms), k, None))
 
 
 def product_power(
     p: PackDistribution, k: int, max_atoms: int | None = None
 ) -> ProductLaw:
-    """Law of the product of k independent draws from p.
-
-    Colliding products (2*6 = 3*4) are merged. If the number of distinct
-    products would exceed ``max_atoms`` the computation fails with
-    :class:`SizeGuardError` rather than degrade silently.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if max_atoms is None:
-        max_atoms = _default_max_atoms()
-    acc: dict[int, Fraction] = {1: Fraction(1)}
-    for _ in range(k):
-        nxt: dict[int, Fraction] = {}
-        for v, w in acc.items():
-            for m, q in p.atoms:
-                key = v * m
-                if key in nxt:
-                    nxt[key] += w * q
-                else:
-                    nxt[key] = w * q
-                    if len(nxt) > max_atoms:
-                        raise SizeGuardError(
-                            f"product law would exceed {max_atoms} atoms"
-                        )
-        acc = nxt
-    return ProductLaw(acc)
+    """Law of the product of k independent draws from p, as fractions."""
+    weights, den = _product_step(p, k, max_atoms)
+    return ProductLaw({v: Fraction(w, den) for v, w in weights.items()})
 
 
 def law_after_k(
@@ -292,37 +340,35 @@ def law_after_k(
     k independent p-shuffles compose into a single shuffle with the product
     pack count, so the law is the product-law mixture of m-shuffle laws.
     """
-    products = product_power(p, k, max_atoms=max_atoms)
-    return mixture_of_m_shuffles(n, products.items())
+    return mixture_of_m_shuffles(n, *_product_step(p, k, max_atoms))
 
 
-def mixture_of_m_shuffles(
-    n: int, weighted_ms: Iterable[tuple[int, Fraction]]
-) -> RisingSeqLaw:
-    """Mixture sum(w * m_shuffle_law(n, m)) for exact weights w summing to 1."""
-    probs = [Fraction(0)] * n
-    for m, w in weighted_ms:
-        if w == 0:
-            continue
-        law = m_shuffle_law(n, m)
-        for i in range(n):
-            probs[i] += w * law.class_prob[i]
-    return RisingSeqLaw(n, tuple(probs))
+def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSeqLaw:
+    """Mixture sum(w / den * m_shuffle_law(n, m)) for integer weights w summing to den.
 
-
-def tv_to_uniform(law: RisingSeqLaw) -> Fraction:
-    """Exact total variation distance between the law and the uniform deck.
-
-    Because the law is constant on rising-sequence classes this is a sum over
-    the n classes, weighted by the Eulerian counts.
+    The m-shuffle numerators are scaled to the common denominator
+    ``den * lcm(m)**n``; the law's one gcd is the only reduction.
     """
-    n = law.n
-    row = eulerian_row(n)
-    u = Fraction(1, factorial(n))
-    total = Fraction(0)
-    for r in range(1, n + 1):
-        total += row.count(r) * abs(law.prob(r) - u)
-    return total / 2
+    ms = [m for m, w in weights.items() if w]
+    top = math.lcm(*ms)
+    nums = [0] * n
+    for m in ms:
+        scaled = _shuffle_numerators(n, m, weights[m] * (top // m) ** n)
+        nums = [a + c for a, c in zip(nums, scaled)]
+    return RisingSeqLaw(n, tuple(nums), den * top**n)
+
+
+def tv_to_uniform(law: ClassNumerators) -> Fraction:
+    """Exact total variation distance between a class law and the uniform deck.
+
+    The law is constant on classes, so this is one integer sum over them,
+    ``sum(count * |num * n! - den|) / (2 * den * n!)``; truncated laws of
+    less than full mass are allowed.
+    """
+    nfact = factorial(law.n)
+    counts = eulerian_row(law.n).counts
+    total = sum(c * abs(x * nfact - law.den) for c, x in zip(counts, law.nums))
+    return Fraction(total, 2 * law.den * nfact)
 
 
 def tail_set_gap(n: int, m: int, r: int) -> Fraction:
@@ -334,12 +380,10 @@ def tail_set_gap(n: int, m: int, r: int) -> Fraction:
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}, got {r}")
     law = m_shuffle_law(n, m)
-    row = eulerian_row(n)
-    u = Fraction(1, factorial(n))
-    gap = Fraction(0)
-    for s in range(r, n + 1):
-        gap += row.count(s) * (u - law.prob(s))
-    return gap
+    nfact = factorial(n)
+    counts = eulerian_row(n).counts[r - 1 :]
+    total = sum(c * (law.den - x * nfact) for c, x in zip(counts, law.nums[r - 1 :]))
+    return Fraction(total, law.den * nfact)
 
 
 class WindowGap(NamedTuple):
@@ -362,26 +406,15 @@ def window_set_gap(n: int, m: int, k: int) -> WindowGap:
     r_min = max(1, math.ceil(lower))
     if r_min > n:
         return WindowGap(Fraction(0), True)
-    law = m_shuffle_law(n, k)
-    row = eulerian_row(n)
-    u = Fraction(1, factorial(n))
-    gap = Fraction(0)
-    for s in range(r_min, n + 1):
-        gap += row.count(s) * (u - law.prob(s))
-    return WindowGap(gap, False)
+    return WindowGap(tail_set_gap(n, k, r_min), False)
 
 
-def law_to_json(law: RisingSeqLaw) -> str:
-    """Serialize a law with exact decimal-string fields (never floats)."""
-    row = eulerian_row(law.n)
+def law_to_json(law: ClassNumerators) -> str:
+    """Serialize a class law with exact decimal-string fields (never floats)."""
+    counts = eulerian_row(law.n).counts
     entries = [
-        {
-            "r": r,
-            "count": str(row.count(r)),
-            "prob_num": str(law.prob(r).numerator),
-            "prob_den": str(law.prob(r).denominator),
-        }
-        for r in range(1, law.n + 1)
+        {"r": r, "count": str(c), "prob_num": str(q.numerator), "prob_den": str(q.denominator)}
+        for r, (c, q) in enumerate(zip(counts, law.class_prob), 1)
     ]
     return json.dumps({"n": law.n, "entries": entries}, separators=(",", ":"))
 
@@ -394,4 +427,4 @@ def law_from_json(text: str) -> RisingSeqLaw:
         probs[int(entry["r"]) - 1] = Fraction(
             int(entry["prob_num"]), int(entry["prob_den"])
         )
-    return RisingSeqLaw(n, tuple(probs))
+    return RisingSeqLaw.from_probs(n, probs)

@@ -79,7 +79,7 @@ def oracle_digit_law(n: int, m: int, max_words: int = MAX_DIGIT_WORDS) -> Rising
                 f"digit oracle not constant on class r={r} for n={n}, m={m}"
             )
         probs[r - 1] = Fraction(values.pop(), words)
-    return RisingSeqLaw(n, tuple(probs))
+    return RisingSeqLaw.from_probs(n, probs)
 
 
 def _perm_law(n: int, class_prob: Sequence[Fraction]) -> tuple[dict[tuple[int, ...], int], int]:
@@ -122,7 +122,7 @@ def _project(n: int, table: dict[tuple[int, ...], int], den: int) -> RisingSeqLa
             raise AssertionError(f"convolved law not constant on class r={r}")
         assert class_seen[r] == row.count(r)
         probs[r - 1] = Fraction(values.pop(), den)
-    return RisingSeqLaw(n, tuple(probs))
+    return RisingSeqLaw.from_probs(n, probs)
 
 
 def oracle_convolution(n: int, p: PackDistribution, k: int) -> RisingSeqLaw:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import riffle
 from riffle.cli import RunConfig, main, parse_a_n, parse_k_range, parse_pack_spec
 
 
@@ -246,3 +251,27 @@ class TestSizeGuardExit:
             ["profile", "--n", "6", "--p", "2:1/4,3:1/4,5:1/4,7:1/4", "--k", "1..6"],
         )
         assert result.exit_code == 3
+
+
+class TestLibraryValueErrorExit:
+    # Values the parsers accept but the library rejects: a one-line error
+    # and exit 2, checked on the real stderr of a CLI process.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["profile", "--n", "0", "--p", "2:1", "--k", "1..2"],
+            ["poisson", "--n", "0", "--p", "2:1", "--t", "1:2:1"],
+            ["cutoff", "--n-grid", "1:3:1", "--p", "invsq"],
+            ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "-5"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_exits_2_without_traceback(self, args, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "riffle.cli", *args, "--cache", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from itertools import permutations
 
@@ -155,20 +156,33 @@ class TestCache:
         assert eulerian_row(n).counts == brute_force_row_free(n)
 
     def test_concurrent_requests_consistent(self, tmp_path, monkeypatch):
+        # Every worker misses the memo and writes the same row at once; all
+        # must return it, with no worker dying on another's temp file.
         monkeypatch.setenv("RIFFLE_CACHE_DIR", str(tmp_path))
         import riffle.combinatorics as comb
 
         monkeypatch.setattr(comb, "_memo", {})
-        results = []
+        results, errors = [], []
+        monkeypatch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_value))
+        start = threading.Barrier(8)
 
         def worker():
+            start.wait()
             results.append(eulerian_row(45))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 8
         assert all(r == results[0] for r in results)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ from riffle.combinatorics import factorial
 from riffle.continuous_time import (
     continuous_cutoff_report,
     poissonized_law,
+    poissonized_laws,
     unit_time_pack_law,
 )
 from riffle.cutoff import log_moments
-from riffle.laws import PackDistribution, m_shuffle_law, tv_to_uniform
+from riffle.laws import PackDistribution, law_to_json, m_shuffle_law, tv_to_uniform
 
 MIX23 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 2)})
 DELTA2 = PackDistribution.delta(2)
@@ -89,10 +91,21 @@ class TestPoissonizedLaw:
             poissonized_law(5, DELTA2, 1.0, 2.0)
 
     def test_json_schema(self):
+        # A truncated law goes through the one law encoder, as exact strings.
         law = poissonized_law(4, DELTA2, 1.0, 1e-6)
-        data = law.to_json_dict()
-        assert set(data) == {"n", "t", "tol", "truncation_k", "entries"}
+        data = json.loads(law_to_json(law))
+        assert set(data) == {"n", "entries"}
         assert all({"r", "count", "prob_num", "prob_den"} == set(e) for e in data["entries"])
+        probs = [Fraction(int(e["prob_num"]), int(e["prob_den"])) for e in data["entries"]]
+        assert tuple(probs) == law.class_prob
+
+    @pytest.mark.parametrize(
+        "ts", [[0.5, 3.0, 1.25], [3.0, 0.0, 3.0, 0.5], [7.0, 7.0]], ids=repr
+    )
+    def test_grid_equals_per_time_calls(self, ts):
+        # Any order, repeated times: each entry is the one-time law.
+        laws = poissonized_laws(6, MIX23, ts, 1e-8)
+        assert laws == [poissonized_law(6, MIX23, t, 1e-8) for t in ts]
 
 
 class TestUnitTimePackLaw:

@@ -1,4 +1,5 @@
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from riffle.laws import (
     tv_to_uniform,
     window_set_gap,
 )
+from riffle.laws import _shuffle_numerators
+from riffle.oracles import oracle_convolution
 
 MIX23 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 2)})
 
@@ -49,9 +52,22 @@ class TestMShuffleLaw:
 
     def test_validation_rejects_bad_law(self):
         with pytest.raises(ValueError):
-            RisingSeqLaw(2, (Fraction(1), Fraction(1)))  # mass 2
+            RisingSeqLaw.from_probs(2, (Fraction(1), Fraction(1)))  # mass 2
         with pytest.raises(ValueError):
-            RisingSeqLaw(2, (Fraction(0), Fraction(1)))  # increasing in r
+            RisingSeqLaw.from_probs(2, (Fraction(0), Fraction(1)))  # increasing in r
+
+    def test_held_in_lowest_terms(self):
+        # n=1, m=2: the lone class has probability 2/2 = 1/1.
+        law = m_shuffle_law(1, 2)
+        assert (law.nums, law.den) == ((1,), 1)
+        assert RisingSeqLaw(2, (6, 2), 8) == m_shuffle_law(2, 2)
+        assert m_shuffle_law(2, 2).class_prob == (Fraction(3, 4), Fraction(1, 4))
+
+    @pytest.mark.parametrize("n, m", [(12, 5), (9, 9), (6, 2**200)], ids=["m<n", "m=n", "huge_m"])
+    def test_ratio_built_numerators_are_binomials(self, n, m):
+        # m < n, m = n and a huge m, where the ratio runs over 200-bit values.
+        expected = [math.comb(n + m - r, n) for r in range(1, n + 1)]
+        assert _shuffle_numerators(n, m) == expected
 
     @settings(deadline=None)
     @given(st.integers(1, 6), st.integers(1, 12))
@@ -116,6 +132,37 @@ class TestLawAfterK:
                 + Fraction(1, 4) * q9.prob(r)
             )
             assert law.prob(r) == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.dictionaries(st.integers(1, 7), st.integers(1, 20), min_size=1, max_size=4),
+        st.integers(1, 12),
+        st.integers(0, 5),
+    )
+    def test_matches_fraction_reference_mixture(self, raw, n, k):
+        # Reference: the product law and the closed-form mixture, all in
+        # Fraction arithmetic, written out without the integer engine.
+        total = sum(raw.values())
+        p = PackDistribution.from_pairs({m: Fraction(w, total) for m, w in raw.items()})
+        products = {1: Fraction(1)}
+        for _ in range(k):
+            nxt = {}
+            for v, w in products.items():
+                for m, q in p.atoms:
+                    nxt[v * m] = nxt.get(v * m, Fraction(0)) + w * q
+            products = nxt
+        expected = [
+            sum(
+                (w * Fraction(math.comb(n + v - r, n), v**n) for v, w in products.items()),
+                Fraction(0),
+            )
+            for r in range(1, n + 1)
+        ]
+        law = law_after_k(n, p, k)
+        assert law == RisingSeqLaw.from_probs(n, expected)
+        assert list(law.class_prob) == expected
+        if n <= 5:
+            assert law == oracle_convolution(n, p, k)
 
     def test_parallel_map_bit_identical(self):
         ks = list(range(6))
