@@ -50,23 +50,30 @@ def chain_step_numpy(
     digits = (digit_u * pack_m[:, None]).astype(np.int64)
     np.minimum(digits, pack_m[:, None] - 1, out=digits)
 
-    sizes = np.zeros((rows, m_max), np.int64)
+    # Per-pack state is held pack-major, entry (pack j, row) at j*rows + row,
+    # so every per-step operation runs over contiguous rows.
     row_idx = np.arange(rows)
-    np.add.at(sizes, (row_idx[:, None], digits), 1)
-    # Bottom of each consecutive pack, as an index into the current deck.
-    ptr = np.cumsum(sizes, axis=1) - 1
+    sizes = np.bincount((digits * rows + row_idx[:, None]).ravel(), minlength=m_max * rows)
+    # cum[j] is the number of cards left in packs 0..j; it is updated in place
+    # as cards drop, never recomputed.
+    cum = np.cumsum(sizes.reshape(m_max, rows), axis=0)
+    # Bottom card of each pack, as a flat index into ``decks``.
+    ptr = (cum - 1 + row_idx * n).ravel()
+    flat = decks.ravel()
+    packs = np.arange(m_max)[:, None]
 
-    dropped = np.empty((rows, n), decks.dtype)
+    out = np.empty((rows, n), decks.dtype)
     total = n
     for step in range(n):
         u = drop_u[:, step] * total
-        cum = np.cumsum(sizes, axis=1)
-        chosen = (cum <= u[:, None]).sum(axis=1)
-        dropped[:, step] = decks[row_idx, ptr[row_idx, chosen]]
-        ptr[row_idx, chosen] -= 1
-        sizes[row_idx, chosen] -= 1
+        chosen = (cum <= u).sum(axis=0)
+        at = chosen * rows + row_idx
+        # The drop pile is read top to bottom, so drop s is output card n-1-s.
+        out[:, n - 1 - step] = flat[ptr[at]]
+        ptr[at] -= 1
+        cum -= packs >= chosen
         total -= 1
-    return dropped[:, ::-1].copy()
+    return out
 
 
 def rising_counts_numpy(decks: np.ndarray) -> np.ndarray:

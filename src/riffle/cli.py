@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import click
 
-from .combinatorics import CACHE_ENV_VAR
+from .combinatorics import CACHE_ENV_VAR, int_to_decimal
 from .cutoff import (
     cutoff_report,
     cutoff_shape,
@@ -151,20 +151,53 @@ def parse_float_grid(text: str) -> list[float]:
         value = a + len(out) * step
     return out
 
-_A_N_ALLOWED = re.compile(r"^[0-9+\-*/(). ]*$")
+_A_N_TOKEN = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+|logn|\S")
 
 
 def parse_a_n(expr: str, n: int) -> float:
-    """Evaluate a truncation-level expression; the token ``logn`` is allowed."""
-    body = expr.replace("logn", f"({math.log(n)!r})")
-    if not _A_N_ALLOWED.fullmatch(body):
-        raise click.UsageError(f"bad a-n expression {expr!r}")
+    """Evaluate a truncation-level expression.
+
+    The grammar is numbers, the token ``logn``, ``+ - * /`` with the usual
+    precedence, unary signs and parentheses. There is no power operator, so
+    every expression is a few float operations. Raises ``ValueError`` for a
+    malformed expression or a value that is not positive and finite.
+    """
+    tokens = _A_N_TOKEN.findall(expr)[::-1]  # the next token is the last
+
+    def sum_() -> float:
+        value = product()
+        while tokens and tokens[-1] in ("+", "-"):
+            value = value + product() if tokens.pop() == "+" else value - product()
+        return value
+
+    def product() -> float:
+        value = factor()
+        while tokens and tokens[-1] in ("*", "/"):
+            value = value * factor() if tokens.pop() == "*" else value / factor()
+        return value
+
+    def factor() -> float:
+        token = tokens.pop()
+        if token in ("+", "-"):
+            return factor() if token == "+" else -factor()
+        if token == "(":
+            value = sum_()
+            if tokens.pop() == ")":
+                return value
+        elif token == "logn":
+            return math.log(n)
+        elif token[0] in "0123456789.":
+            return float(token)
+        raise ValueError
+
     try:
-        value = float(eval(body, {"__builtins__": {}}, {}))
-    except (SyntaxError, ZeroDivisionError, NameError, TypeError):
-        raise click.UsageError(f"bad a-n expression {expr!r}") from None
-    if value <= 0:
-        raise click.UsageError(f"a-n must be positive, got {value}")
+        value = sum_()
+        if tokens:
+            raise ValueError
+    except (IndexError, ValueError, ZeroDivisionError, RecursionError):
+        raise ValueError(f"bad a-n expression {expr!r}") from None
+    if not 0 < value < math.inf:
+        raise ValueError(f"a-n must be positive and finite, got {value}")
     return value
 
 
@@ -233,7 +266,7 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
         rows.append(
             {
                 "k": k,
-                "tv_exact": f"{tv.numerator}/{tv.denominator}",
+                "tv_exact": f"{int_to_decimal(tv.numerator)}/{int_to_decimal(tv.denominator)}",
                 "tv_float": _fmt(float(tv)),
                 "bd_estimate": _fmt(estimate),
             }

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
@@ -20,9 +22,11 @@ __all__ = [
     "EulerianCache",
     "EulerianRow",
     "binomial_big",
+    "decimal_to_int",
     "default_cache",
     "eulerian_row",
     "factorial",
+    "int_to_decimal",
     "rising_sequences",
     "validate_arrangement",
 ]
@@ -51,6 +55,36 @@ def binomial_big(top: int, n: int) -> int:
     if top < 0:
         raise ValueError(f"upper argument must be >= 0, got {top}")
     return math.comb(top, n)
+
+
+def int_to_decimal(x: int) -> str:
+    """``str(x)`` for an int of any size.
+
+    ``str`` refuses ints longer than ``sys.get_int_max_str_digits()`` digits
+    (4300 by default); ``Decimal`` converts from the binary digits with no
+    such limit and prints the same plain decimal text.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        return str(Decimal(x))
+
+
+def decimal_to_int(text: str) -> int:
+    """``int(text)`` for decimal text of any length.
+
+    ``int`` refuses text past ``sys.get_int_max_str_digits()`` digits, so
+    longer text, which must be plain digits, is parsed in halves and joined
+    with a power of ten.
+    """
+    # Python before 3.10.7 has no limit and no getter.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit or len(text) <= limit:
+        return int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a nonnegative decimal integer: {text[:40]!r}...")
+    low = len(text) // 2
+    return decimal_to_int(text[:-low]) * 10**low + decimal_to_int(text[-low:])
 
 
 def validate_arrangement(arrangement: Sequence[int]) -> tuple[int, ...]:
@@ -166,7 +200,7 @@ class EulerianCache:
             lines = text.split()
             if int(lines[0]) != n or len(lines) != n + 1:
                 return None
-            counts = tuple(int(s) for s in lines[1:])
+            counts = tuple(decimal_to_int(s) for s in lines[1:])
             return EulerianRow(n, counts)
         except (ValueError, IndexError):
             # Corrupt cache entry; caller recomputes and overwrites.
@@ -178,7 +212,7 @@ class EulerianCache:
         # One temp file per writing thread, so concurrent writers never rename
         # each other's file away.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        body = "\n".join([str(row.n), *(str(c) for c in row.counts)]) + "\n"
+        body = "\n".join([str(row.n), *map(int_to_decimal, row.counts)]) + "\n"
         tmp.write_text(body)
         os.replace(tmp, path)
 

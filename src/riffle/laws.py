@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .combinatorics import eulerian_row, factorial
+from .combinatorics import decimal_to_int, eulerian_row, factorial, int_to_decimal
 
 __all__ = [
     "ClassNumerators",
@@ -413,7 +413,12 @@ def law_to_json(law: ClassNumerators) -> str:
     """Serialize a class law with exact decimal-string fields (never floats)."""
     counts = eulerian_row(law.n).counts
     entries = [
-        {"r": r, "count": str(c), "prob_num": str(q.numerator), "prob_den": str(q.denominator)}
+        {
+            "r": r,
+            "count": int_to_decimal(c),
+            "prob_num": int_to_decimal(q.numerator),
+            "prob_den": int_to_decimal(q.denominator),
+        }
         for r, (c, q) in enumerate(zip(counts, law.class_prob), 1)
     ]
     return json.dumps({"n": law.n, "entries": entries}, separators=(",", ":"))
@@ -425,6 +430,6 @@ def law_from_json(text: str) -> RisingSeqLaw:
     probs = [Fraction(0)] * n
     for entry in data["entries"]:
         probs[int(entry["r"]) - 1] = Fraction(
-            int(entry["prob_num"]), int(entry["prob_den"])
+            decimal_to_int(entry["prob_num"]), decimal_to_int(entry["prob_den"])
         )
     return RisingSeqLaw.from_probs(n, probs)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import riffle
 from riffle.cli import RunConfig, main, parse_a_n, parse_k_range, parse_pack_spec
+from riffle.combinatorics import decimal_to_int
 
 
 @pytest.fixture
@@ -46,10 +47,25 @@ class TestParsers:
         assert parse_a_n("logn", n) == math.log(n)
         assert parse_a_n("2*logn", n) == 2 * math.log(n)
         assert parse_a_n("3.5", n) == 3.5
-        import click
-
-        with pytest.raises(click.UsageError):
+        with pytest.raises(ValueError):
             parse_a_n("__import__('os')", n)
+
+    def test_a_n_grammar(self):
+        logn = math.log(52)
+        # Same values, operation for operation, as Python's own arithmetic.
+        for expr, value in [
+            ("(1+2)*3", 9.0),
+            ("2--3", 5.0),
+            ("-2*-3", 6.0),
+            ("10/4/5", 10 / 4 / 5),
+            (" 0.5 * logn ", 0.5 * logn),
+            ("logn/2+1", logn / 2 + 1),
+            (".5", 0.5),
+        ]:
+            assert parse_a_n(expr, 52) == value
+        for expr in ["", "2**3", "2logn", "(1", "1)", "1/0", "1.2.3", "1e5", "-1", "1-1", "9" * 400, "(" * 5000]:
+            with pytest.raises(ValueError):
+                parse_a_n(expr, 52)
 
     def test_run_config_round_trip(self):
         config = RunConfig(command="profile", n=52, p_spec="2:1", k_range="1..12")
@@ -243,6 +259,23 @@ class TestPoisson:
         assert result.exit_code == 2
 
 
+class TestBigOutputs:
+    def test_profile_renders_numbers_past_the_str_digit_limit(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["profile", "--n", "1000", "--p", "2:1", "--k", "14..15", "--cache", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        lines = result.output.strip().splitlines()
+        assert lines[0] == "k,tv_exact,tv_float,bd_estimate"
+        for k, line in zip((14, 15), lines[1:]):
+            k_text, tv_exact, tv_float, _ = line.split(",")
+            num, den = (decimal_to_int(part) for part in tv_exact.split("/"))
+            assert int(k_text) == k
+            assert len(tv_exact) > 4300
+            assert math.isclose(num / den, float(tv_float), rel_tol=1e-15)
+
+
 class TestSizeGuardExit:
     def test_profile_exits_3_when_product_law_explodes(self, runner, monkeypatch):
         monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", "5")
@@ -275,3 +308,15 @@ class TestLibraryValueErrorExit:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("expr", ["2**10000", "9**9**9"])
+def test_power_in_a_n_exits_2_without_traceback(expr):
+    # The a-n grammar has no power operator: rejected at once, never evaluated.
+    env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "riffle.cli", "cutoff", "--n", "52", "--p", "2:1", "--a-n", expr],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == [f"Error: bad a-n expression {expr!r}"]

@@ -12,8 +12,10 @@ from riffle.combinatorics import (
     EulerianRow,
     binomial_big,
     brute_force_row,
+    decimal_to_int,
     eulerian_row,
     factorial,
+    int_to_decimal,
     rising_sequences,
     validate_arrangement,
 )
@@ -92,6 +94,28 @@ class TestBinomial:
             binomial_big(3, -1)
 
 
+class TestDecimalText:
+    def test_same_text_as_str_past_the_limit(self):
+        big = 10**5000 + 7
+        assert int_to_decimal(big) == "1" + "0" * 4999 + "7"
+        assert int_to_decimal(-big) == "-1" + "0" * 4999 + "7"
+        assert int_to_decimal(12345) == "12345"
+        assert decimal_to_int(int_to_decimal(big)) == big
+        assert decimal_to_int("0" * 9000 + "12") == 12
+        assert decimal_to_int("0") == 0
+
+    @pytest.mark.parametrize("text", ["", "1.0", "1e5", "abc"])
+    def test_rejects_what_int_rejects(self, text):
+        with pytest.raises(ValueError):
+            decimal_to_int(text)
+
+    @pytest.mark.parametrize("text", ["+" + "1" * 5000, "1" * 5000 + "_1", "1" * 5000 + ".0"])
+    def test_long_text_must_be_plain_digits(self, text):
+        # Split in halves, a sign or separator would be parsed in the wrong place.
+        with pytest.raises(ValueError):
+            decimal_to_int(text)
+
+
 class TestEulerianRow:
     def test_n1(self):
         assert eulerian_row(1).counts == (1,)
@@ -154,6 +178,21 @@ class TestCache:
         # Second call reads the file back.
         monkeypatch.setattr(comb, "_memo", {})
         assert eulerian_row(n).counts == brute_force_row_free(n)
+
+    def test_row_past_the_str_digit_limit_round_trips(self, tmp_path, monkeypatch):
+        # The middle counts of row 1800 have more digits than str() converts
+        # by default; the file still holds them as plain decimal lines.
+        import riffle.combinatorics as comb
+
+        cache = EulerianCache(tmp_path)
+        monkeypatch.setattr(comb, "_memo", {})
+        row = eulerian_row(1800, cache)
+        lines = (tmp_path / "eulerian_1800.txt").read_text().splitlines()
+        assert lines[0] == "1800" and len(lines) == 1801
+        assert max(map(len, lines)) > 4300
+        assert lines[1:] == [int_to_decimal(c) for c in row.counts]
+        monkeypatch.setattr(comb, "_memo", {})
+        assert eulerian_row(1800, cache) == row
 
     def test_concurrent_requests_consistent(self, tmp_path, monkeypatch):
         # Every worker misses the memo and writes the same row at once; all

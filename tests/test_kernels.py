@@ -47,14 +47,53 @@ def batch():
     return decks, pack_m, digit_u, drop_u
 
 
-def test_numpy_path_matches_reference(batch):
-    decks, pack_m, digit_u, drop_u = batch
-    out = _kernels.chain_step_numpy(decks, pack_m, digit_u, drop_u)
+def _assert_matches_reference(decks, pack_m, digit_u, drop_u, out):
     for i in range(len(decks)):
         expect = _reference_step(
             list(decks[i]), int(pack_m[i]), list(digit_u[i]), list(drop_u[i])
         )
         assert list(out[i]) == expect
+
+
+def test_numpy_path_matches_reference(batch):
+    out = _kernels.chain_step_numpy(*batch)
+    _assert_matches_reference(*batch, out)
+
+
+def _edge_batch(rows, n, m_low, m_high, seed=5):
+    rng = np.random.default_rng(seed)
+    decks = np.array([rng.permutation(n) + 1 for _ in range(rows)], np.int32)
+    pack_m = rng.integers(m_low, m_high + 1, rows).astype(np.int64)
+    return decks, pack_m, rng.random((rows, n)), rng.random((rows, n))
+
+
+@pytest.mark.parametrize(
+    "rows, n, m_low, m_high",
+    [(50, 1, 1, 4), (50, 9, 1, 1), (300, 3, 1, 12), (1, 6, 7, 7)],
+    ids=["n1", "all_m1", "m_max_above_n", "one_row"],
+)
+def test_numpy_path_matches_reference_on_edge_batches(rows, n, m_low, m_high):
+    batch = _edge_batch(rows, n, m_low, m_high)
+    out = _kernels.chain_step_numpy(*batch)
+    assert out.dtype == np.int32 and out.flags.c_contiguous
+    _assert_matches_reference(*batch, out)
+
+
+def test_sampler_chunks_match_reference_across_a_chunk_boundary():
+    # A row count that is not a multiple of the chunk size: the last chunk is
+    # short, and every chunk draws its cut uniforms and then its drop uniforms.
+    from riffle import sampling
+
+    size, n, m = sampling._CHUNK + 7, 3, 4
+    decks = sampling.sample_m_shuffles(n, m, sampling.make_generator(8), size)
+    rng = sampling.make_generator(8)
+    for lo in range(0, size, sampling._CHUNK):
+        rows = min(sampling._CHUNK, size - lo)
+        digit_u, drop_u = rng.random((rows, n)), rng.random((rows, n))
+        identity = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
+        _assert_matches_reference(
+            identity, np.full(rows, m), digit_u, drop_u, decks[lo : lo + rows]
+        )
 
 
 @pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba unavailable or disabled")

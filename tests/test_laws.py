@@ -273,6 +273,13 @@ class TestJsonExport:
         assert all(isinstance(e["prob_num"], str) for e in data["entries"])
         assert law_from_json(text) == law
 
+    def test_round_trip_past_the_str_digit_limit(self):
+        # den = 2**15000 has 4516 decimal digits.
+        law = m_shuffle_law(1000, 2**15)
+        text = law_to_json(law)
+        assert len(json.loads(text)["entries"][0]["prob_den"]) > 4300
+        assert law_from_json(text) == law
+
     def test_counts_are_exact_decimal_strings(self):
         law = m_shuffle_law(4, 2)
         entries = json.loads(law_to_json(law))["entries"]

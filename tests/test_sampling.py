@@ -1,14 +1,22 @@
+import hashlib
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riffle
 from riffle.combinatorics import eulerian_row
 from riffle.laws import PackDistribution, law_after_k, m_shuffle_law, tv_to_uniform
 from riffle.sampling import (
     EmpiricalHistogram,
+    chi2_sf,
     chi_square_against_law,
     empirical_tv,
     make_generator,
@@ -54,6 +62,71 @@ class TestReproducibility:
         a = sample_chains(6, MIX23, 4, make_generator(11), 300)
         b = sample_chains(6, MIX23, 4, make_generator(11), 300)
         assert np.array_equal(a, b)
+
+
+class TestPinnedStreams:
+    # Digests of sampled decks: a change to the stream layout or to how the
+    # kernel turns uniforms into decks changes every seeded result.
+    def test_m_shuffles_n52(self):
+        decks = sample_m_shuffles(52, 2, make_generator(0), 20000)
+        assert decks.dtype == np.int32
+        assert hashlib.sha256(decks.tobytes()).hexdigest() == (
+            "98039ef59095bd2d38f140a7d5de1b679f30768c141807d10c11c2460f84e1bf"
+        )
+
+    def test_chains_n16_mix23_k3(self):
+        decks = sample_chains(16, MIX23, 3, make_generator(1), 20000)
+        assert decks.dtype == np.int32
+        assert hashlib.sha256(decks.tobytes()).hexdigest() == (
+            "47cf36a8fa051ab7c6b93c6e32af1dfb2315192f12267460216aeb631392d92e"
+        )
+
+
+class TestChiSquareTail:
+    def test_matches_scipy_in_both_tails(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        for dof in range(1, 101):
+            xs = np.concatenate(
+                [np.geomspace(1e-8, 1.0, 25), np.linspace(0.5, 3 * dof + 60, 80), [10.0 * dof + 400]]
+            )
+            for x in xs:
+                ref = float(chi2.sf(x, dof))
+                if ref > 1e-300:
+                    assert chi2_sf(float(x), dof) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_edges(self):
+        assert chi2_sf(0.0, 3) == 1.0
+        assert chi2_sf(2.0, 2) == math.exp(-1.0)
+        assert chi2_sf(1e6, 5) == 0.0
+        with pytest.raises(ValueError):
+            chi2_sf(1.0, 0)
+
+    def test_empty_histogram_rejected(self):
+        # No samples is no evidence: the check must not report agreement.
+        hist = EmpiricalHistogram(3, np.zeros(3, np.int64), 0)
+        with pytest.raises(ValueError):
+            chi_square_against_law(hist, m_shuffle_law(3, 2))
+
+    def test_sampler_suite_runs_without_scipy(self, tmp_path):
+        # An import hook that refuses scipy: the CLI must not need it.
+        code = (
+            "import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy' or name.startswith('scipy.'):\n"
+            "            raise ImportError('scipy is blocked')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "from riffle.cli import main\n"
+            "main()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
+        args = ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "2000"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args, "--cache", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"] is True
 
 
 class TestSamplers:
