@@ -62,17 +62,30 @@ from .laws import (
     window_set_gap,
 )
 from .oracles import oracle_convolution, oracle_digit_law, oracle_shuffle_sequence
-from .sampling import (
-    EmpiricalHistogram,
-    chi_square_against_law,
-    empirical_tv,
-    make_generator,
-    rising_counts,
-    sample_chain,
-    sample_chains,
-    sample_m_shuffle,
-    sample_m_shuffles,
-    write_sample_csv,
-)
 
 __version__ = "0.1.0"
+
+#: Names served from :mod:`riffle.sampling` on first use (PEP 562), so that
+#: the exact engine and the CLI's exact commands never import numpy.
+_SAMPLING_NAMES = frozenset(
+    {
+        "EmpiricalHistogram",
+        "chi_square_against_law",
+        "empirical_tv",
+        "make_generator",
+        "rising_counts",
+        "sample_chain",
+        "sample_chains",
+        "sample_m_shuffle",
+        "sample_m_shuffles",
+        "write_sample_csv",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _SAMPLING_NAMES:
+        from . import sampling
+
+        return getattr(sampling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -121,35 +121,46 @@ def parse_k_range(text: str) -> range:
     return range(a, b + 1)
 
 
-def parse_int_grid(text: str) -> list[int]:
+#: Most points a grid may have; every point is a separate computation.
+MAX_GRID_POINTS = 100_000
+
+
+def _grid_bounds(text: str, kind: type) -> tuple:
+    # ValueError, which the CLI prints as one line and exit 2, like parse_a_n.
     parts = text.split(":")
     if len(parts) != 3:
-        raise click.UsageError(f"bad grid {text!r}, want a:b:step")
+        raise ValueError(f"bad grid {text!r}, want a:b:step")
     try:
-        a, b, step = (int(p) for p in parts)
+        a, b, step = (kind(p) for p in parts)
     except ValueError:
-        raise click.UsageError(f"bad grid {text!r}") from None
-    if step <= 0 or a > b:
-        raise click.UsageError(f"bad grid {text!r}")
+        raise ValueError(f"bad grid {text!r}") from None
+    finite = kind is int or all(map(math.isfinite, (a, b, step)))
+    if not finite or step <= 0 or a > b:
+        raise ValueError(f"bad grid {text!r}")
+    return a, b, step
+
+
+def _too_many_points(text: str) -> ValueError:
+    return ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+
+
+def parse_int_grid(text: str) -> list[int]:
+    a, b, step = _grid_bounds(text, int)
+    if (b - a) // step >= MAX_GRID_POINTS:
+        raise _too_many_points(text)
     return list(range(a, b + 1, step))
 
 
 def parse_float_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise click.UsageError(f"bad grid {text!r}, want a:b:step")
-    try:
-        a, b, step = (float(p) for p in parts)
-    except ValueError:
-        raise click.UsageError(f"bad grid {text!r}") from None
-    if step <= 0 or a > b:
-        raise click.UsageError(f"bad grid {text!r}")
+    a, b, step = _grid_bounds(text, float)
+    limit = b + 1e-9 * max(1.0, abs(b))
     out = []
-    value = a
-    while value <= b + 1e-9 * max(1.0, abs(b)):
-        out.append(value)
-        value = a + len(out) * step
+    while a + len(out) * step <= limit:
+        if len(out) == MAX_GRID_POINTS:
+            raise _too_many_points(text)
+        out.append(a + len(out) * step)
     return out
+
 
 _A_N_TOKEN = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+|logn|\S")
 

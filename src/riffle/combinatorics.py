@@ -165,14 +165,19 @@ class EulerianRow:
         return range(1, self.n + 1)
 
 
-def _next_row(prev: list[int], n: int) -> list[int]:
-    # counts_n[r] = r * counts_{n-1}[r] + (n - r + 1) * counts_{n-1}[r - 1]
-    row = [0] * n
-    row[0] = 1
-    for r in range(2, n + 1):
-        below = prev[r - 1] if r <= n - 1 else 0
-        row[r - 1] = r * below + (n - r + 1) * prev[r - 2]
-    return row
+def _next_half(prev: list[int], n: int) -> list[int]:
+    """First ceil(n/2) counts of row n from the first ceil((n-1)/2) of row n - 1.
+
+    counts_n[r] = r * counts_{n-1}[r] + (n - r + 1) * counts_{n-1}[r - 1]. For
+    odd n the last entry needs counts_{n-1}[(n+1)/2], one past the stored
+    half, which equals the half's last entry by the symmetry of row n - 1.
+    """
+    if n % 2:
+        prev = [*prev, prev[-1]]
+    return [1] + [
+        r * below + (n - r + 1) * left
+        for r, below, left in zip(range(2, (n + 1) // 2 + 1), prev[1:], prev)
+    ]
 
 
 class EulerianCache:
@@ -250,12 +255,14 @@ def eulerian_row(n: int, cache: EulerianCache | None = None) -> EulerianRow:
                 _memo[n] = row
             return row
 
+    # The recurrence runs on half rows only; the row is symmetric, so the
+    # rest is the mirror of the first floor(n/2) counts.
     with _memo_lock:
         start = max((k for k in _memo if k < n), default=1)
-        prev = list(_memo[start].counts) if start in _memo else [1]
+        half = list(_memo[start].counts[: (start + 1) // 2]) if start in _memo else [1]
     for k in range(start + 1, n + 1):
-        prev = _next_row(prev, k)
-    row = EulerianRow(n, tuple(prev) if n > 1 else (1,))
+        half = _next_half(half, k)
+    row = EulerianRow(n, (*half, *half[n // 2 - 1 :: -1]) if n > 1 else (1,))
     with _memo_lock:
         _memo[n] = row
     if n >= DISK_CACHE_MIN_N:

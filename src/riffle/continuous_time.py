@@ -37,9 +37,6 @@ __all__ = [
     "unit_time_pack_law",
 ]
 
-_MAX_POISSON_TERMS = 20_000
-
-
 class PoissonizedTv(NamedTuple):
     exact: Fraction
     value: float
@@ -74,15 +71,36 @@ class PoissonizedLaw(ClassNumerators):
         return PoissonizedTv(exact, float(exact), self.tol)
 
 
+def _poisson_weights(t: float, tol: Fraction) -> tuple[list[float], Fraction]:
+    """Float Poisson(t) weights for k = 0..K and their exact total mass.
+
+    K is the smallest k whose retained mass, the sum of the exact values of
+    the float weights, exceeds 1 - tol. Once a weight underflows to 0 the
+    mass cannot grow, so a tol below what the floats can reach is an error.
+    """
+    weights = [math.exp(-t)]
+    mass = Fraction(weights[0])
+    while 1 - mass >= tol:
+        w = weights[-1] * t / len(weights)
+        if w == 0:
+            raise ValueError(
+                f"Poisson weights at t={t} underflow before their mass reaches "
+                f"1 - tol; tolerance {float(tol)} is too small"
+            )
+        weights.append(w)
+        mass += Fraction(w)
+    return weights, mass
+
+
 def poissonized_laws(
     n: int, p: PackDistribution, ts: Iterable[float], tol: float
 ) -> list[PoissonizedLaw]:
     """Truncated deck laws of the continuous-time p-shuffle chain at times ts.
 
-    Time t is truncated at the smallest K whose retained Poisson(t) mass, the
-    sum of the exact values of the float weights, exceeds 1 - tol. Each k-step
-    law is built once and added into the integer accumulator of every time
-    still short of its K; none is kept past its step.
+    Each time's truncation K comes from its float weights alone
+    (:func:`_poisson_weights`), before any law is built. Each k-step law is
+    then built once and added into the integer accumulator of every time
+    whose K is at least k; none is kept past its step.
     """
     ts = [float(t) for t in ts]
     for t in ts:
@@ -91,38 +109,30 @@ def poissonized_laws(
     if not 0 < tol < 1:
         raise ValueError(f"tolerance must be in (0, 1), got {tol}")
 
-    tol_frac = Fraction(tol)
-    weights = [[math.exp(-t)] for t in ts]
-    # Per time: integer numerators, their denominator, and the weight mass.
-    accs = [([0] * n, 1, Fraction(0)) for _ in ts]
-    out: list = [None] * len(ts)
-    open_ts = list(range(len(ts)))
-    for k, step in enumerate(product_laws(p)):
+    plans = [_poisson_weights(t, Fraction(tol)) for t in ts]
+    # Per time: integer numerators and their denominator.
+    accs = [([0] * n, 1) for _ in ts]
+    steps = max((len(weights) for weights, _ in plans), default=0)
+    for k, step in zip(range(steps), product_laws(p)):
         law = mixture_of_m_shuffles(n, *step)
-        for i in list(open_ts):
-            a, b = weights[i][-1].as_integer_ratio()
-            acc, acc_den, mass = accs[i]
-            mass += Fraction(a, b)
-            den = math.lcm(acc_den, b * law.den)
-            up, scale = den // acc_den, den // (b * law.den) * a
-            acc = [x * up + y * scale for x, y in zip(acc, law.nums)]
-            accs[i] = acc, den, mass
-            if 1 - mass < tol_frac:
-                if mass > 1:
-                    # Float weights can overshoot 1 by rounding; rescale
-                    # exactly so the mass certificate stays valid.
-                    acc = [x * mass.denominator for x in acc]
-                    den, mass = den * mass.numerator, Fraction(1)
-                out[i] = PoissonizedLaw(
-                    n, ts[i], float(tol), k, tuple(acc), den, mass, tuple(weights[i])
-                )
-                open_ts.remove(i)
-            elif k >= _MAX_POISSON_TERMS:
-                raise SizeGuardError("Poisson truncation did not converge")
-            else:
-                weights[i].append(weights[i][-1] * ts[i] / (k + 1))
-        if not open_ts:
-            return out
+        for i, (weights, _) in enumerate(plans):
+            if k < len(weights):
+                a, b = weights[k].as_integer_ratio()
+                acc, acc_den = accs[i]
+                den = math.lcm(acc_den, b * law.den)
+                up, scale = den // acc_den, den // (b * law.den) * a
+                accs[i] = [x * up + y * scale for x, y in zip(acc, law.nums)], den
+    out = []
+    for t, (weights, mass), (acc, den) in zip(ts, plans, accs):
+        if mass > 1:
+            # Float weights can overshoot 1 by rounding; rescale exactly so
+            # the mass certificate stays valid.
+            acc = [x * mass.denominator for x in acc]
+            den, mass = den * mass.numerator, Fraction(1)
+        out.append(
+            PoissonizedLaw(n, t, float(tol), len(weights) - 1, tuple(acc), den, mass, tuple(weights))
+        )
+    return out
 
 
 def poissonized_law(

@@ -159,6 +159,13 @@ class TruncationReport:
         }
 
 
+def _log_deck_size(n: int) -> float:
+    """log n, which the condition ratios divide by, for a deck size n >= 2."""
+    if n < 2:
+        raise ValueError(f"deck size must be >= 2, got {n}")
+    return math.log(n)
+
+
 def truncation_report(p: PackDistribution, n: int, a_n: float) -> TruncationReport:
     """Truncated moments and condition ratios for truncation level a_n.
 
@@ -179,7 +186,7 @@ def truncation_report(p: PackDistribution, n: int, a_n: float) -> TruncationRepo
     ez2 = math.fsum(ez2_terms)
     if ey == 0:
         raise ValueError("E[log X; log X <= a_n] is zero; nothing below a_n")
-    log_n = math.log(n)
+    log_n = _log_deck_size(n)
     return TruncationReport(
         n=n,
         a_n=a_n,
@@ -204,7 +211,7 @@ def hyp_check(p: PackDistribution, n: int, eta: float) -> tuple[float, float]:
     mu, _ = log_moments(p)
     if mu <= 0:
         raise ValueError("mean log pack count must be positive")
-    log_n = math.log(n)
+    log_n = _log_deck_size(n)
     tail = math.fsum(
         float(w) * math.log(m) for m, w in p.atoms if math.log(m) > eta * log_n
     )

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import ClassVar, Iterable, Iterator, NamedTuple
 
 from .combinatorics import decimal_to_int, eulerian_row, factorial, int_to_decimal
 
@@ -57,6 +57,7 @@ class ClassNumerators:
 
     ``nums[i] / den`` is the probability of each arrangement with r = i + 1
     rising sequences; construction reduces it to lowest terms with one gcd.
+    Subclasses also give ``mass``, the exact total ``sum(count * num) / den``.
     """
 
     def __post_init__(self) -> None:
@@ -89,6 +90,7 @@ class RisingSeqLaw(ClassNumerators):
     n: int
     nums: tuple[int, ...]
     den: int
+    mass: ClassVar[Fraction] = Fraction(1)  # checked on construction
 
     def __post_init__(self) -> None:
         n = self.n
@@ -361,14 +363,22 @@ def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSe
 def tv_to_uniform(law: ClassNumerators) -> Fraction:
     """Exact total variation distance between a class law and the uniform deck.
 
-    The law is constant on classes, so this is one integer sum over them,
-    ``sum(count * |num * n! - den|) / (2 * den * n!)``; truncated laws of
-    less than full mass are allowed.
+    TV is the mass the law puts above uniform less uniform's mass there, plus
+    half of any mass the law lacks (Bayer & Diaconis 1992). Class r is above
+    uniform iff ``num * n! > den``, that is iff ``num > den // n!``, so only
+    those classes take a big multiply:
+    ``(sum(count * num) * n! - den * sum(count)) / (den * n!) + (1 - mass) / 2``
+    over them.
     """
     nfact = factorial(law.n)
-    counts = eulerian_row(law.n).counts
-    total = sum(c * abs(x * nfact - law.den) for c, x in zip(counts, law.nums))
-    return Fraction(total, 2 * law.den * nfact)
+    floor = law.den // nfact
+    above = count = 0
+    for c, x in zip(eulerian_row(law.n).counts, law.nums):
+        if x > floor:
+            above += c * x
+            count += c
+    tv = Fraction(above * nfact - law.den * count, law.den * nfact)
+    return tv if law.mass == 1 else tv + (1 - law.mass) / 2
 
 
 def tail_set_gap(n: int, m: int, r: int) -> Fraction:

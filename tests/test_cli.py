@@ -10,7 +10,16 @@ import pytest
 from click.testing import CliRunner
 
 import riffle
-from riffle.cli import RunConfig, main, parse_a_n, parse_k_range, parse_pack_spec
+from riffle.cli import (
+    MAX_GRID_POINTS,
+    RunConfig,
+    main,
+    parse_a_n,
+    parse_float_grid,
+    parse_int_grid,
+    parse_k_range,
+    parse_pack_spec,
+)
 from riffle.combinatorics import decimal_to_int
 
 
@@ -320,3 +329,84 @@ def test_power_in_a_n_exits_2_without_traceback(expr):
     )
     assert proc.returncode == 2
     assert proc.stderr.strip().splitlines() == [f"Error: bad a-n expression {expr!r}"]
+
+
+def _limit_memory():
+    import resource
+
+    # A regression to a growing grid list fails here instead of filling memory.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--t", "4:4:1", "--tol", "1e-17"], ["--t", "inf:inf:1"], ["--t", "1:nan:1"]],
+    ids=["unreachable-tol", "inf-grid", "nan-grid"],
+)
+def test_poisson_inputs_that_cannot_finish_exit_2_at_once(args, tmp_path):
+    # A tol below what float weights reach used to build laws to k = 20000;
+    # an infinite grid grew without end; a nan grid printed an empty table.
+    env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "riffle.cli", "poisson", "--n", "52", "--p", "2:1", *args,
+         "--cache", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("Error: ")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("text", ["inf:inf:1", "1:nan:1", "-inf:0:1", "0:1:inf", "0:1e300:1", "0:1:1e-300", "1e308:1e308:1e-308"])
+def test_float_grid_rejects_non_finite_and_oversized(text):
+    with pytest.raises(ValueError):
+        parse_float_grid(text)
+
+
+def test_int_grid_rejects_oversized():
+    assert len(parse_int_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+    with pytest.raises(ValueError):
+        parse_int_grid(f"1:{MAX_GRID_POINTS + 1}:1")
+    with pytest.raises(ValueError):
+        parse_int_grid("1:" + "9" * 400 + ":1")
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    # numpy is for the sampler only; the package serves its names lazily.
+    script = """
+import json, sys
+import riffle.cli
+runs = [
+    ["profile", "--n", "12", "--p", "2:1/2,3:1/2", "--k", "1..3"],
+    ["poisson", "--n", "8", "--p", "2:1", "--t", "1:2:1"],
+    ["cutoff", "--n", "52", "--p", "2:1", "--a-n", "logn"],
+    ["cutoff", "--n-grid", "10:30:10", "--p", "invsq"],
+    ["verify", "--suite", "oracles", "--n", "4", "--m", "3"],
+    ["verify", "--suite", "composition", "--n", "4"],
+    ["verify", "--suite", "monotonicity", "--n", "4", "--m", "5"],
+    ["verify", "--suite", "tailsets", "--n", "4", "--m", "5"],
+]
+codes = []
+for args in runs:
+    try:
+        riffle.cli.main(args=args, prog_name="riffle")
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]), RIFFLE_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert json.loads(proc.stderr.strip().splitlines()[-1]) == {"codes": [0] * 8, "numpy": False}
+
+
+def test_sampling_names_still_import_from_the_package():
+    from riffle import sample_chains
+    from riffle.sampling import sample_chains as direct
+
+    assert sample_chains is direct
+    assert riffle.EmpiricalHistogram.__module__ == "riffle.sampling"
+    with pytest.raises(AttributeError):
+        riffle.no_such_name

@@ -1,12 +1,15 @@
+import functools
 import math
 import sys
 import threading
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riffle.combinatorics as comb
 from riffle.combinatorics import (
     EulerianCache,
     EulerianRow,
@@ -237,6 +240,47 @@ def brute_force_row_free(n):
             row[r - 1] = r * below + (k - r + 1) * prev[r - 2]
         prev = row
     return tuple(prev)
+
+
+# Enumerating 9! decks takes seconds; do it once per row.
+enumerated_row = functools.cache(brute_force_row)
+
+
+class _NoDisk:
+    """Cache stand-in that never holds a row, so every call computes."""
+
+    def read(self, n):
+        return None
+
+    def write(self, row):
+        pass
+
+
+class TestHalfRowRecurrence:
+    # eulerian_row runs the recurrence on half rows and mirrors them; these
+    # compare it with the full-row recurrence (brute_force_row_free) and with
+    # enumeration.
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 400), st.integers(0, 399))
+    def test_matches_full_rows(self, n, start):
+        # Restart from a memoized row of either parity below n, or from scratch.
+        start = start % n
+        memo = {start: EulerianRow(start, brute_force_row_free(start))} if start else {}
+        with mock.patch.object(comb, "_memo", memo):
+            assert eulerian_row(n, _NoDisk()).counts == brute_force_row_free(n)
+
+    @pytest.mark.parametrize("start", range(1, 9))
+    def test_restarts_match_brute_force(self, start):
+        for n in range(start + 1, 10):
+            with mock.patch.object(comb, "_memo", {start: enumerated_row(start)}):
+                assert eulerian_row(n, _NoDisk()) == enumerated_row(n)
+
+    def test_memo_chain_matches_brute_force(self):
+        # Each row restarts from the one before, through odd and even n.
+        with mock.patch.object(comb, "_memo", {}):
+            for n in range(1, 10):
+                assert eulerian_row(n, _NoDisk()) == enumerated_row(n)
 
 
 @settings(deadline=None)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle.combinatorics import binomial_big, factorial
+from riffle.combinatorics import binomial_big, eulerian_row, factorial
+from riffle.continuous_time import poissonized_law
 from riffle.laws import (
     PackDistribution,
     ProductLaw,
@@ -189,6 +190,52 @@ class TestTvToUniform:
         # Only the r = 1 and r = 2 classes carry mass after one 2-shuffle, so
         # the distance has the closed form 1 - (2^52 - 52)/52!.
         assert tv_to_uniform(m_shuffle_law(52, 2)) == 1 - Fraction(2**52 - 52, factorial(52))
+
+    # The reduction over the classes above uniform against the plain sum of
+    # |P - U| over every class.
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 80), st.one_of(st.integers(1, 300), st.integers(1, 60).map(lambda e: 2**e)))
+    def test_m_shuffle_matches_reference(self, n, m):
+        assert tv_to_uniform(m_shuffle_law(n, m)) == tv_reference(m_shuffle_law(n, m))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.dictionaries(st.integers(1, 7), st.integers(1, 20), min_size=1, max_size=3),
+        st.integers(1, 40),
+        st.integers(0, 8),
+    )
+    def test_law_after_k_matches_reference(self, raw, n, k):
+        total = sum(raw.values())
+        p = PackDistribution.from_pairs({m: Fraction(w, total) for m, w in raw.items()})
+        law = law_after_k(n, p, k)
+        assert tv_to_uniform(law) == tv_reference(law)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 30),
+        st.sampled_from([PackDistribution.delta(2), MIX23]),
+        st.floats(0.0, 6.0),
+        st.sampled_from([0.5, 0.1, 1e-3, 1e-6]),
+    )
+    def test_truncated_poissonized_law_matches_reference(self, n, p, t, tol):
+        law = poissonized_law(n, p, t, tol)
+        counts = eulerian_row(n).counts
+        # The reduction takes the law's mass as given; it must be the exact total.
+        assert law.mass == Fraction(sum(c * x for c, x in zip(counts, law.nums)), law.den)
+        assert law.tv_to_uniform().exact == tv_reference(law)
+
+    def test_poissonized_law_below_full_mass(self):
+        law = poissonized_law(12, MIX23, 3.0, 0.3)
+        assert law.mass < 1
+        assert tv_to_uniform(law) == tv_reference(law)
+
+
+def tv_reference(law):
+    """sum(count * |num * n! - den|) / (2 * den * n!): TV summed over every class."""
+    nfact = factorial(law.n)
+    counts = eulerian_row(law.n).counts
+    total = sum(c * abs(x * nfact - law.den) for c, x in zip(counts, law.nums))
+    return Fraction(total, 2 * law.den * nfact)
 
 
 class TestTailSetGap:
