@@ -21,6 +21,7 @@ import click
 
 from .combinatorics import CACHE_ENV_VAR, int_to_decimal
 from .cutoff import (
+    _fmt,
     cutoff_report,
     cutoff_shape,
     hyp_check,
@@ -38,8 +39,6 @@ from .laws import (
     tv_to_uniform,
 )
 from .verify import SUITES, suite_names
-
-_FMT17 = ".17g"
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,6 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls(**json.loads(text))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FMT17)
 
 
 def parse_pack_spec(spec: str) -> PackDistribution | Callable[[int], PackDistribution]:
@@ -227,8 +222,10 @@ class _Main(click.Group):
     """Command group that maps library errors onto the exit-code contract.
 
     A size guard exits 3; a ``ValueError`` is an input value the parsers
-    could not judge (a deck size of 0, say) and exits 2 like a usage error.
-    Either way stderr gets one line and no traceback.
+    could not judge (a deck size of 0, say) and an ``OSError`` a path that
+    cannot be used (a ``--cache`` that is a regular file, say); both exit 2
+    like a usage error. Either way stderr gets one line and no traceback.
+    A broken stdout pipe is left to click.
     """
 
     def invoke(self, ctx: click.Context):
@@ -237,7 +234,9 @@ class _Main(click.Group):
         except SizeGuardError as exc:
             click.echo(f"size guard: {exc}", err=True)
             sys.exit(3)
-        except ValueError as exc:
+        except BrokenPipeError:
+            raise
+        except (ValueError, OSError) as exc:
             click.echo(f"Error: {exc}", err=True)
             sys.exit(2)
 

@@ -198,11 +198,11 @@ class EulerianCache:
     def read(self, n: int) -> EulerianRow | None:
         path = self.path_for(n)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             return None
         try:
-            lines = text.split()
+            lines = data.decode("ascii").split()
             if int(lines[0]) != n or len(lines) != n + 1:
                 return None
             counts = tuple(decimal_to_int(s) for s in lines[1:])

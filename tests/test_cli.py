@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -317,6 +319,75 @@ class TestLibraryValueErrorExit:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def _run_cli(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "riffle.cli", *args], env=env, timeout=120, **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["profile", "--n", "40", "--p", "2:1", "--k", "1..2", "--cache", "{file}"],
+        ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "100",
+         "--dump-csv", "{missing}/x.csv"],
+    ],
+    ids=["cache-is-a-file", "dump-csv-in-missing-dir"],
+)
+def test_unusable_path_exits_2_without_traceback(args, tmp_path):
+    (tmp_path / "file").write_text("")
+    paths = {"file": tmp_path / "file", "missing": tmp_path / "missing"}
+    proc = _run_cli(*(a.format(**paths) for a in args), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("Error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_undecodable_cache_file_is_recomputed(tmp_path):
+    path = tmp_path / "eulerian_40.txt"
+    path.write_bytes(b"\xff" + random.Random(0).randbytes(2999))
+    proc = _run_cli(
+        "profile", "--n", "40", "--p", "2:1", "--k", "1..2", "--cache", str(tmp_path),
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 3
+    lines = path.read_text().split()
+    assert lines[0] == "40" and len(lines) == 41
+
+
+def test_broken_stdout_pipe_keeps_clicks_quiet_exit(tmp_path):
+    # The OSError mapping leaves a closed stdout to click, which exits 1
+    # without a message, as a pipe into `head` expects.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(
+            "profile", "--n", "12", "--p", "2:1", "--k", "1..3", "--cache", str(tmp_path),
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_profile_atoms_stdout_pinned(runner, tmp_path):
+    # sha256 of this stdout with every mixture summed atom by atom; the
+    # mixtures of more than 2n product-law atoms (k >= 13 here) now take the
+    # moment basis and must print the same bytes.
+    result = runner.invoke(
+        main,
+        ["profile", "--n", "52", "--p", "2:1/3,3:1/3,5:1/3", "--k", "1..20",
+         "--cache", str(tmp_path)],
+    )
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "6b99adde710ec8692818353d4748496f8386047a0d698575b268b2f45a468e4b"
+    )
 
 
 @pytest.mark.parametrize("expr", ["2**10000", "9**9**9"])

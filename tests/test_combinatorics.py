@@ -170,6 +170,11 @@ class TestCache:
         (tmp_path / "eulerian_33.txt").write_text("33\n1\n2\nnot a number\n")
         assert cache.read(33) is None
 
+    def test_undecodable_file_ignored(self, tmp_path):
+        cache = EulerianCache(tmp_path)
+        (tmp_path / "eulerian_40.txt").write_bytes(b"40\n1\n\xff\xfe\n")
+        assert cache.read(40) is None
+
     def test_large_row_persisted_to_env_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RIFFLE_CACHE_DIR", str(tmp_path))
         import riffle.combinatorics as comb

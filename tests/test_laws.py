@@ -2,6 +2,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,15 @@ from riffle.laws import (
     law_from_json,
     law_to_json,
     m_shuffle_law,
+    mixture_of_m_shuffles,
+    product_laws,
     product_power,
     tail_set_gap,
     tv_to_uniform,
     window_set_gap,
 )
-from riffle.laws import _shuffle_numerators
+from riffle import laws
+from riffle.laws import _chain_mixture, _moment_mixture, _shuffle_numerators
 from riffle.oracles import oracle_convolution
 
 MIX23 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 2)})
@@ -171,6 +175,53 @@ class TestLawAfterK:
         with ThreadPoolExecutor(4) as pool:
             parallel = list(pool.map(lambda k: tv_to_uniform(law_after_k(5, MIX23, k)), ks))
         assert serial == parallel
+
+
+# Supports that contain 1, whose products collide (2 * 6 = 3 * 4), or that
+# hold one atom far past a machine word.
+SUPPORTS = [(1, 2), (2, 3, 4, 6), (1, 2, 3, 4, 6), (2, 2**200 + 1), (1, 3, 2**200 + 1)]
+
+
+class TestMixtureEvaluators:
+    """The atom-by-atom chain and the moment basis give the same law."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 60),
+        st.dictionaries(
+            st.one_of(st.integers(1, 12), st.just(2**200 + 1)),
+            st.integers(1, 10**6),
+            min_size=1,
+            max_size=9,
+        ),
+    )
+    def test_agree_on_any_mixture(self, n, weights):
+        atoms, den = list(weights.items()), sum(weights.values())
+        assert _moment_mixture(n, atoms, den) == _chain_mixture(n, atoms, den)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 60), st.sampled_from(SUPPORTS), st.integers(0, 5), st.data())
+    def test_agree_on_product_laws(self, n, support, k, data):
+        raw = data.draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+        p = PackDistribution.from_pairs(
+            {m: Fraction(w, sum(raw)) for m, w in zip(support, raw)}
+        )
+        weights, den = next(islice(product_laws(p), k, None))
+        atoms = list(weights.items())
+        assert _moment_mixture(n, atoms, den) == _chain_mixture(n, atoms, den)
+
+    def test_moment_basis_above_2n_atoms(self, monkeypatch):
+        calls = []
+        moment = laws._moment_mixture
+        monkeypatch.setattr(
+            laws, "_moment_mixture", lambda *args: calls.append(len(args[1])) or moment(*args)
+        )
+        n = 3
+        for atoms in (2 * n, 2 * n + 1):
+            weights = {m: m for m in range(1, atoms + 1)}
+            law = mixture_of_m_shuffles(n, {**weights, 99: 0}, sum(weights.values()))
+            assert law == _chain_mixture(n, list(weights.items()), sum(weights.values()))
+        assert calls == [2 * n + 1]
 
 
 class TestTvToUniform:
