@@ -34,8 +34,7 @@ from .laws import (
     PackDistribution,
     SizeGuardError,
     inverse_square_pack,
-    mixture_of_m_shuffles,
-    product_laws,
+    k_step_laws,
     tv_to_uniform,
 )
 from .verify import SUITES, suite_names
@@ -267,11 +266,9 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
     ks = parse_k_range(k_range)
     mu, _ = log_moments(pack)
     rows = []
-    # One pass over the product laws; zip stops before building step b + 1.
-    for k, step in zip(range(ks.stop), product_laws(pack)):
-        if k < ks.start:
-            continue
-        tv = tv_to_uniform(mixture_of_m_shuffles(n, *step))
+    # One pass over the k-step laws; zip stops before building law b + 1.
+    for k, law in zip(ks, k_step_laws(n, pack, ks.start)):
+        tv = tv_to_uniform(law)
         estimate = cutoff_shape(math.exp(1.5 * math.log(n) - k * mu)) if mu > 0 else 1.0
         rows.append(
             {

@@ -12,14 +12,23 @@ has probability E[C(M + n - r, n) / M**n], and n! * C(x + n - r, n) is the
 degree-n polynomial P_r(x) = (x + 1 - r)(x + 2 - r)...(x + n - r), so with
 a[r] its coefficients the probability is sum(a[r][i] * E[M**(i - n)]) / n!.
 These moments are the weights of the m-shuffle's eigenvalues m**-i (Bayer &
-Diaconis 1992). :func:`mixture_of_m_shuffles` evaluates a mixture of more
-than 2n atoms that way, in about n**2 / 2 big multiplies whatever the atom
-count, and any other atom by atom along r, in n small multiply-divides of a
-big integer per atom. Timed against each other on product laws of
-{2, 3, 5} (2-core x86 host, CPython 3.11), the two cross at about n atoms,
-0.9n at n = 52 and 1.0n at n = 100 and 150; at 2n the moment basis is 2-4x
-faster, so the threshold is never slower than the atom-by-atom sum at the
-sizes measured.
+Diaconis 1992). One evaluator, :func:`_moment_numerators`, turns them into
+class numerators in about n**2 / 2 big multiplies. :func:`mixture_of_m_shuffles`
+uses it for a mixture of more than 2n atoms and goes atom by atom along r
+otherwise, in n small multiply-divides of a big integer per atom; timed
+against each other on product laws of {2, 3, 5} (2-core x86 host, CPython
+3.11), the two cross at about n atoms.
+
+For the k-step law M_k is a product of k independent draws from p, so
+E[M_k**-j] = E[m**-j]**k: every k-step law follows from the n + 1 integer
+moments mu[j] = sum(w * (L / m)**j) of p alone, L the lcm of its support.
+:func:`k_step_laws` builds product laws and mixes them atom by atom while a
+step has at most 2n atoms; the atom count never falls as k grows, and from
+the first step with more it builds none and evaluates mu[j]**k over L**k
+instead. There the powers cross the atom-by-atom sum at 0.7n atoms (n = 52)
+and 0.8n (n = 100) and are 4-5x faster at 2n; without the rule a
+single-atom p at n = 600 would pay n**2 / 2 big multiplies per law where
+the chain pays n small ones.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ __all__ = [
     "SizeGuardError",
     "WindowGap",
     "inverse_square_pack",
+    "k_step_laws",
     "law_after_k",
     "law_from_json",
     "law_to_json",
@@ -80,6 +90,19 @@ class ClassNumerators:
         object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
         object.__setattr__(self, "den", self.den // g)
 
+    def _check(self, mass: Fraction) -> None:
+        """Raise ValueError unless the law is nonincreasing in r, lies in
+        [0, 1] and has total ``sum(count * num) / den`` equal to ``mass``."""
+        n, nums, den = self.n, self.nums, self.den
+        for r in range(2, n + 1):
+            if nums[r - 1] > nums[r - 2]:
+                raise ValueError(f"class probability increases at r={r}")
+        if nums[0] > den or nums[-1] < 0:
+            raise ValueError("class probability out of [0,1]")
+        total = sum(c * x for c, x in zip(eulerian_row(n).counts, nums))
+        if total * mass.denominator != den * mass.numerator:
+            raise ValueError(f"law for n={n} has total mass {Fraction(total, den)}, not {mass}")
+
     @property
     def class_prob(self) -> tuple[Fraction, ...]:
         """Per-arrangement probability of each class r = 1..n, as fractions."""
@@ -114,15 +137,7 @@ class RisingSeqLaw(ClassNumerators):
         if len(self.nums) != n or self.den < 1:
             raise ValueError(f"law for n={n} needs {n} class entries over a positive den")
         super().__post_init__()
-        nums, den = self.nums, self.den
-        for r in range(2, n + 1):
-            if nums[r - 1] > nums[r - 2]:
-                raise ValueError(f"class probability increases at r={r}")
-        if nums[0] > den or nums[-1] < 0:
-            raise ValueError("class probability out of [0,1]")
-        total = sum(c * x for c, x in zip(eulerian_row(n).counts, nums))
-        if total != den:
-            raise ValueError(f"law for n={n} has total mass {Fraction(total, den)}, not 1")
+        self._check(self.mass)
 
     @classmethod
     def from_probs(cls, n: int, probs: Iterable[Fraction]) -> "RisingSeqLaw":
@@ -315,8 +330,7 @@ def product_laws(
     """
     if max_atoms is None:
         max_atoms = _default_max_atoms()
-    q = math.lcm(*(w.denominator for _, w in p.atoms))
-    step = [(m, w.numerator * (q // w.denominator)) for m, w in p.atoms]
+    step, q = _integer_atoms(p)
     weights, den = {1: 1}, 1
     while True:
         yield weights, den
@@ -333,31 +347,68 @@ def product_laws(
         weights, den = nxt, den * q
 
 
-def _product_step(
-    p: PackDistribution, k: int, max_atoms: int | None
-) -> tuple[dict[int, int], int]:
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return next(islice(product_laws(p, max_atoms), k, None))
+def _integer_atoms(p: PackDistribution) -> tuple[list[tuple[int, int]], int]:
+    """p as integer weights over q, the lcm of its denominators."""
+    q = math.lcm(*(w.denominator for _, w in p.atoms))
+    return [(m, w.numerator * (q // w.denominator)) for m, w in p.atoms], q
 
 
 def product_power(
     p: PackDistribution, k: int, max_atoms: int | None = None
 ) -> ProductLaw:
     """Law of the product of k independent draws from p, as fractions."""
-    weights, den = _product_step(p, k, max_atoms)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    weights, den = next(islice(product_laws(p, max_atoms), k, None))
     return ProductLaw({v: Fraction(w, den) for v, w in weights.items()})
+
+
+def _pack_moments(n: int, p: PackDistribution) -> tuple[list[int], int, int]:
+    """``(mu, top, q)``: E[m**-j] = mu[j] / (q * top**j) for j = 0..n.
+
+    ``top`` is the lcm of p's support and ``q`` the lcm of its denominators.
+    """
+    atoms, q = _integer_atoms(p)
+    mu, top = _power_sums(n, atoms)
+    return mu, top, q
+
+
+def k_step_laws(
+    n: int, p: PackDistribution, start: int = 0, max_atoms: int | None = None
+) -> Iterator[RisingSeqLaw]:
+    """Deck laws after k = start, start + 1, ... successive p-shuffles.
+
+    k independent p-shuffles compose into a single shuffle with the product
+    pack count M_k, so law k is the product-law mixture of m-shuffle laws.
+    While a step has at most 2n product-law atoms it is built and mixed
+    (:func:`mixture_of_m_shuffles`). From the first step with more, no
+    product law is built: E[M_k**-j] = E[m**-j]**k, so law k is evaluated
+    from ``mu[j]**k`` over ``top**k`` and ``q**k`` (:func:`_pack_moments`),
+    with ``pow`` for the first k and one multiply per moment after it.
+    ``max_atoms`` bounds the product-law atoms actually built.
+    """
+    if n < 1:
+        raise ValueError(f"deck size must be >= 1, got {n}")
+    if start < 0:
+        raise ValueError(f"k must be >= 0, got {start}")
+    for k, (weights, den) in enumerate(product_laws(p, max_atoms)):
+        if len(weights) > 2 * n:
+            break
+        if k >= start:
+            yield mixture_of_m_shuffles(n, weights, den)
+    mu, top, q = _pack_moments(n, p)
+    k = max(k, start)
+    sums, top_k, den = [pow(x, k) for x in mu], top**k, q**k
+    while True:
+        yield RisingSeqLaw(n, *_moment_numerators(n, sums, top_k, den))
+        sums, top_k, den = list(map(mul, sums, mu)), top_k * top, den * q
 
 
 def law_after_k(
     n: int, p: PackDistribution, k: int, max_atoms: int | None = None
 ) -> RisingSeqLaw:
-    """Exact deck law after k successive p-shuffles of the ordered deck.
-
-    k independent p-shuffles compose into a single shuffle with the product
-    pack count, so the law is the product-law mixture of m-shuffle laws.
-    """
-    return mixture_of_m_shuffles(n, *_product_step(p, k, max_atoms))
+    """Exact deck law after k successive p-shuffles of the ordered deck."""
+    return next(k_step_laws(n, p, k, max_atoms))
 
 
 def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSeqLaw:
@@ -383,14 +434,13 @@ def _chain_mixture(n: int, atoms: list[tuple[int, int]], den: int) -> RisingSeqL
 
 
 def _moment_mixture(n: int, atoms: list[tuple[int, int]], den: int) -> RisingSeqLaw:
-    """The mixture from its n + 1 moments, over ``den * top**n * n!``, top = lcm(m).
+    """The mixture from its n + 1 moments, over ``den * top**n * n!``, top = lcm(m)."""
+    sums, top = _power_sums(n, atoms)
+    return RisingSeqLaw(n, *_moment_numerators(n, sums, top, den))
 
-    Class r's numerator is ``sum(a[r][i] * v[i])`` with ``a[r]`` the
-    coefficients of P_r(x) = (x + 1 - r)(x + 2 - r)...(x + n - r) and
-    ``v[i] = top**i * T[n - i]``, ``T[j] = sum(w * (top / m)**j)``. One row
-    of a is held at a time: P_(r+1) = P_r * (x - r) / (x + n - r), and since
-    P_(n+1-r)(x) = (-1)**n * P_r(-x) row r also gives class n + 1 - r.
-    """
+
+def _power_sums(n: int, atoms: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """``(T, top)``: ``T[j] = sum(w * (top / m)**j)`` for j = 0..n, top = lcm(m)."""
     top = math.lcm(*(m for m, _ in atoms))
     ratios = [top // m for m, _ in atoms]
     terms = [w for _, w in atoms]
@@ -398,6 +448,19 @@ def _moment_mixture(n: int, atoms: list[tuple[int, int]], den: int) -> RisingSeq
     for _ in range(n):
         terms = list(map(mul, terms, ratios))
         sums.append(sum(terms))
+    return sums, top
+
+
+def _moment_numerators(n: int, sums: list[int], top: int, den: int) -> tuple[list[int], int]:
+    """Class numerators of the law with E[M**-j] = T[j] / (den * top**j), and their
+    denominator ``den * top**n * n!``.
+
+    Class r's numerator is ``sum(a[r][i] * v[i])`` with ``a[r]`` the
+    coefficients of P_r(x) = (x + 1 - r)(x + 2 - r)...(x + n - r) and
+    ``v[i] = top**i * T[n - i]``. One row of a is held at a time:
+    P_(r+1) = P_r * (x - r) / (x + n - r), and since
+    P_(n+1-r)(x) = (-1)**n * P_r(-x) row r also gives class n + 1 - r.
+    """
     v, power = [], 1
     for s in reversed(sums):
         v.append(power * s)
@@ -418,7 +481,7 @@ def _moment_mixture(n: int, atoms: list[tuple[int, int]], den: int) -> RisingSeq
         for i in range(n - 1, 0, -1):
             q[i - 1] = a[i] - (n - r) * q[i]
         a = [x - r * y for x, y in zip([0, *q], [*q, 0])]
-    return RisingSeqLaw(n, tuple(nums), den * top**n * factorial(n))
+    return nums, den * top**n * factorial(n)
 
 
 def tv_to_uniform(law: ClassNumerators) -> Fraction:

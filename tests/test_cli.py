@@ -390,6 +390,50 @@ def test_profile_atoms_stdout_pinned(runner, tmp_path):
     )
 
 
+# sha256 of stdout as printed with every k-step law built from its product
+# law and every Poisson mixture summed law by law; the moment paths must
+# print the same bytes.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["poisson", "--n", "52", "--p", "2:1/2,3:1/2", "--t", "4:20:2"],
+            "4e21f0c4847b8857d43283740c905031767f67d145c6cf2a98ff1feb0404f18d",
+        ),
+        (
+            ["poisson", "--n", "52", "--p", "2:1", "--t", "4:20:2"],
+            "73452302d39ff2de88a865b242317149cfb05633357638ee691930037482becd",
+        ),
+        (
+            ["profile", "--n", "52", "--p", "2:1/4,3:1/4,5:1/4,7:1/4", "--k", "1..30"],
+            "bece8f6a668133e90abb9507cc014010a09b2fffa966f55fff964e9e8f4e73fe",
+        ),
+    ],
+    ids=["poisson-mix-wide", "poisson-delta", "profile-four-atoms"],
+)
+def test_moment_path_stdout_pinned(runner, tmp_path, args, digest):
+    result = runner.invoke(main, [*args, "--cache", str(tmp_path)])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize("guard, code", [("13", 0), ("12", 3)])
+def test_poisson_size_guard_counts_the_atoms_built(runner, tmp_path, monkeypatch, guard, code):
+    # Steps 0..38 of {2, 3} (up to 39 atoms) are in K's range at t = 12, but
+    # the moment path builds product laws only until they hold more than
+    # 3 * 52 / 2 atoms in all: steps 0..12, the last of 13 atoms.
+    monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", guard)
+    result = runner.invoke(
+        main,
+        ["poisson", "--n", "52", "--p", "2:1/2,3:1/2", "--t", "4:12:4", "--cache", str(tmp_path)],
+    )
+    assert result.exit_code == code
+    if code == 0:
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "a186e030bb2b2820b4c456bd14b63e8e178ca097131f6ade253ce48f968f57bd"
+        )
+
+
 @pytest.mark.parametrize("expr", ["2**10000", "9**9**9"])
 def test_power_in_a_n_exits_2_without_traceback(expr):
     # The a-n grammar has no power operator: rejected at once, never evaluated.

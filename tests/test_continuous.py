@@ -3,9 +3,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from riffle import continuous_time
 from riffle.combinatorics import factorial
 from riffle.continuous_time import (
+    PoissonizedLaw,
+    _moments_pay,
+    _poisson_weights,
     continuous_cutoff_report,
     poissonized_law,
     poissonized_laws,
@@ -13,6 +19,8 @@ from riffle.continuous_time import (
 )
 from riffle.cutoff import log_moments
 from riffle.laws import PackDistribution, law_to_json, m_shuffle_law, tv_to_uniform
+
+from test_laws import SUPPORTS, record_product_steps
 
 MIX23 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 2)})
 DELTA2 = PackDistribution.delta(2)
@@ -106,6 +114,103 @@ class TestPoissonizedLaw:
         # Any order, repeated times: each entry is the one-time law.
         laws = poissonized_laws(6, MIX23, ts, 1e-8)
         assert laws == [poissonized_law(6, MIX23, t, 1e-8) for t in ts]
+
+
+def _laws_by_path(moments, n, p, ts, tol):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(continuous_time, "_moments_pay", lambda *args: moments)
+        return poissonized_laws(n, p, ts, tol)
+
+
+class TestPoissonPaths:
+    """The moment path and the per-k path give the same laws."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.sampled_from(SUPPORTS),
+        st.lists(st.floats(0, 12), min_size=1, max_size=3),
+        st.sampled_from([0.5, 1e-3, 1e-9]),
+        st.data(),
+    )
+    def test_moment_path_equals_per_k_path(self, support, times, tol, data):
+        # The per-k path divides by multi-digit integers once an atom passes
+        # a machine word; n <= 12 keeps those draws under a few seconds.
+        n = data.draw(st.integers(1, 40 if max(support) < 2**64 else 12))
+        raw = data.draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+        p = PackDistribution.from_pairs({m: Fraction(w, sum(raw)) for m, w in zip(support, raw)})
+        # Repeated and unordered times.
+        ts = data.draw(st.lists(st.sampled_from(times), min_size=1, max_size=4))
+        by_moments = _laws_by_path(True, n, p, ts, tol)
+        assert by_moments == _laws_by_path(False, n, p, ts, tol)
+        assert [law.truncation_k for law in by_moments] == [
+            len(_poisson_weights(t, Fraction(tol))[0]) - 1 for t in ts
+        ]
+
+    @pytest.mark.parametrize("times", [1, 2])
+    def test_rule_boundary(self, times):
+        # Steps k < s of {2, 3} hold s(s + 1)/2 atoms in all: the moment path
+        # needs more than times * n / 2 of them.
+        s = 5
+        edge = s * (s + 1) // times
+        assert not _moments_pay(edge, MIX23, s, times)
+        assert _moments_pay(edge - 1, MIX23, s, times)
+
+    def test_rule_stops_building_once_passed(self, monkeypatch):
+        built = record_product_steps(monkeypatch, continuous_time)
+        # 1 + 2 + 3 + 4 = 10 > 19 / 2 after four steps of fifty.
+        assert _moments_pay(19, MIX23, 50, 1)
+        assert built == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "n, p, ts, moments",
+        [
+            (52, MIX23, [4.0, 8.0, 12.0], True),
+            (52, MIX23, [4.0 + 2 * i for i in range(9)], True),
+            (52, DELTA2, [4.0 + 2 * i for i in range(9)], False),
+            (200, DELTA2, [4.0, 8.0, 12.0], False),
+        ],
+    )
+    def test_path_taken(self, n, p, ts, moments, monkeypatch):
+        taken = []
+        for name in ("_moment_sums", "_per_k_sums"):
+            path = getattr(continuous_time, name)
+            monkeypatch.setattr(
+                continuous_time, name,
+                lambda *args, name=name, path=path: taken.append(name) or path(*args),
+            )
+        poissonized_laws(n, p, ts, 1e-9)
+        assert taken == ["_moment_sums" if moments else "_per_k_sums"]
+
+
+class TestPoissonizedLawChecks:
+    def _fields(self, **changes):
+        law = poissonized_law(4, MIX23, 1.0, 1e-6)
+        fields = dict(
+            n=law.n, t=law.t, tol=law.tol, truncation_k=law.truncation_k, nums=law.nums,
+            den=law.den, mass=law.mass, weights=law.weights,
+        )
+        return {**fields, **changes}
+
+    def test_valid_law_rebuilds(self):
+        assert PoissonizedLaw(**self._fields()) == poissonized_law(4, MIX23, 1.0, 1e-6)
+
+    def test_increasing_numerators_rejected(self):
+        nums = self._fields()["nums"]
+        with pytest.raises(ValueError, match="increases"):
+            PoissonizedLaw(**self._fields(nums=(nums[0], nums[0] + 1, *nums[2:])))
+
+    def test_negative_numerator_rejected(self):
+        nums = self._fields()["nums"]
+        with pytest.raises(ValueError, match="out of"):
+            PoissonizedLaw(**self._fields(nums=(*nums[:-1], -1)))
+
+    def test_wrong_mass_rejected(self):
+        with pytest.raises(ValueError, match="total mass"):
+            PoissonizedLaw(**self._fields(mass=Fraction(1)))
+
+    def test_zero_deck_rejected(self):
+        with pytest.raises(ValueError):
+            poissonized_laws(0, MIX23, [1.0], 1e-6)
 
 
 class TestUnitTimePackLaw:

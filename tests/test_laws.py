@@ -16,6 +16,7 @@ from riffle.laws import (
     RisingSeqLaw,
     SizeGuardError,
     inverse_square_pack,
+    k_step_laws,
     law_after_k,
     law_from_json,
     law_to_json,
@@ -28,7 +29,13 @@ from riffle.laws import (
     window_set_gap,
 )
 from riffle import laws
-from riffle.laws import _chain_mixture, _moment_mixture, _shuffle_numerators
+from riffle.laws import (
+    _chain_mixture,
+    _moment_mixture,
+    _moment_numerators,
+    _pack_moments,
+    _shuffle_numerators,
+)
 from riffle.oracles import oracle_convolution
 
 MIX23 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 2)})
@@ -222,6 +229,78 @@ class TestMixtureEvaluators:
             law = mixture_of_m_shuffles(n, {**weights, 99: 0}, sum(weights.values()))
             assert law == _chain_mixture(n, list(weights.items()), sum(weights.values()))
         assert calls == [2 * n + 1]
+
+
+def _pack(support, raw):
+    return PackDistribution.from_pairs({m: Fraction(w, sum(raw)) for m, w in zip(support, raw)})
+
+
+def _switch_step(n, p):
+    """First k whose product law has more than 2n atoms."""
+    return next(k for k, (w, _) in enumerate(product_laws(p)) if len(w) > 2 * n)
+
+
+def record_product_steps(monkeypatch, module):
+    """Make ``module.product_laws`` append each step's atom count to the returned list."""
+    built, products = [], module.product_laws
+    monkeypatch.setattr(
+        module, "product_laws",
+        lambda *args: (built.append(len(step[0])) or step for step in products(*args)),
+    )
+    return built
+
+
+class TestKStepLaws:
+    """Past 2n atoms a k-step law comes from the powers mu[j]**k of p's moments."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 8), st.sampled_from(SUPPORTS), st.integers(-2, 2), st.data())
+    def test_moment_power_law_equals_chain(self, n, support, offset, data):
+        raw = data.draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+        p = _pack(support, raw)
+        k = max(0, _switch_step(n, p) + offset)
+        weights, den = next(islice(product_laws(p), k, None))
+        mu, top, q = _pack_moments(n, p)
+        moment = RisingSeqLaw(n, *_moment_numerators(n, [x**k for x in mu], top**k, q**k))
+        assert moment == _chain_mixture(n, list(weights.items()), den)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 8), st.sampled_from(SUPPORTS), st.integers(-3, 3), st.data())
+    def test_jump_equals_iterator(self, n, support, offset, data):
+        raw = data.draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+        p = _pack(support, raw)
+        k = max(0, _switch_step(n, p) + offset)
+        walked = list(islice(k_step_laws(n, p), k + 3))
+        assert law_after_k(n, p, k) == walked[k]
+        assert list(islice(k_step_laws(n, p, k), 3)) == walked[k:]
+
+    def test_switch_at_first_step_above_2n_atoms(self, monkeypatch):
+        # Step k of {2, 3} has k + 1 atoms: steps 0..2n - 1 are mixed atom by
+        # atom, and no product law past step 2n, of 2n + 1 atoms, is built.
+        mixed, mixture = [], laws.mixture_of_m_shuffles
+        monkeypatch.setattr(
+            laws, "mixture_of_m_shuffles", lambda n, w, d: mixed.append(len(w)) or mixture(n, w, d)
+        )
+        built = record_product_steps(monkeypatch, laws)
+        n = 3
+        walked = list(islice(k_step_laws(n, MIX23), 2 * n + 4))
+        assert mixed == list(range(1, 2 * n + 1))
+        assert built == list(range(1, 2 * n + 2))
+        assert walked == [law_after_k(n, MIX23, k) for k in range(2 * n + 4)]
+
+    def test_jump_builds_no_product_law_past_the_switch(self, monkeypatch):
+        built = record_product_steps(monkeypatch, laws)
+        law_after_k(3, MIX23, 40)
+        assert max(built) == 7
+        # The size guard bounds the atoms built, not those of step 40.
+        with pytest.raises(SizeGuardError):
+            law_after_k(3, MIX23, 40, max_atoms=6)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            law_after_k(3, MIX23, -1)
+        with pytest.raises(ValueError):
+            law_after_k(0, MIX23, 1)
 
 
 class TestTvToUniform:
