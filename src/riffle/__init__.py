@@ -11,9 +11,7 @@ discrete and continuous time.
 from .combinatorics import (
     EulerianCache,
     EulerianRow,
-    binomial_big,
     eulerian_row,
-    factorial,
     rising_sequences,
     validate_arrangement,
 )

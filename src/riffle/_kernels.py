@@ -1,9 +1,4 @@
-"""Hot sampling kernels: numba-jitted with a pure-numpy fallback.
-
-Set ``RIFFLE_PURE_NUMPY=1`` to skip numba entirely and run the vectorized
-numpy path. Both paths implement the exact same per-deck procedure and
-consume the same pregenerated uniforms, so their outputs are bit-identical;
-``benchmarks/bench_kernels.py`` compares their throughput.
+"""Hot sampling kernels, vectorized in numpy across deck rows.
 
 One shuffle step, per deck row, literally follows the physical procedure:
 assign each card an independent uniform pack index (the pack sizes are then
@@ -15,26 +10,15 @@ top to bottom.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "PURE_NUMPY_REQUESTED",
-    "chain_step",
-    "chain_step_jit",
-    "chain_step_numpy",
-    "rising_counts",
-    "rising_counts_jit",
-    "rising_counts_numpy",
-]
+__all__ = ["NUMBA_ENABLED", "chain_step", "rising_counts"]
 
-_flag = os.environ.get("RIFFLE_PURE_NUMPY", "").strip().lower()
-PURE_NUMPY_REQUESTED = _flag not in ("", "0", "false", "no")
+# perfbench/child.py reads this on every CLI run; it goes with the next benchmark change.
+NUMBA_ENABLED = False
 
 
-def chain_step_numpy(
+def chain_step(
     decks: np.ndarray,
     pack_m: np.ndarray,
     digit_u: np.ndarray,
@@ -76,7 +60,7 @@ def chain_step_numpy(
     return out
 
 
-def rising_counts_numpy(decks: np.ndarray) -> np.ndarray:
+def rising_counts(decks: np.ndarray) -> np.ndarray:
     """Number of rising sequences of each deck row."""
     rows, n = decks.shape
     pos = np.empty((rows, n), np.int64)
@@ -84,74 +68,3 @@ def rising_counts_numpy(decks: np.ndarray) -> np.ndarray:
     pos[row_idx, decks - 1] = np.arange(n)[None, :]
     breaks = (pos[:, 1:] < pos[:, :-1]).sum(axis=1)
     return (breaks + 1).astype(np.int32)
-
-
-chain_step_jit = None
-rising_counts_jit = None
-
-if not PURE_NUMPY_REQUESTED:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-
-    if njit is not None:
-
-        @njit(cache=True)
-        def _chain_step_impl(decks, pack_m, digit_u, drop_u):  # pragma: no cover
-            rows, n = decks.shape
-            out = np.empty_like(decks)
-            for row in range(rows):
-                m = pack_m[row]
-                sizes = np.zeros(m, np.int64)
-                for i in range(n):
-                    d = int(digit_u[row, i] * m)
-                    if d >= m:
-                        d = m - 1
-                    sizes[d] += 1
-                ptr = np.empty(m, np.int64)
-                acc = 0
-                for j in range(m):
-                    acc += sizes[j]
-                    ptr[j] = acc - 1
-                total = n
-                dropped = np.empty(n, decks.dtype)
-                for step in range(n):
-                    u = drop_u[row, step] * total
-                    cum = 0
-                    j = 0
-                    while True:
-                        cum += sizes[j]
-                        if u < cum:
-                            break
-                        j += 1
-                    dropped[step] = decks[row, ptr[j]]
-                    ptr[j] -= 1
-                    sizes[j] -= 1
-                    total -= 1
-                for i in range(n):
-                    out[row, i] = dropped[n - 1 - i]
-            return out
-
-        @njit(cache=True)
-        def _rising_counts_impl(decks):  # pragma: no cover
-            rows, n = decks.shape
-            out = np.empty(rows, np.int32)
-            pos = np.empty(n, np.int64)
-            for row in range(rows):
-                for i in range(n):
-                    pos[decks[row, i] - 1] = i
-                r = 1
-                for v in range(1, n):
-                    if pos[v] < pos[v - 1]:
-                        r += 1
-                out[row] = r
-            return out
-
-        chain_step_jit = _chain_step_impl
-        rising_counts_jit = _rising_counts_impl
-
-NUMBA_ENABLED = chain_step_jit is not None
-
-chain_step = chain_step_jit if NUMBA_ENABLED else chain_step_numpy
-rising_counts = rising_counts_jit if NUMBA_ENABLED else rising_counts_numpy

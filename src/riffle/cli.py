@@ -62,10 +62,6 @@ class RunConfig:
         data = {k: v for k, v in asdict(self).items() if v is not None}
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
-
 
 def parse_pack_spec(spec: str) -> PackDistribution | Callable[[int], PackDistribution]:
     """Parse ``m:prob,m:prob`` with exact fractional probabilities.

@@ -1,4 +1,4 @@
-"""Exact big-integer foundations: rising sequences, Eulerian rows, binomials.
+"""Exact big-integer foundations: rising sequences, Eulerian rows, decimal text.
 
 Everything in this module is exact integer arithmetic. Probabilities never
 appear here; they live in :mod:`riffle.laws` as ``fractions.Fraction`` values
@@ -21,11 +21,9 @@ __all__ = [
     "DISK_CACHE_MIN_N",
     "EulerianCache",
     "EulerianRow",
-    "binomial_big",
     "decimal_to_int",
     "default_cache",
     "eulerian_row",
-    "factorial",
     "int_to_decimal",
     "rising_sequences",
     "validate_arrangement",
@@ -35,26 +33,6 @@ CACHE_ENV_VAR = "RIFFLE_CACHE_DIR"
 
 #: Rows with n below this are cheap to recompute and are kept in memory only.
 DISK_CACHE_MIN_N = 32
-
-
-def factorial(n: int) -> int:
-    """Exact n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial undefined for n={n}")
-    return math.factorial(n)
-
-
-def binomial_big(top: int, n: int) -> int:
-    """Exact binomial coefficient C(top, n).
-
-    ``top`` may be a very large integer (thousands of bits); ``n`` must be a
-    nonnegative machine-scale integer. Returns 0 when ``top < n``.
-    """
-    if n < 0:
-        raise ValueError(f"lower index must be >= 0, got {n}")
-    if top < 0:
-        raise ValueError(f"upper argument must be >= 0, got {top}")
-    return math.comb(top, n)
 
 
 def int_to_decimal(x: int) -> str:
@@ -147,7 +125,7 @@ class EulerianRow:
             raise ValueError(f"deck size must be >= 1, got {n}")
         if len(self.counts) != n:
             raise ValueError(f"row must have {n} entries, got {len(self.counts)}")
-        if sum(self.counts) != factorial(n):
+        if sum(self.counts) != math.factorial(n):
             raise ValueError(f"row for n={n} does not sum to n!")
         for r in range(1, n + 1):
             if self.counts[r - 1] != self.counts[n - r]:

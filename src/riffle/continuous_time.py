@@ -28,7 +28,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, NamedTuple
 
-from .combinatorics import factorial
 from .cutoff import log_moments, _fmt
 from .laws import (
     ClassNumerators,
@@ -283,7 +282,7 @@ def unit_time_pack_law(p: PackDistribution, tol: float) -> UnitTimePackLaw:
     base: dict[int, Fraction] = {}
     steps = islice(product_laws(p), 1, j_trunc + 1)
     for j, (weights, den) in enumerate(steps, 1):
-        scale = factorial(j) * den
+        scale = math.factorial(j) * den
         for l, w in weights.items():
             if l > 1:
                 base[l] = base.get(l, Fraction(0)) + Fraction(w, scale)

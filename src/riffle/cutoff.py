@@ -14,7 +14,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .combinatorics import EulerianRow, binomial_big, factorial
+from .combinatorics import EulerianRow
 from .laws import PackDistribution
 
 __all__ = [
@@ -261,11 +261,11 @@ def uniform_crossing_exact(n: int, m: int) -> Fraction:
     """
     if m < 1:
         raise ValueError(f"pack count must be >= 1, got {m}")
-    nfact = factorial(n)
+    nfact = math.factorial(n)
     mn = m**n
     r_star = 0
     for r in range(1, n + 1):
-        if binomial_big(n + m - r, n) * nfact >= mn:
+        if math.comb(n + m - r, n) * nfact >= mn:
             r_star = r
         else:
             break
@@ -307,7 +307,7 @@ def exact_log_scaled_class_prob(n: int, m: int, r: int) -> float:
     """
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}, got {r}")
-    num = factorial(n) * binomial_big(n + m - r, n)
+    num = math.factorial(n) * math.comb(n + m - r, n)
     if num == 0:
         raise ValueError(f"class r={r} has probability zero under m={m}")
     ctx = getcontext().copy()
@@ -323,7 +323,7 @@ def gaussian_row_deviation(row: EulerianRow) -> float:
     with h = r - n/2, maximized over r.
     """
     n = row.n
-    nfact = factorial(n)
+    nfact = math.factorial(n)
     worst = 0.0
     for r in row.r_values():
         h = r - n / 2.0

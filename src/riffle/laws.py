@@ -13,11 +13,9 @@ degree-n polynomial P_r(x) = (x + 1 - r)(x + 2 - r)...(x + n - r), so with
 a[r] its coefficients the probability is sum(a[r][i] * E[M**(i - n)]) / n!.
 These moments are the weights of the m-shuffle's eigenvalues m**-i (Bayer &
 Diaconis 1992). One evaluator, :func:`_moment_numerators`, turns them into
-class numerators in about n**2 / 2 big multiplies. :func:`mixture_of_m_shuffles`
-uses it for a mixture of more than 2n atoms and goes atom by atom along r
-otherwise, in n small multiply-divides of a big integer per atom; timed
-against each other on product laws of {2, 3, 5} (2-core x86 host, CPython
-3.11), the two cross at about n atoms.
+class numerators in about n**2 / 2 big multiplies, where
+:func:`mixture_of_m_shuffles` goes atom by atom along r in n small
+multiply-divides of a big integer per atom.
 
 For the k-step law M_k is a product of k independent draws from p, so
 E[M_k**-j] = E[m**-j]**k: every k-step law follows from the n + 1 integer
@@ -28,7 +26,7 @@ the first step with more it builds none and evaluates mu[j]**k over L**k
 instead. There the powers cross the atom-by-atom sum at 0.7n atoms (n = 52)
 and 0.8n (n = 100) and are 4-5x faster at 2n; without the rule a
 single-atom p at n = 600 would pay n**2 / 2 big multiplies per law where
-the chain pays n small ones.
+the chain pays n small ones. That 2n rule lives in :func:`k_step_laws` only.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from itertools import islice
 from operator import mul
 from typing import ClassVar, Iterable, Iterator, NamedTuple
 
-from .combinatorics import decimal_to_int, eulerian_row, factorial, int_to_decimal
+from .combinatorics import decimal_to_int, eulerian_row, int_to_decimal
 
 __all__ = [
     "ClassNumerators",
@@ -182,17 +180,12 @@ class PackDistribution:
     """Finite-support distribution of the random number of packs m.
 
     Probabilities are exact, sum to exactly 1, and the support values are
-    distinct integers >= 1. ``discarded_mass`` records the tail removed by
-    :meth:`truncated`; it is metadata only and does not enter the atoms.
+    distinct integers >= 1.
     """
 
-    __slots__ = ("atoms", "discarded_mass")
+    __slots__ = ("atoms",)
 
-    def __init__(
-        self,
-        atoms: Iterable[tuple[int, Fraction]],
-        discarded_mass: Fraction = Fraction(0),
-    ):
+    def __init__(self, atoms: Iterable[tuple[int, Fraction]]):
         pairs = sorted(((int(m), Fraction(p)) for m, p in atoms))
         if not pairs:
             raise ValueError("pack distribution needs at least one atom")
@@ -212,7 +205,6 @@ class PackDistribution:
         self.atoms: tuple[tuple[int, Fraction], ...] = tuple(
             (m, p) for m, p in pairs if p > 0
         )
-        self.discarded_mass = Fraction(discarded_mass)
 
     @classmethod
     def delta(cls, m: int) -> "PackDistribution":
@@ -222,33 +214,6 @@ class PackDistribution:
     @classmethod
     def from_pairs(cls, pairs: dict[int, Fraction | int]) -> "PackDistribution":
         return cls([(m, Fraction(p)) for m, p in pairs.items()])
-
-    @classmethod
-    def truncated(
-        cls,
-        pairs: Iterable[tuple[int, Fraction]],
-        tail_bound: Fraction,
-    ) -> "PackDistribution":
-        """Truncate-and-renormalize a (possibly infinite) sequence of atoms.
-
-        Atoms are consumed until the remaining mass is at most ``tail_bound``;
-        the retained atoms are renormalized to total mass 1 and the removed
-        mass is recorded in ``discarded_mass``.
-        """
-        tail_bound = Fraction(tail_bound)
-        if not 0 < tail_bound < 1:
-            raise ValueError("tail bound must be in (0, 1)")
-        kept: list[tuple[int, Fraction]] = []
-        mass = Fraction(0)
-        for m, p in pairs:
-            kept.append((m, Fraction(p)))
-            mass += p
-            if 1 - mass <= tail_bound:
-                break
-        else:
-            raise ValueError("atom stream exhausted before reaching tail bound")
-        discarded = 1 - mass
-        return cls([(m, p / mass) for m, p in kept], discarded_mass=discarded)
 
     def prob_of(self, m: int) -> Fraction:
         for mm, p in self.atoms:
@@ -414,29 +379,16 @@ def law_after_k(
 def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSeqLaw:
     """Mixture sum(w / den * m_shuffle_law(n, m)) for integer weights w summing to den.
 
-    A mixture of more than 2n atoms is evaluated in the moment basis
-    (:func:`_moment_mixture`), any other atom by atom (:func:`_chain_mixture`);
-    both give the same law, and its one gcd is the only reduction.
+    The m-shuffle numerators of each atom are scaled to ``den * lcm(m)**n``
+    and added; the law's one gcd is the only reduction.
     """
     atoms = [(m, w) for m, w in weights.items() if w]
-    mix = _moment_mixture if len(atoms) > 2 * n else _chain_mixture
-    return mix(n, atoms, den)
-
-
-def _chain_mixture(n: int, atoms: list[tuple[int, int]], den: int) -> RisingSeqLaw:
-    """The m-shuffle numerators of each atom, scaled to ``den * lcm(m)**n`` and added."""
     top = math.lcm(*(m for m, _ in atoms))
     nums = [0] * n
     for m, w in atoms:
         scaled = _shuffle_numerators(n, m, w * (top // m) ** n)
         nums = [a + c for a, c in zip(nums, scaled)]
     return RisingSeqLaw(n, tuple(nums), den * top**n)
-
-
-def _moment_mixture(n: int, atoms: list[tuple[int, int]], den: int) -> RisingSeqLaw:
-    """The mixture from its n + 1 moments, over ``den * top**n * n!``, top = lcm(m)."""
-    sums, top = _power_sums(n, atoms)
-    return RisingSeqLaw(n, *_moment_numerators(n, sums, top, den))
 
 
 def _power_sums(n: int, atoms: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -481,7 +433,7 @@ def _moment_numerators(n: int, sums: list[int], top: int, den: int) -> tuple[lis
         for i in range(n - 1, 0, -1):
             q[i - 1] = a[i] - (n - r) * q[i]
         a = [x - r * y for x, y in zip([0, *q], [*q, 0])]
-    return nums, den * top**n * factorial(n)
+    return nums, den * top**n * math.factorial(n)
 
 
 def tv_to_uniform(law: ClassNumerators) -> Fraction:
@@ -494,7 +446,7 @@ def tv_to_uniform(law: ClassNumerators) -> Fraction:
     ``(sum(count * num) * n! - den * sum(count)) / (den * n!) + (1 - mass) / 2``
     over them.
     """
-    nfact = factorial(law.n)
+    nfact = math.factorial(law.n)
     floor = law.den // nfact
     above = count = 0
     for c, x in zip(eulerian_row(law.n).counts, law.nums):
@@ -514,7 +466,7 @@ def tail_set_gap(n: int, m: int, r: int) -> Fraction:
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}, got {r}")
     law = m_shuffle_law(n, m)
-    nfact = factorial(n)
+    nfact = math.factorial(n)
     counts = eulerian_row(n).counts[r - 1 :]
     total = sum(c * (law.den - x * nfact) for c, x in zip(counts, law.nums[r - 1 :]))
     return Fraction(total, law.den * nfact)

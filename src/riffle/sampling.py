@@ -20,7 +20,7 @@ from typing import IO, Iterable, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .combinatorics import EulerianRow, factorial
+from .combinatorics import EulerianRow
 from .laws import PackDistribution, RisingSeqLaw
 
 __all__ = [
@@ -185,7 +185,7 @@ def empirical_tv(hist: EmpiricalHistogram, exact_row: EulerianRow) -> TvEstimate
     N = hist.sample_count
     if N == 0:
         raise ValueError("empty histogram")
-    nfact = factorial(hist.n)
+    nfact = math.factorial(hist.n)
     u = np.array([float(Fraction(exact_row.count(r), nfact)) for r in exact_row.r_values()])
     p_hat = hist.counts / N
     diff = p_hat - u

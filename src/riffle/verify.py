@@ -9,10 +9,10 @@ significance level.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable
 
-from .combinatorics import factorial
 from .laws import (
     PackDistribution,
     law_after_k,
@@ -22,7 +22,7 @@ from .laws import (
 )
 from .oracles import oracle_convolution, oracle_digit_law, oracle_shuffle_sequence
 
-__all__ = ["SUITES", "run_suite", "suite_names"]
+__all__ = ["SUITES", "suite_names"]
 
 Verdict = dict[str, object]
 
@@ -88,7 +88,7 @@ def suite_monotonicity(n_max: int = 8, m_max: int = 30, seed: int = 0, n_samples
     low_bad = []
     high_bad = []
     for n in range(1, n_max + 1):
-        u = Fraction(1, factorial(n))
+        u = Fraction(1, math.factorial(n))
         laws = {m: m_shuffle_law(n, m) for m in range(1, m_max + 2)}
         tvs = {m: tv_to_uniform(laws[m]) for m in laws}
         for m in range(1, m_max + 1):
@@ -200,7 +200,3 @@ SUITES: dict[str, Callable[..., list[Verdict]]] = {
 
 def suite_names() -> list[str]:
     return sorted(SUITES)
-
-
-def run_suite(name: str, **kwargs) -> list[Verdict]:
-    return SUITES[name](**kwargs)

@@ -8,7 +8,7 @@ and three-standard-error bands; exact checks allow no tolerance at all.
 import math
 from fractions import Fraction
 
-from riffle.combinatorics import eulerian_row, factorial
+from riffle.combinatorics import eulerian_row
 from riffle.continuous_time import poissonized_law, unit_time_pack_law
 from riffle.cutoff import (
     cutoff_report,
@@ -76,7 +76,7 @@ def test_criterion_03_tv_monotone_in_m():
 def test_criterion_04_pointwise_monotonicity_and_tail_sets():
     ok = True
     for n in range(1, 9):
-        u = Fraction(1, factorial(n))
+        u = Fraction(1, math.factorial(n))
         laws = {m: m_shuffle_law(n, m) for m in range(1, 32)}
         for m in range(1, 31):
             for r in range(1, n + 1):
@@ -143,8 +143,8 @@ def test_criterion_09_parameter_arithmetic():
 def test_criterion_10_poissonization():
     tol = 1e-9
     law0 = poissonized_law(52, DELTA2, 0.0, tol)
-    ok = law0.tv_to_uniform().exact == 1 - Fraction(1, factorial(52))
-    u = 1 / float(factorial(52))
+    ok = law0.tv_to_uniform().exact == 1 - Fraction(1, math.factorial(52))
+    u = 1 / float(math.factorial(52))
     for t in (0.0, 1.0, 3.0, 6.0, 9.0, 12.0):
         law = poissonized_law(52, DELTA2, t, tol)
         ok = ok and (1 - Fraction(tol) <= law.mass <= 1)

@@ -80,7 +80,7 @@ class TestParsers:
 
     def test_run_config_round_trip(self):
         config = RunConfig(command="profile", n=52, p_spec="2:1", k_range="1..12")
-        assert RunConfig.from_json(config.to_json()) == config
+        assert RunConfig(**json.loads(config.to_json())) == config
 
 
 class TestProfile:
@@ -525,3 +525,23 @@ def test_sampling_names_still_import_from_the_package():
     assert riffle.EmpiricalHistogram.__module__ == "riffle.sampling"
     with pytest.raises(AttributeError):
         riffle.no_such_name
+
+
+def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
+    # perfbench/child.py imports riffle by name and its tracer patches layer
+    # functions by name, so a rename or deletion there shows up here.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    sidecar, trace = tmp_path / "sidecar.json", tmp_path / "trace.json"
+    args = ["profile", "--n", "6", "--p", "2:1/2,3:1/2", "--k", "1..3", "--cache", str(tmp_path / "cache")]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), str(sidecar), str(trace), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(sidecar.read_text())["numba_enabled"] is False
+    assert "cli" in {name for name, *_ in json.loads(trace.read_text())["spans"]}

@@ -13,11 +13,9 @@ import riffle.combinatorics as comb
 from riffle.combinatorics import (
     EulerianCache,
     EulerianRow,
-    binomial_big,
     brute_force_row,
     decimal_to_int,
     eulerian_row,
-    factorial,
     int_to_decimal,
     rising_sequences,
     validate_arrangement,
@@ -78,23 +76,25 @@ class TestRisingSequences:
 
 
 class TestBinomial:
+    """``math.comb`` on what the laws pass it: huge tops and tops below n."""
+
     def test_small_values(self):
-        assert binomial_big(3, 2) == 3
-        assert binomial_big(0, 0) == 1
-        assert binomial_big(2 + 2 - 1, 2) == 3  # the n=2, m=2, r=1 count
+        assert math.comb(3, 2) == 3
+        assert math.comb(0, 0) == 1
+        assert math.comb(2 + 2 - 1, 2) == 3  # the n=2, m=2, r=1 count
 
     def test_top_smaller_than_lower_gives_zero(self):
-        assert binomial_big(3, 5) == 0
+        assert math.comb(3, 5) == 0
 
     def test_huge_top(self):
         top = 2**2000 + 7
-        assert binomial_big(top, 2) == top * (top - 1) // 2
+        assert math.comb(top, 2) == top * (top - 1) // 2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            binomial_big(-1, 2)
+            math.comb(-1, 2)
         with pytest.raises(ValueError):
-            binomial_big(3, -1)
+            math.comb(3, -1)
 
 
 class TestDecimalText:
@@ -135,7 +135,7 @@ class TestEulerianRow:
 
     def test_symmetry_and_sum_large(self):
         row = eulerian_row(101)
-        assert sum(row.counts) == factorial(101)
+        assert sum(row.counts) == math.factorial(101)
         for r in row.r_values():
             assert row.count(r) == row.count(101 + 1 - r)
 

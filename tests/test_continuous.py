@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riffle import continuous_time
-from riffle.combinatorics import factorial
 from riffle.continuous_time import (
     PoissonizedLaw,
     _moments_pay,
@@ -33,7 +32,7 @@ class TestPoissonizedLaw:
         assert law.class_prob[0] == 1
         assert law.mass == 1
         tv = law.tv_to_uniform()
-        assert tv.exact == 1 - Fraction(1, factorial(6))
+        assert tv.exact == 1 - Fraction(1, math.factorial(6))
 
     def test_mass_certificate(self):
         for t in (0.5, 3.0, 10.0):
@@ -71,7 +70,7 @@ class TestPoissonizedLaw:
 
     def test_holding_at_identity_lower_bound(self):
         n = 52
-        u = 1 / float(factorial(n))
+        u = 1 / float(math.factorial(n))
         for t in (0.0, 0.5, 2.0, 6.0, 12.0):
             law = poissonized_law(n, DELTA2, t, 1e-9)
             assert float(law.tv_to_uniform().exact) >= math.exp(-t) - u - 1e-9
@@ -85,7 +84,7 @@ class TestPoissonizedLaw:
         hi_k = math.ceil(t + 4 * math.sqrt(t))
         lo_k = max(0, math.floor(t - 4 * math.sqrt(t)))
         upper = (
-            1 - 1 / float(factorial(n))
+            1 - 1 / float(math.factorial(n))
             if lo_k == 0
             else float(tv_to_uniform(m_shuffle_law(n, 2**lo_k)))
         )

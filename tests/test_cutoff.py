@@ -23,7 +23,7 @@ from riffle.cutoff import (
     uniform_crossing_asymptotic,
     uniform_crossing_exact,
 )
-from riffle.combinatorics import eulerian_row, factorial
+from riffle.combinatorics import eulerian_row
 from riffle.laws import PackDistribution, inverse_square_pack, m_shuffle_law
 
 MIX23 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 2)})
@@ -206,14 +206,14 @@ class TestUniformCrossing:
     def test_small_case_direct_comparison(self):
         n, m = 6, 2
         law = m_shuffle_law(n, m)
-        u = Fraction(1, factorial(n))
+        u = Fraction(1, math.factorial(n))
         r_star = max(r for r in range(1, n + 1) if law.prob(r) >= u)
         assert uniform_crossing_exact(n, m) == Fraction(2 * r_star - n, 2)
 
     def test_single_crossing_over_grid(self):
         # The per-arrangement probability crosses uniform exactly once.
         for n in range(2, 9):
-            u = Fraction(1, factorial(n))
+            u = Fraction(1, math.factorial(n))
             for m in range(1, 31):
                 law = m_shuffle_law(n, m)
                 above = [law.prob(r) >= u for r in range(1, n + 1)]

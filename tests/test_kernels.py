@@ -56,7 +56,7 @@ def _assert_matches_reference(decks, pack_m, digit_u, drop_u, out):
 
 
 def test_numpy_path_matches_reference(batch):
-    out = _kernels.chain_step_numpy(*batch)
+    out = _kernels.chain_step(*batch)
     _assert_matches_reference(*batch, out)
 
 
@@ -74,7 +74,7 @@ def _edge_batch(rows, n, m_low, m_high, seed=5):
 )
 def test_numpy_path_matches_reference_on_edge_batches(rows, n, m_low, m_high):
     batch = _edge_batch(rows, n, m_low, m_high)
-    out = _kernels.chain_step_numpy(*batch)
+    out = _kernels.chain_step(*batch)
     assert out.dtype == np.int32 and out.flags.c_contiguous
     _assert_matches_reference(*batch, out)
 
@@ -96,27 +96,16 @@ def test_sampler_chunks_match_reference_across_a_chunk_boundary():
         )
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba unavailable or disabled")
-def test_jit_path_bit_identical_to_numpy(batch):
-    decks, pack_m, digit_u, drop_u = batch
-    a = _kernels.chain_step_jit(decks, pack_m, digit_u, drop_u)
-    b = _kernels.chain_step_numpy(decks, pack_m, digit_u, drop_u)
-    assert np.array_equal(a, b)
-
-
 def test_one_pack_returns_deck_unchanged(batch):
     decks, _, digit_u, drop_u = batch
     ones = np.ones(len(decks), np.int64)
-    out = _kernels.chain_step_numpy(decks, ones, digit_u, drop_u)
+    out = _kernels.chain_step(decks, ones, digit_u, drop_u)
     assert np.array_equal(out, decks)
 
 
 def test_rising_counts_paths_agree(batch):
     decks = batch[0]
-    a = _kernels.rising_counts_numpy(decks)
-    if _kernels.NUMBA_ENABLED:
-        b = _kernels.rising_counts_jit(decks)
-        assert np.array_equal(a, b)
+    a = _kernels.rising_counts(decks)
     # spot-check against the exact implementation
     from riffle.combinatorics import rising_sequences
 
@@ -126,4 +115,4 @@ def test_rising_counts_paths_agree(batch):
 
 def test_rising_counts_known_values():
     decks = np.array([[1, 2, 3, 4], [4, 3, 2, 1], [2, 1, 4, 3]], np.int32)
-    assert list(_kernels.rising_counts_numpy(decks)) == [1, 4, 3]
+    assert list(_kernels.rising_counts(decks)) == [1, 4, 3]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle.combinatorics import binomial_big, eulerian_row, factorial
+from riffle.combinatorics import eulerian_row
 from riffle.continuous_time import poissonized_law
 from riffle.laws import (
     PackDistribution,
@@ -30,10 +30,9 @@ from riffle.laws import (
 )
 from riffle import laws
 from riffle.laws import (
-    _chain_mixture,
-    _moment_mixture,
     _moment_numerators,
     _pack_moments,
+    _power_sums,
     _shuffle_numerators,
 )
 from riffle.oracles import oracle_convolution
@@ -56,7 +55,7 @@ class TestMShuffleLaw:
         n, k = 52, 3
         law = m_shuffle_law(n, 2**k)
         for r in (1, 2, 10, 52):
-            assert law.prob(r) == Fraction(binomial_big(n + 2**k - r, n), 2 ** (k * n))
+            assert law.prob(r) == Fraction(math.comb(n + 2**k - r, n), 2 ** (k * n))
 
     def test_zero_beyond_m(self):
         law = m_shuffle_law(5, 3)
@@ -189,6 +188,11 @@ class TestLawAfterK:
 SUPPORTS = [(1, 2), (2, 3, 4, 6), (1, 2, 3, 4, 6), (2, 2**200 + 1), (1, 3, 2**200 + 1)]
 
 
+def _moment_law(n, atoms, den):
+    """The mixture of ``atoms`` over ``den``, evaluated from its n + 1 moments."""
+    return RisingSeqLaw(n, *_moment_numerators(n, *_power_sums(n, atoms), den))
+
+
 class TestMixtureEvaluators:
     """The atom-by-atom chain and the moment basis give the same law."""
 
@@ -203,8 +207,8 @@ class TestMixtureEvaluators:
         ),
     )
     def test_agree_on_any_mixture(self, n, weights):
-        atoms, den = list(weights.items()), sum(weights.values())
-        assert _moment_mixture(n, atoms, den) == _chain_mixture(n, atoms, den)
+        den = sum(weights.values())
+        assert _moment_law(n, list(weights.items()), den) == mixture_of_m_shuffles(n, weights, den)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 60), st.sampled_from(SUPPORTS), st.integers(0, 5), st.data())
@@ -214,21 +218,7 @@ class TestMixtureEvaluators:
             {m: Fraction(w, sum(raw)) for m, w in zip(support, raw)}
         )
         weights, den = next(islice(product_laws(p), k, None))
-        atoms = list(weights.items())
-        assert _moment_mixture(n, atoms, den) == _chain_mixture(n, atoms, den)
-
-    def test_moment_basis_above_2n_atoms(self, monkeypatch):
-        calls = []
-        moment = laws._moment_mixture
-        monkeypatch.setattr(
-            laws, "_moment_mixture", lambda *args: calls.append(len(args[1])) or moment(*args)
-        )
-        n = 3
-        for atoms in (2 * n, 2 * n + 1):
-            weights = {m: m for m in range(1, atoms + 1)}
-            law = mixture_of_m_shuffles(n, {**weights, 99: 0}, sum(weights.values()))
-            assert law == _chain_mixture(n, list(weights.items()), sum(weights.values()))
-        assert calls == [2 * n + 1]
+        assert _moment_law(n, list(weights.items()), den) == mixture_of_m_shuffles(n, weights, den)
 
 
 def _pack(support, raw):
@@ -262,7 +252,7 @@ class TestKStepLaws:
         weights, den = next(islice(product_laws(p), k, None))
         mu, top, q = _pack_moments(n, p)
         moment = RisingSeqLaw(n, *_moment_numerators(n, [x**k for x in mu], top**k, q**k))
-        assert moment == _chain_mixture(n, list(weights.items()), den)
+        assert moment == mixture_of_m_shuffles(n, weights, den)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 8), st.sampled_from(SUPPORTS), st.integers(-3, 3), st.data())
@@ -314,12 +304,12 @@ class TestTvToUniform:
 
     def test_identity_shuffle_tv(self):
         n = 4
-        assert tv_to_uniform(m_shuffle_law(n, 1)) == 1 - Fraction(1, factorial(n))
+        assert tv_to_uniform(m_shuffle_law(n, 1)) == 1 - Fraction(1, math.factorial(n))
 
     def test_single_gsr_step_of_52_cards(self):
         # Only the r = 1 and r = 2 classes carry mass after one 2-shuffle, so
         # the distance has the closed form 1 - (2^52 - 52)/52!.
-        assert tv_to_uniform(m_shuffle_law(52, 2)) == 1 - Fraction(2**52 - 52, factorial(52))
+        assert tv_to_uniform(m_shuffle_law(52, 2)) == 1 - Fraction(2**52 - 52, math.factorial(52))
 
     # The reduction over the classes above uniform against the plain sum of
     # |P - U| over every class.
@@ -362,7 +352,7 @@ class TestTvToUniform:
 
 def tv_reference(law):
     """sum(count * |num * n! - den|) / (2 * den * n!): TV summed over every class."""
-    nfact = factorial(law.n)
+    nfact = math.factorial(law.n)
     counts = eulerian_row(law.n).counts
     total = sum(c * abs(x * nfact - law.den) for c, x in zip(counts, law.nums))
     return Fraction(total, 2 * law.den * nfact)
@@ -420,25 +410,12 @@ class TestPackDistribution:
         with pytest.raises(ValueError):
             PackDistribution.from_pairs({0: Fraction(1)})
 
-    def test_truncated_records_discarded_mass(self):
-        pairs = ((2**i, Fraction(1, 2**i)) for i in range(1, 1000))
-        p = PackDistribution.truncated(pairs, Fraction(1, 100))
-        assert p.discarded_mass == Fraction(1, 128)
-        assert sum(w for _, w in p.atoms) == 1
-        assert p.support() == (2, 4, 8, 16, 32, 64, 128)
-
-    def test_truncated_requires_reachable_bound(self):
-        pairs = [(2, Fraction(1, 2))]
-        with pytest.raises(ValueError):
-            PackDistribution.truncated(pairs, Fraction(1, 10))
-
     def test_inverse_square_family(self):
         p = inverse_square_pack(1000)
         # Support is floor(e^i) for i = 1..6 since floor(log 1000) = 6.
         assert p.support() == (2, 7, 20, 54, 148, 403)
         norm = sum(Fraction(1, i * i) for i in range(1, 7))
         assert p.prob_of(2) == Fraction(1, 1) / norm
-        assert p.discarded_mass == 0
 
 
 class TestJsonExport:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,14 @@ import pytest
 
 import riffle
 from riffle.combinatorics import eulerian_row
-from riffle.laws import PackDistribution, law_after_k, m_shuffle_law, tv_to_uniform
+from riffle.laws import (
+    PackDistribution,
+    law_after_k,
+    m_shuffle_law,
+    mixture_of_m_shuffles,
+    product_laws,
+    tv_to_uniform,
+)
 from riffle.sampling import (
     EmpiricalHistogram,
     chi2_sf,
@@ -161,7 +169,10 @@ class TestSamplers:
         _, _, p_value = chi_square_against_law(hist, law)
         assert p_value >= 1e-3
 
-    def test_chain_mixture_matches_law_after_k(self):
+    def test_mixed_pack_chain_matches_mixture_of_m_shuffles(self):
+        # Two MIX23 steps are one shuffle whose pack count is 4, 6 or 9.
+        weights, den = next(islice(product_laws(MIX23), 2, None))
+        assert law_after_k(4, MIX23, 2) == mixture_of_m_shuffles(4, weights, den)
         assert chi_square_passes(4, MIX23, 2, seed=77, n_samples=100_000)
 
 
