@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 property violation, 2 configuration error, 3 size
 guard. Output is deterministic for a given configuration and seed: rows are
 emitted in input order, floats are printed at 17 significant digits, and
-exact values are printed as ``num/den`` strings.
+exact values are printed as ``num/den`` strings in profile rows and as
+``{"num", "den"}`` objects in JSON reports. JSON output opens with a
+``config`` block: the command and every option that has a value, defaults
+included, under its parameter name.
 """
 
 from __future__ import annotations
@@ -13,15 +16,14 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import click
 
 from .combinatorics import CACHE_ENV_VAR, int_to_decimal
 from .cutoff import (
-    _fmt,
     cutoff_report,
     cutoff_shape,
     hyp_check,
@@ -38,29 +40,6 @@ from .laws import (
     tv_to_uniform,
 )
 from .verify import SUITES, suite_names
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonical record of one CLI invocation; round-trips to JSON."""
-
-    command: str
-    n: int | None = None
-    n_grid: str | None = None
-    p_spec: str | None = None
-    k_range: str | None = None
-    t_grid: str | None = None
-    tol: float | None = None
-    seed: int | None = None
-    n_samples: int | None = None
-    a_n_expr: str | None = None
-    fmt: str = "csv"
-    cache_dir: str | None = None
-    suite: str | None = None
-
-    def to_json(self) -> str:
-        data = {k: v for k, v in asdict(self).items() if v is not None}
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def parse_pack_spec(spec: str) -> PackDistribution | Callable[[int], PackDistribution]:
@@ -255,9 +234,6 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
     pack count for k steps.
     """
     _apply_cache_dir(cache_dir)
-    config = RunConfig(
-        command="profile", n=n, p_spec=p_spec, k_range=k_range, fmt=fmt, cache_dir=cache_dir
-    )
     pack = _require_fixed_pack(parse_pack_spec(p_spec), p_spec)
     ks = parse_k_range(k_range)
     mu, _ = log_moments(pack)
@@ -270,11 +246,11 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
             {
                 "k": k,
                 "tv_exact": f"{int_to_decimal(tv.numerator)}/{int_to_decimal(tv.denominator)}",
-                "tv_float": _fmt(float(tv)),
-                "bd_estimate": _fmt(estimate),
+                "tv_float": float(tv),
+                "bd_estimate": estimate,
             }
         )
-    _emit_rows(rows, ["k", "tv_exact", "tv_float", "bd_estimate"], fmt, config)
+    _emit_rows(rows, ["k", "tv_exact", "tv_float", "bd_estimate"], fmt)
 
 
 @main.command()
@@ -294,22 +270,18 @@ def cutoff(
 ) -> None:
     """Cutoff-parameter report, or per-n condition values over an n-grid."""
     _apply_cache_dir(cache_dir)
-    config = RunConfig(
-        command="cutoff", n=n, n_grid=n_grid, p_spec=p_spec,
-        a_n_expr=a_n_expr, fmt=fmt, cache_dir=cache_dir,
-    )
     parsed = parse_pack_spec(p_spec)
     if (n is None) == (n_grid is None):
         raise click.UsageError("give exactly one of --n or --n-grid")
 
     if n is not None:
+        if fmt == "csv":
+            raise click.UsageError("the --n report is JSON only; --format csv needs --n-grid")
         pack = _require_fixed_pack(parsed, p_spec)
-        report = cutoff_report(pack, n)
-        payload = {"config": json.loads(config.to_json()), "report": report.to_json_dict()}
+        payload = {"report": asdict(cutoff_report(pack, n))}
         if a_n_expr is not None:
-            trunc = truncation_report(pack, n, parse_a_n(a_n_expr, n))
-            payload["truncation"] = trunc.to_json_dict()
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+            payload["truncation"] = asdict(truncation_report(pack, n, parse_a_n(a_n_expr, n)))
+        _emit(payload)
         return
 
     rows = []
@@ -320,36 +292,33 @@ def cutoff(
             raise click.UsageError("pack distribution concentrated at 1 never mixes")
         row = {
             "n": size,
-            "mu": _fmt(mu),
-            "sigma": _fmt(sigma),
-            "t_n": _fmt(3 * math.log(size) / (2 * mu)),
-            "lindeberg_eps1": _fmt(lindeberg_value(pack, size, 1.0)) if sigma > 0 else "",
+            "mu": mu,
+            "sigma": sigma,
+            "t_n": 3 * math.log(size) / (2 * mu),
+            "lindeberg_eps1": lindeberg_value(pack, size, 1.0) if sigma > 0 else "",
         }
-        h1, h2 = hyp_check(pack, size, 0.5)
-        row["hyp1"] = _fmt(h1)
-        row["hyp2"] = _fmt(h2)
+        row["hyp1"], row["hyp2"] = hyp_check(pack, size, 0.5)
         if a_n_expr is not None:
             trunc = truncation_report(pack, size, parse_a_n(a_n_expr, size))
-            row["ratio_z"] = _fmt(trunc.ratio_z)
-            row["ratio_y"] = _fmt(trunc.ratio_y)
-            row["t_n_truncated"] = _fmt(trunc.t_n_truncated)
+            row["ratio_z"] = trunc.ratio_z
+            row["ratio_y"] = trunc.ratio_y
+            row["t_n_truncated"] = trunc.t_n_truncated
         rows.append(row)
-    header = list(rows[0].keys())
-    _emit_rows(rows, header, fmt, config)
+    _emit_rows(rows, list(rows[0]), fmt)
 
 
 @main.command()
 @click.option("--suite", "suite", default="all", help="Suite name or 'all'.")
-@click.option("--n", "n_bound", type=int, default=None, help="Deck-size bound override.")
-@click.option("--m", "m_bound", type=int, default=None, help="Pack-count bound override.")
+@click.option("--n", type=int, default=None, help="Deck-size bound override.")
+@click.option("--m", type=int, default=None, help="Pack-count bound override.")
 @click.option("--seed", type=int, default=0)
 @click.option("--N", "n_samples", type=int, default=100_000, help="Sampler suite sample count.")
 @click.option("--dump-csv", "dump_csv", default=None, help="Write sampler draws (trial,r) here.")
 @click.option("--cache", "cache_dir", default=None)
 def verify(
     suite: str,
-    n_bound: int | None,
-    m_bound: int | None,
+    n: int | None,
+    m: int | None,
     seed: int,
     n_samples: int,
     dump_csv: str | None,
@@ -357,10 +326,6 @@ def verify(
 ) -> None:
     """Run exact property suites; nonzero exit on any violation."""
     _apply_cache_dir(cache_dir)
-    config = RunConfig(
-        command="verify", suite=suite, n=n_bound, seed=seed,
-        n_samples=n_samples, cache_dir=cache_dir,
-    )
     if suite == "all":
         selected = suite_names()
     elif suite in SUITES:
@@ -374,17 +339,17 @@ def verify(
 
         handle = open(dump_csv, "w")
 
-        def dump_sink(n, m, r_values, _handle=handle):  # noqa: ANN001
+        def dump_sink(_n, _m, r_values, _handle=handle):  # noqa: ANN001
             write_sample_csv(_handle, r_values)
 
     results: dict[str, list[dict]] = {}
     try:
         for name in selected:
             kwargs: dict = {"seed": seed, "n_samples": n_samples}
-            if n_bound is not None:
-                kwargs["n_max"] = n_bound
-            if m_bound is not None:
-                kwargs["m_max"] = m_bound
+            if n is not None:
+                kwargs["n_max"] = n
+            if m is not None:
+                kwargs["m_max"] = m
             if name == "sampler" and dump_sink is not None:
                 kwargs["dump"] = dump_sink
             results[name] = SUITES[name](**kwargs)
@@ -393,8 +358,7 @@ def verify(
             handle.close()
 
     ok = all(v["ok"] for verdicts in results.values() for v in verdicts)
-    payload = {"config": json.loads(config.to_json()), "ok": ok, "suites": results}
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    _emit({"ok": ok, "suites": results})
     if not ok:
         sys.exit(1)
 
@@ -411,10 +375,6 @@ def poisson(
 ) -> None:
     """TV distance of the continuous-time chain on a time grid."""
     _apply_cache_dir(cache_dir)
-    config = RunConfig(
-        command="poisson", n=n, p_spec=p_spec, t_grid=t_grid, tol=tol, fmt=fmt,
-        cache_dir=cache_dir,
-    )
     pack = _require_fixed_pack(parse_pack_spec(p_spec), p_spec)
     if not 0 < tol < 1:
         raise click.UsageError(f"tolerance must be in (0, 1), got {tol}")
@@ -424,23 +384,53 @@ def poisson(
         tv = law.tv_to_uniform()
         rows.append(
             {
-                "t": _fmt(t),
-                "tv": _fmt(tv.value),
-                "certificate": _fmt(tv.certificate),
+                "t": t,
+                "tv": tv.value,
+                "certificate": tv.certificate,
                 "truncation_k": law.truncation_k,
             }
         )
-    _emit_rows(rows, ["t", "tv", "certificate", "truncation_k"], fmt, config)
+    _emit_rows(rows, ["t", "tv", "certificate", "truncation_k"], fmt)
 
 
-def _emit_rows(rows: Sequence[dict], header: Sequence[str], fmt: str, config: RunConfig) -> None:
+def _plain(value: Any) -> Any:
+    """The JSON form of a value a command prints.
+
+    Floats become strings at 17 significant digits and fractions
+    ``{"num", "den"}`` decimal strings, through dicts (keys too), lists and
+    tuples; anything else is returned as it is.
+    """
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, Fraction):
+        return {"num": int_to_decimal(value.numerator), "den": int_to_decimal(value.denominator)}
+    if isinstance(value, dict):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _emit(payload: dict) -> None:
+    """Print payload as sorted, indent-2 JSON under the running command's config.
+
+    The config holds the command name and every parameter that has a value,
+    as click parsed it; it skips the encoder, so a float option stays a
+    JSON number.
+    """
+    ctx = click.get_current_context()
+    config = {"command": ctx.info_name, **{k: v for k, v in ctx.params.items() if v is not None}}
+    click.echo(json.dumps({"config": config, **_plain(payload)}, sort_keys=True, indent=2))
+
+
+def _emit_rows(rows: Sequence[dict], header: Sequence[str], fmt: str) -> None:
+    rows = _plain(rows)
     if fmt == "csv":
         click.echo(",".join(header))
         for row in rows:
             click.echo(",".join(str(row.get(col, "")) for col in header))
     else:
-        payload = {"config": json.loads(config.to_json()), "rows": list(rows)}
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        _emit({"rows": rows})
 
 
 if __name__ == "__main__":

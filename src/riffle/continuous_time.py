@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, NamedTuple
 
-from .cutoff import log_moments, _fmt
+from .cutoff import log_moments
 from .laws import (
     ClassNumerators,
     PackDistribution,
@@ -313,20 +313,6 @@ class ContinuousCutoffReport:
     criterion_value: float
     single_atom: bool
     window_sqrt_tn: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mu": _fmt(self.mu),
-            "sigma": _fmt(self.sigma),
-            "t_n": _fmt(self.t_n),
-            "b_n": _fmt(self.b_n),
-            "criterion_value": _fmt(self.criterion_value),
-            "single_atom": self.single_atom,
-            "window_sqrt_tn": None
-            if self.window_sqrt_tn is None
-            else _fmt(self.window_sqrt_tn),
-        }
 
 
 def continuous_cutoff_report(p: PackDistribution, n: int) -> ContinuousCutoffReport:

@@ -60,10 +60,6 @@ class LogMoments(NamedTuple):
     mu: float
     sigma: float
 
-    @property
-    def degenerate(self) -> bool:
-        return self.sigma == 0.0
-
 
 def log_moments(p: PackDistribution) -> LogMoments:
     """Mean and standard deviation of the log pack count, in nats.
@@ -145,18 +141,6 @@ class TruncationReport:
     ratio_z: float
     ratio_y: float
     t_n_truncated: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a_n": _fmt(self.a_n),
-            "ey": _fmt(self.ey),
-            "ez2": _fmt(self.ez2),
-            "ratio_a": _fmt(self.ratio_a),
-            "ratio_z": _fmt(self.ratio_z),
-            "ratio_y": _fmt(self.ratio_y),
-            "t_n_truncated": _fmt(self.t_n_truncated),
-        }
 
 
 def _log_deck_size(n: int) -> float:
@@ -359,23 +343,6 @@ class CutoffReport:
     step_gap_times_mu: float
     xi: tuple[float, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mu": _fmt(self.mu),
-            "sigma": _fmt(self.sigma),
-            "t_n": _fmt(self.t_n),
-            "b_n": _fmt(self.b_n),
-            "window_reciprocal_mu": _fmt(self.window_reciprocal_mu),
-            "window_unit": None if self.window_unit is None else _fmt(self.window_unit),
-            "degenerate": self.degenerate,
-            "lindeberg": {_fmt(k): _fmt(v) for k, v in self.lindeberg.items()},
-            "beta": _fraction_json(self.beta),
-            "relaxation": None if self.relaxation is None else _fraction_json(self.relaxation),
-            "step_gap_times_mu": _fmt(self.step_gap_times_mu),
-            "xi": [_fmt(x) for x in self.xi],
-        }
-
 
 DEFAULT_LINDEBERG_EPS = (0.25, 0.5, 1.0, 2.0)
 
@@ -416,11 +383,3 @@ def cutoff_report(
         step_gap_times_mu=step_gap(t_n) * mu,
         xi=xi,
     )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fraction_json(f: Fraction) -> dict:
-    return {"num": str(f.numerator), "den": str(f.denominator)}

@@ -70,11 +70,6 @@ class SizeGuardError(RuntimeError):
     """Raised when an exact computation would exceed its configured size."""
 
 
-def _default_max_atoms() -> int:
-    raw = os.environ.get(_MAX_PRODUCT_ATOMS_ENV)
-    return int(raw) if raw else 1_000_000
-
-
 class ClassNumerators:
     """Base of frozen dataclasses with fields ``n``, ``nums`` and ``den``.
 
@@ -283,18 +278,16 @@ class ProductLaw:
             raise ValueError(f"product law has total mass {total}, not 1")
 
 
-def product_laws(
-    p: PackDistribution, max_atoms: int | None = None
-) -> Iterator[tuple[dict[int, int], int]]:
+def product_laws(p: PackDistribution) -> Iterator[tuple[dict[int, int], int]]:
     """Laws of the product of k independent draws from p, for k = 0, 1, 2, ...
 
     Step k is ``(weights, den)``: product v has probability weights[v] / den,
     with den = q**k for q the lcm of p's denominators. Step k is step k - 1
     convolved with p, colliding products (2*6 = 3*4) merged. A step of more
-    than ``max_atoms`` products raises :class:`SizeGuardError`.
+    than ``RIFFLE_MAX_PRODUCT_ATOMS`` products (default 1,000,000) raises
+    :class:`SizeGuardError`.
     """
-    if max_atoms is None:
-        max_atoms = _default_max_atoms()
+    limit = int(os.environ.get(_MAX_PRODUCT_ATOMS_ENV) or 1_000_000)
     step, q = _integer_atoms(p)
     weights, den = {1: 1}, 1
     while True:
@@ -307,8 +300,8 @@ def product_laws(
                     nxt[key] += w * c
                 else:
                     nxt[key] = w * c
-                    if len(nxt) > max_atoms:
-                        raise SizeGuardError(f"product law would exceed {max_atoms} atoms")
+                    if len(nxt) > limit:
+                        raise SizeGuardError(f"product law would exceed {limit} atoms")
         weights, den = nxt, den * q
 
 
@@ -318,13 +311,11 @@ def _integer_atoms(p: PackDistribution) -> tuple[list[tuple[int, int]], int]:
     return [(m, w.numerator * (q // w.denominator)) for m, w in p.atoms], q
 
 
-def product_power(
-    p: PackDistribution, k: int, max_atoms: int | None = None
-) -> ProductLaw:
+def product_power(p: PackDistribution, k: int) -> ProductLaw:
     """Law of the product of k independent draws from p, as fractions."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    weights, den = next(islice(product_laws(p, max_atoms), k, None))
+    weights, den = next(islice(product_laws(p), k, None))
     return ProductLaw({v: Fraction(w, den) for v, w in weights.items()})
 
 
@@ -338,9 +329,7 @@ def _pack_moments(n: int, p: PackDistribution) -> tuple[list[int], int, int]:
     return mu, top, q
 
 
-def k_step_laws(
-    n: int, p: PackDistribution, start: int = 0, max_atoms: int | None = None
-) -> Iterator[RisingSeqLaw]:
+def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingSeqLaw]:
     """Deck laws after k = start, start + 1, ... successive p-shuffles.
 
     k independent p-shuffles compose into a single shuffle with the product
@@ -350,13 +339,13 @@ def k_step_laws(
     product law is built: E[M_k**-j] = E[m**-j]**k, so law k is evaluated
     from ``mu[j]**k`` over ``top**k`` and ``q**k`` (:func:`_pack_moments`),
     with ``pow`` for the first k and one multiply per moment after it.
-    ``max_atoms`` bounds the product-law atoms actually built.
+    The product-law size guard bounds the atoms actually built.
     """
     if n < 1:
         raise ValueError(f"deck size must be >= 1, got {n}")
     if start < 0:
         raise ValueError(f"k must be >= 0, got {start}")
-    for k, (weights, den) in enumerate(product_laws(p, max_atoms)):
+    for k, (weights, den) in enumerate(product_laws(p)):
         if len(weights) > 2 * n:
             break
         if k >= start:
@@ -369,11 +358,9 @@ def k_step_laws(
         sums, top_k, den = list(map(mul, sums, mu)), top_k * top, den * q
 
 
-def law_after_k(
-    n: int, p: PackDistribution, k: int, max_atoms: int | None = None
-) -> RisingSeqLaw:
+def law_after_k(n: int, p: PackDistribution, k: int) -> RisingSeqLaw:
     """Exact deck law after k successive p-shuffles of the ordered deck."""
-    return next(k_step_laws(n, p, k, max_atoms))
+    return next(k_step_laws(n, p, k))
 
 
 def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSeqLaw:

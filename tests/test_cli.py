@@ -14,7 +14,6 @@ from click.testing import CliRunner
 import riffle
 from riffle.cli import (
     MAX_GRID_POINTS,
-    RunConfig,
     main,
     parse_a_n,
     parse_float_grid,
@@ -23,6 +22,7 @@ from riffle.cli import (
     parse_pack_spec,
 )
 from riffle.combinatorics import decimal_to_int
+from riffle.cutoff import second_eigenvalue
 
 
 @pytest.fixture
@@ -77,10 +77,6 @@ class TestParsers:
         for expr in ["", "2**3", "2logn", "(1", "1)", "1/0", "1.2.3", "1e5", "-1", "1-1", "9" * 400, "(" * 5000]:
             with pytest.raises(ValueError):
                 parse_a_n(expr, 52)
-
-    def test_run_config_round_trip(self):
-        config = RunConfig(command="profile", n=52, p_spec="2:1", k_range="1..12")
-        assert RunConfig(**json.loads(config.to_json())) == config
 
 
 class TestProfile:
@@ -175,6 +171,33 @@ class TestCutoff:
     def test_requires_exactly_one_n(self, runner):
         result = runner.invoke(main, ["cutoff", "--p", "2:1"])
         assert result.exit_code == 2
+
+    def test_single_n_report_rejects_csv(self):
+        # The --n report nests objects that a CSV row cannot hold.
+        proc = _run_cli(
+            "cutoff", "--n", "52", "--p", "2:1", "--format", "csv", capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert [line for line in proc.stderr.splitlines() if line.startswith("Error: ")] == [
+            "Error: the --n report is JSON only; --format csv needs --n-grid"
+        ]
+
+    def test_eigenvalue_past_the_str_digit_limit(self, runner):
+        # 1200 primes from 10007 up, weight 1/1200 each: beta = sum p(m)/m
+        # has a denominator of over 5000 digits, past str()'s 4300.
+        sieve = bytearray([1]) * 30_000
+        for i in range(2, 174):
+            sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
+        primes = [m for m in range(10_007, len(sieve)) if sieve[m]][:1200]
+        spec = ",".join(f"{m}:1/1200" for m in primes)
+        result = runner.invoke(main, ["cutoff", "--n", "52", "--p", spec])
+        assert result.exit_code == 0, result.output
+        beta = json.loads(result.output)["report"]["beta"]
+        exact, _ = second_eigenvalue(parse_pack_spec(spec))
+        assert len(beta["den"]) > 4300
+        assert (decimal_to_int(beta["num"]), decimal_to_int(beta["den"])) == (
+            exact.numerator, exact.denominator
+        )
 
 
 class TestVerify:
@@ -545,3 +568,86 @@ def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(sidecar.read_text())["numba_enabled"] is False
     assert "cli" in {name for name, *_ in json.loads(trace.read_text())["spans"]}
+
+
+# sha256 of stdout as printed when each report rendered its own JSON; one
+# encoder in the CLI must print the same bytes. No --cache, so no temporary
+# path enters the config echo: these decks are below the disk-cache size and
+# cutoff reads no Eulerian row.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["cutoff", "--n", "52", "--p", "2:1"],
+            "4054ce77f84387867df6aff5bde710e3179c793b8c478c9d4995b5da67e851e4",
+        ),
+        (
+            ["cutoff", "--n", "52", "--p", "2:1/2,3:1/2", "--a-n", "logn"],
+            "b5788f138a3836d04b9fee1ef61d740a73ee92cbd643d9537853f46bc9b2eae6",
+        ),
+        (
+            ["cutoff", "--n-grid", "1000:5000:1000", "--p", "invsq", "--a-n", "logn",
+             "--format", "csv"],
+            "f139d5698c068621952e7399289dd9131a8c6527d5d06148b2b11fb9778bb9c8",
+        ),
+        (
+            ["cutoff", "--n-grid", "1000:5000:1000", "--p", "invsq", "--a-n", "logn",
+             "--format", "json"],
+            "85d9977f3d93f818850811084f856b606e0b42087ba3eb4d765df7cbb3166873",
+        ),
+        (
+            ["profile", "--n", "8", "--p", "2:1/2,3:1/2", "--k", "1..5", "--format", "json"],
+            "f8f92cb2d9f556f4dd9e0f76a0042c39001791ef88340a07ace52dc8986cd755",
+        ),
+        (
+            ["poisson", "--n", "8", "--p", "2:1/2,3:1/2", "--t", "0:2:0.5", "--format", "json"],
+            "20f1cb5a049b7f75faa3349f39c1e42a7ceb1e770c68f180d130f6647659d588",
+        ),
+    ],
+    ids=["cutoff-delta", "cutoff-truncation", "grid-csv", "grid-json", "profile-json",
+         "poisson-json"],
+)
+def test_rendered_stdout_pinned(runner, args, digest):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (
+            ["profile", "--n", "8", "--p", "2:1", "--k", "1..2", "--format", "json"],
+            {"command": "profile", "n": 8, "p_spec": "2:1", "k_range": "1..2", "fmt": "json"},
+        ),
+        (
+            ["cutoff", "--n", "52", "--p", "2:1", "--a-n", "logn"],
+            {"command": "cutoff", "n": 52, "p_spec": "2:1", "a_n_expr": "logn", "fmt": "json"},
+        ),
+        (
+            ["cutoff", "--n-grid", "10:30:10", "--p", "invsq", "--format", "json"],
+            {"command": "cutoff", "n_grid": "10:30:10", "p_spec": "invsq", "fmt": "json"},
+        ),
+        (
+            ["poisson", "--n", "8", "--p", "2:1", "--t", "0:1:1", "--tol", "1e-6",
+             "--format", "json"],
+            {"command": "poisson", "n": 8, "p_spec": "2:1", "t_grid": "0:1:1", "tol": 1e-6,
+             "fmt": "json"},
+        ),
+        (
+            ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "100",
+             "--seed", "7", "--dump-csv", "{tmp}/x.csv"],
+            {"command": "verify", "suite": "sampler", "n": 3, "m": 2, "n_samples": 100,
+             "seed": 7, "dump_csv": "{tmp}/x.csv"},
+        ),
+    ],
+    ids=["profile", "cutoff", "cutoff-grid", "poisson", "verify"],
+)
+def test_config_echoes_every_option_with_a_value(runner, tmp_path, args, config):
+    # Each option under its parameter name, defaults included; --cache too.
+    cache = str(tmp_path / "cache")
+    args = [a.format(tmp=tmp_path) for a in args] + ["--cache", cache]
+    config = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in config.items()}
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["config"] == {**config, "cache_dir": cache}

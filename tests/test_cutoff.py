@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from riffle.cli import _plain
 from riffle.cutoff import (
     cutoff_report,
     cutoff_shape,
@@ -288,7 +290,7 @@ class TestCutoffReport:
 
     def test_json_rendering(self):
         rep = cutoff_report(MIX23, 52)
-        data = rep.to_json_dict()
+        data = _plain(asdict(rep))
         assert data["beta"] == {"num": "5", "den": "12"}
         assert data["relaxation"] == {"num": "12", "den": "7"}
         assert isinstance(data["mu"], str)

@@ -113,12 +113,13 @@ class TestProductPower:
         assert law.atoms[6] == Fraction(2, 9)
         assert sum(law.atoms.values()) == 1
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         p = PackDistribution.from_pairs(
             {2: Fraction(1, 4), 3: Fraction(1, 4), 5: Fraction(1, 4), 7: Fraction(1, 4)}
         )
+        monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", "50")
         with pytest.raises(SizeGuardError):
-            product_power(p, 10, max_atoms=50)
+            product_power(p, 10)
 
     def test_product_law_validates(self):
         with pytest.raises(ValueError):
@@ -283,8 +284,9 @@ class TestKStepLaws:
         law_after_k(3, MIX23, 40)
         assert max(built) == 7
         # The size guard bounds the atoms built, not those of step 40.
+        monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", "6")
         with pytest.raises(SizeGuardError):
-            law_after_k(3, MIX23, 40, max_atoms=6)
+            law_after_k(3, MIX23, 40)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
