@@ -68,13 +68,12 @@ __version__ = "0.1.0"
 _SAMPLING_NAMES = frozenset(
     {
         "EmpiricalHistogram",
+        "SAMPLE_CSV_HEADER",
         "chi_square_against_law",
         "empirical_tv",
         "make_generator",
         "rising_counts",
-        "sample_chain",
         "sample_chains",
-        "sample_m_shuffle",
         "sample_m_shuffles",
         "write_sample_csv",
     }

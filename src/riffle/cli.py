@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -295,7 +296,7 @@ def cutoff(
             "mu": mu,
             "sigma": sigma,
             "t_n": 3 * math.log(size) / (2 * mu),
-            "lindeberg_eps1": lindeberg_value(pack, size, 1.0) if sigma > 0 else "",
+            "lindeberg_eps1": lindeberg_value(pack, size, 1.0) if sigma > 0 else None,
         }
         row["hyp1"], row["hyp2"] = hyp_check(pack, size, 0.5)
         if a_n_expr is not None:
@@ -313,7 +314,7 @@ def cutoff(
 @click.option("--m", type=int, default=None, help="Pack-count bound override.")
 @click.option("--seed", type=int, default=0)
 @click.option("--N", "n_samples", type=int, default=100_000, help="Sampler suite sample count.")
-@click.option("--dump-csv", "dump_csv", default=None, help="Write sampler draws (trial,r) here.")
+@click.option("--dump-csv", "dump_csv", default=None, help="Write sampler draws (n,m,trial,r) here.")
 @click.option("--cache", "cache_dir", default=None)
 def verify(
     suite: str,
@@ -333,29 +334,17 @@ def verify(
     else:
         raise click.UsageError(f"unknown suite {suite!r}; try one of {suite_names()}")
 
-    dump_sink = None
-    if dump_csv is not None:
-        from .sampling import write_sample_csv
-
-        handle = open(dump_csv, "w")
-
-        def dump_sink(_n, _m, r_values, _handle=handle):  # noqa: ANN001
-            write_sample_csv(_handle, r_values)
-
     results: dict[str, list[dict]] = {}
-    try:
+    with open(dump_csv, "w") if dump_csv is not None else nullcontext() as dump:
         for name in selected:
             kwargs: dict = {"seed": seed, "n_samples": n_samples}
             if n is not None:
                 kwargs["n_max"] = n
             if m is not None:
                 kwargs["m_max"] = m
-            if name == "sampler" and dump_sink is not None:
-                kwargs["dump"] = dump_sink
+            if name == "sampler":
+                kwargs["dump"] = dump
             results[name] = SUITES[name](**kwargs)
-    finally:
-        if dump_csv is not None:
-            handle.close()
 
     ok = all(v["ok"] for verdicts in results.values() for v in verdicts)
     _emit({"ok": ok, "suites": results})
@@ -428,7 +417,7 @@ def _emit_rows(rows: Sequence[dict], header: Sequence[str], fmt: str) -> None:
     if fmt == "csv":
         click.echo(",".join(header))
         for row in rows:
-            click.echo(",".join(str(row.get(col, "")) for col in header))
+            click.echo(",".join("" if row.get(col) is None else str(row[col]) for col in header))
     else:
         _emit({"rows": rows})
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, NamedTuple
 
-from .cutoff import log_moments
+from .cutoff import _log_deck_size, log_moments
 from .laws import (
     ClassNumerators,
     PackDistribution,
@@ -320,7 +320,7 @@ def continuous_cutoff_report(p: PackDistribution, n: int) -> ContinuousCutoffRep
     mu, sigma = log_moments(p)
     if mu <= 0:
         raise ValueError("pack distribution concentrated at 1 never mixes")
-    log_n = math.log(n)
+    log_n = _log_deck_size(n)
     t_n = 3 * log_n / (2 * mu)
     b_n = (1.0 / mu) * max((mu + sigma) * math.sqrt(log_n / mu), 1.0)
     single = p.is_single_atom()

@@ -356,7 +356,7 @@ def cutoff_report(
     mu, sigma = log_moments(p)
     if mu <= 0:
         raise ValueError("pack distribution concentrated at 1 never mixes")
-    log_n = math.log(n)
+    log_n = _log_deck_size(n)
     t_n = 3 * log_n / (2 * mu)
     degenerate = sigma == 0.0
     if degenerate:

@@ -6,8 +6,7 @@ equivalence, which lives in :mod:`riffle.oracles` as part of the exact
 machinery. Disagreement between the two would localize a bug to one side.
 
 Streams are reproducible: the same ``(seed, split)`` pair always yields the
-same samples, via a counter-based Philox generator. Workers should use
-distinct splits and merge histograms by addition.
+same samples, via a counter-based Philox generator.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -25,15 +24,14 @@ from .laws import PackDistribution, RisingSeqLaw
 
 __all__ = [
     "EmpiricalHistogram",
+    "SAMPLE_CSV_HEADER",
     "TvEstimate",
     "chi2_sf",
     "chi_square_against_law",
     "empirical_tv",
     "make_generator",
     "rising_counts",
-    "sample_chain",
     "sample_chains",
-    "sample_m_shuffle",
     "sample_m_shuffles",
     "write_sample_csv",
 ]
@@ -51,16 +49,26 @@ def make_generator(seed: int, split: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _identity_decks(rows: int, n: int) -> np.ndarray:
-    return np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
+def _sample(
+    n: int, k: int, size: int, rng: np.random.Generator, packs: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """``size`` decks after k shuffle steps of the ordered deck, in chunks.
 
-
-def _float_cumprobs(p: PackDistribution) -> tuple[np.ndarray, np.ndarray]:
-    support = np.array(p.support(), dtype=np.int64)
-    probs = np.array([float(w) for _, w in p.atoms])
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return support, cum
+    ``packs(rows)`` gives the per-row pack counts of one step. Per chunk and
+    per step the stream layout is: whatever ``packs`` draws, then (rows, n)
+    uniforms for the cut, then (rows, n) uniforms for the drops.
+    """
+    out = np.empty((size, n), np.int32)
+    for lo in range(0, size, _CHUNK):
+        rows = min(_CHUNK, size - lo)
+        decks = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
+        for _ in range(k):
+            pack_m = packs(rows)
+            digit_u = rng.random((rows, n))
+            drop_u = rng.random((rows, n))
+            decks = _kernels.chain_step(decks, pack_m, digit_u, drop_u)
+        out[lo : lo + rows] = decks
+    return out
 
 
 def sample_m_shuffles(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -70,21 +78,7 @@ def sample_m_shuffles(n: int, m: int, rng: np.random.Generator, size: int) -> np
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    out = np.empty((size, n), np.int32)
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        rows = hi - lo
-        decks = _identity_decks(rows, n)
-        pack_m = np.full(rows, m, np.int64)
-        digit_u = rng.random((rows, n))
-        drop_u = rng.random((rows, n))
-        out[lo:hi] = _kernels.chain_step(decks, pack_m, digit_u, drop_u)
-    return out
-
-
-def sample_m_shuffle(n: int, m: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Single m-shuffle of the ordered deck, as a tuple of card values."""
-    return tuple(int(v) for v in sample_m_shuffles(n, m, rng, 1)[0])
+    return _sample(n, 1, size, rng, lambda rows: np.full(rows, m, np.int64))
 
 
 def sample_chains(
@@ -92,34 +86,19 @@ def sample_chains(
 ) -> np.ndarray:
     """Sample ``size`` decks, each after k successive independent p-shuffles.
 
-    Each step draws a pack count from p and performs one m-shuffle of the
-    current deck. Per chunk and per step the stream layout is: one uniform per
-    row for the pack count, then (rows, n) uniforms for the cut, then
-    (rows, n) uniforms for the drops.
+    Each step draws a pack count from p, one uniform per row, and performs
+    one m-shuffle of the current deck.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    support, cum = _float_cumprobs(p)
-    out = np.empty((size, n), np.int32)
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        rows = hi - lo
-        decks = _identity_decks(rows, n)
-        for _ in range(k):
-            pack_u = rng.random(rows)
-            pack_m = support[np.searchsorted(cum, pack_u, side="right")]
-            digit_u = rng.random((rows, n))
-            drop_u = rng.random((rows, n))
-            decks = _kernels.chain_step(decks, pack_m, digit_u, drop_u)
-        out[lo:hi] = decks
-    return out
+    support = np.array(p.support(), dtype=np.int64)
+    cum = np.cumsum([float(w) for _, w in p.atoms])
+    cum[-1] = 1.0
 
+    def packs(rows: int) -> np.ndarray:
+        return support[np.searchsorted(cum, rng.random(rows), side="right")]
 
-def sample_chain(
-    n: int, p: PackDistribution, k: int, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Single deck after k successive p-shuffles of the ordered deck."""
-    return tuple(int(v) for v in sample_chains(n, p, k, rng, 1)[0])
+    return _sample(n, k, size, rng, packs)
 
 
 def rising_counts(decks: np.ndarray) -> np.ndarray:
@@ -144,26 +123,12 @@ class EmpiricalHistogram:
 
     @classmethod
     def from_decks(cls, decks: np.ndarray) -> "EmpiricalHistogram":
-        n = decks.shape[1]
-        r = rising_counts(decks)
-        counts = np.bincount(r, minlength=n + 1)[1:].astype(np.int64)
-        return cls(n, counts, int(decks.shape[0]))
+        return cls.from_r_values(decks.shape[1], rising_counts(decks))
 
     @classmethod
     def from_r_values(cls, n: int, r_values: np.ndarray) -> "EmpiricalHistogram":
         counts = np.bincount(np.asarray(r_values), minlength=n + 1)[1:].astype(np.int64)
         return cls(n, counts, int(len(r_values)))
-
-    def merge(self, other: "EmpiricalHistogram") -> "EmpiricalHistogram":
-        """Combine two histograms; addition, so merge order never matters."""
-        if self.n != other.n:
-            raise ValueError("cannot merge histograms of different deck sizes")
-        return EmpiricalHistogram(
-            self.n, self.counts + other.counts, self.sample_count + other.sample_count
-        )
-
-    def __add__(self, other: "EmpiricalHistogram") -> "EmpiricalHistogram":
-        return self.merge(other)
 
 
 class TvEstimate(NamedTuple):
@@ -269,8 +234,11 @@ def chi_square_against_law(
     return stat, dof, chi2_sf(stat, dof)
 
 
-def write_sample_csv(out: IO[str], r_values: Iterable[int]) -> None:
-    """Dump sampled rising-sequence counts as CSV with header ``trial,r``."""
-    out.write("trial,r\n")
+#: First line of a sample dump; :func:`write_sample_csv` appends rows under it.
+SAMPLE_CSV_HEADER = "n,m,trial,r\n"
+
+
+def write_sample_csv(out: IO[str], n: int, m: int, r_values: Iterable[int]) -> None:
+    """Append one (n, m) cell's rising-sequence counts as ``n,m,trial,r`` rows."""
     for trial, r in enumerate(r_values):
-        out.write(f"{trial},{int(r)}\n")
+        out.write(f"{n},{m},{trial},{int(r)}\n")

@@ -168,6 +168,19 @@ class TestCutoff:
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 4
 
+    def test_single_atom_lindeberg_is_empty(self, runner):
+        # Undefined for one atom: null in JSON, an empty cell in CSV.
+        args = ["cutoff", "--n-grid", "10:20:10", "--p", "2:1"]
+        result = runner.invoke(main, [*args, "--format", "json"])
+        assert result.exit_code == 0
+        rows = json.loads(result.output)["rows"]
+        assert [row["lindeberg_eps1"] for row in rows] == [None, None]
+        result = runner.invoke(main, [*args, "--format", "csv"])
+        assert result.exit_code == 0
+        header, *lines = result.output.splitlines()
+        column = header.split(",").index("lindeberg_eps1")
+        assert [line.split(",")[column] for line in lines] == ["", ""]
+
     def test_requires_exactly_one_n(self, runner):
         result = runner.invoke(main, ["cutoff", "--p", "2:1"])
         assert result.exit_code == 2
@@ -217,18 +230,28 @@ class TestVerify:
         assert json.loads(result.output)["ok"] is True
 
     def test_sampler_suite_with_dump(self, runner, tmp_path):
+        # One header, then every (n, m) cell's first-attempt draws, each row
+        # naming its cell.
         dump = tmp_path / "samples.csv"
         result = runner.invoke(
             main,
             [
                 "verify", "--suite", "sampler", "--n", "3", "--m", "2",
-                "--seed", "7", "--N", "2000", "--dump-csv", str(dump),
+                "--N", "50", "--seed", "7", "--dump-csv", str(dump),
             ],
         )
         assert result.exit_code == 0
-        lines = dump.read_text().splitlines()
-        assert lines[0] == "trial,r"
-        assert len(lines) > 2000  # one block per (n, m) cell
+        header, *rows = dump.read_text().splitlines()
+        assert header == "n,m,trial,r"
+        assert len(rows) == 4 * 50
+        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for row in rows:
+            n, m, trial, r = map(int, row.split(","))
+            cells.setdefault((n, m), []).append((trial, r))
+        assert sorted(cells) == [(2, 1), (2, 2), (3, 1), (3, 2)]
+        for (n, _), draws in cells.items():
+            assert [trial for trial, _ in draws] == list(range(50))
+            assert all(1 <= r <= n for _, r in draws)
 
     def test_unknown_suite_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "nope"])
@@ -324,16 +347,18 @@ class TestLibraryValueErrorExit:
     # Values the parsers accept but the library rejects: a one-line error
     # and exit 2, checked on the real stderr of a CLI process.
     @pytest.mark.parametrize(
-        "args",
+        "args, message",
         [
-            ["profile", "--n", "0", "--p", "2:1", "--k", "1..2"],
-            ["poisson", "--n", "0", "--p", "2:1", "--t", "1:2:1"],
-            ["cutoff", "--n-grid", "1:3:1", "--p", "invsq"],
-            ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "-5"],
+            (["profile", "--n", "0", "--p", "2:1", "--k", "1..2"], "deck size must be >= 1, got 0"),
+            (["poisson", "--n", "0", "--p", "2:1", "--t", "1:2:1"], "deck size must be >= 1, got 0"),
+            (["cutoff", "--n-grid", "1:3:1", "--p", "invsq"], "deck size 1 too small"),
+            (["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "-5"], "Error: "),
+            (["cutoff", "--n", "0", "--p", "2:1"], "deck size must be >= 2, got 0"),
+            (["cutoff", "--n", "1", "--p", "2:1"], "deck size must be >= 2, got 1"),
         ],
-        ids=lambda args: args[0],
+        ids=["profile", "poisson", "cutoff", "verify", "cutoff-n0", "cutoff-n1"],
     )
-    def test_exits_2_without_traceback(self, args, tmp_path):
+    def test_exits_2_without_traceback(self, args, message, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "riffle.cli", *args, "--cache", str(tmp_path)],
@@ -342,6 +367,7 @@ class TestLibraryValueErrorExit:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+        assert message in proc.stderr
 
 
 def _run_cli(*args, **kwargs):
@@ -541,10 +567,14 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}), file=sys.st
 
 
 def test_sampling_names_still_import_from_the_package():
-    from riffle import sample_chains
+    from riffle import sample_chains, sampling
     from riffle.sampling import sample_chains as direct
 
     assert sample_chains is direct
+    # A name left in the lazy list after its deletion fails here, not on import.
+    assert riffle._SAMPLING_NAMES <= set(sampling.__all__)
+    for name in riffle._SAMPLING_NAMES:
+        assert getattr(riffle, name) is getattr(sampling, name)
     assert riffle.EmpiricalHistogram.__module__ == "riffle.sampling"
     with pytest.raises(AttributeError):
         riffle.no_such_name

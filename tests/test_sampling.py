@@ -29,14 +29,13 @@ from riffle.sampling import (
     empirical_tv,
     make_generator,
     rising_counts,
-    sample_chain,
     sample_chains,
-    sample_m_shuffle,
     sample_m_shuffles,
     write_sample_csv,
 )
 
 MIX23 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 2)})
+MIX235 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 3), 5: Fraction(1, 6)})
 
 
 def chi_square_passes(n, m_or_p, k, seed, n_samples=100_000):
@@ -88,6 +87,32 @@ class TestPinnedStreams:
         assert hashlib.sha256(decks.tobytes()).hexdigest() == (
             "47cf36a8fa051ab7c6b93c6e32af1dfb2315192f12267460216aeb631392d92e"
         )
+
+    # Batches past one chunk, a three-atom pack and a point mass over seven
+    # steps: both samplers go through the same chunked loop, and each must
+    # keep its own stream layout.
+    @pytest.mark.parametrize(
+        "draw, digest",
+        [
+            (
+                lambda: sample_m_shuffles(52, 2, make_generator(3, 1), 40000),
+                "4adc74a9974991de18bf053eba01b93f9d72803130b07a55a73cdd8bf0c6fe84",
+            ),
+            (
+                lambda: sample_chains(52, MIX235, 7, make_generator(4), 20000),
+                "d14125cf47034e72ef38b1b5c6067f6d393f6539ada93cf82b03b50d884fba76",
+            ),
+            (
+                lambda: sample_chains(52, PackDistribution.delta(2), 7, make_generator(4), 20000),
+                "7d025a998098a3625afe12da7af0b600a31b2c253afab6b91ce7847d07c625aa",
+            ),
+        ],
+        ids=["m_shuffles_two_chunks", "chains_three_atoms", "chains_delta2"],
+    )
+    def test_sampler_streams(self, draw, digest):
+        decks = draw()
+        assert decks.dtype == np.int32
+        assert hashlib.sha256(decks.tobytes()).hexdigest() == digest
 
 
 class TestChiSquareTail:
@@ -143,12 +168,12 @@ class TestSamplers:
         assert np.array_equal(decks, np.tile(np.arange(1, 8), (200, 1)))
 
     def test_single_sample_is_valid_arrangement(self):
-        deck = sample_m_shuffle(10, 3, make_generator(3))
+        (deck,) = sample_m_shuffles(10, 3, make_generator(3), 1)
         assert sorted(deck) == list(range(1, 11))
 
     def test_k0_chain_is_identity(self):
-        deck = sample_chain(6, MIX23, 0, make_generator(4))
-        assert deck == (1, 2, 3, 4, 5, 6)
+        (deck,) = sample_chains(6, MIX23, 0, make_generator(4), 1)
+        assert list(deck) == [1, 2, 3, 4, 5, 6]
 
     def test_identity_probability_n2_m2(self):
         decks = sample_m_shuffles(2, 2, make_generator(7), 100_000)
@@ -206,13 +231,6 @@ class TestEmpiricalTv:
 
 
 class TestHistogram:
-    def test_merge_is_commutative_addition(self):
-        a = EmpiricalHistogram.from_decks(sample_m_shuffles(5, 2, make_generator(1, 0), 1000))
-        b = EmpiricalHistogram.from_decks(sample_m_shuffles(5, 2, make_generator(1, 1), 1000))
-        ab, ba = a + b, b + a
-        assert np.array_equal(ab.counts, ba.counts)
-        assert ab.sample_count == 2000
-
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):
             EmpiricalHistogram(3, np.array([1, 0, 0]), 5)
@@ -225,8 +243,8 @@ class TestHistogram:
 class TestCsvDump:
     def test_header_and_rows(self):
         buf = io.StringIO()
-        write_sample_csv(buf, [3, 1, 2])
-        assert buf.getvalue() == "trial,r\n0,3\n1,1\n2,2\n"
+        write_sample_csv(buf, 4, 2, [3, 1, 2])
+        assert buf.getvalue() == "4,2,0,3\n4,2,1,1\n4,2,2,2\n"
 
 
 def test_rising_counts_matches_exact():
