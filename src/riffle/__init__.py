@@ -75,6 +75,7 @@ _SAMPLING_NAMES = frozenset(
         "rising_counts",
         "sample_chains",
         "sample_m_shuffles",
+        "sample_rising_counts",
         "write_sample_csv",
     }
 )

@@ -310,10 +310,12 @@ def cutoff(
 
 @main.command()
 @click.option("--suite", "suite", default="all", help="Suite name or 'all'.")
-@click.option("--n", type=int, default=None, help="Deck-size bound override.")
-@click.option("--m", type=int, default=None, help="Pack-count bound override.")
+@click.option("--n", type=click.IntRange(min=1), default=None, help="Deck-size bound override.")
+@click.option("--m", type=click.IntRange(min=1), default=None, help="Pack-count bound override.")
 @click.option("--seed", type=int, default=0)
-@click.option("--N", "n_samples", type=int, default=100_000, help="Sampler suite sample count.")
+@click.option(
+    "--N", "n_samples", type=click.IntRange(min=1), default=100_000, help="Sampler suite sample count."
+)
 @click.option("--dump-csv", "dump_csv", default=None, help="Write sampler draws (n,m,trial,r) here.")
 @click.option("--cache", "cache_dir", default=None)
 def verify(
@@ -333,6 +335,8 @@ def verify(
         selected = [suite]
     else:
         raise click.UsageError(f"unknown suite {suite!r}; try one of {suite_names()}")
+    if dump_csv is not None and "sampler" not in selected:
+        raise click.UsageError(f"--dump-csv needs the sampler suite, not {suite!r}")
 
     results: dict[str, list[dict]] = {}
     with open(dump_csv, "w") if dump_csv is not None else nullcontext() as dump:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Callable, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "rising_counts",
     "sample_chains",
     "sample_m_shuffles",
+    "sample_rising_counts",
     "write_sample_csv",
 ]
 
@@ -50,24 +51,34 @@ def make_generator(seed: int, split: int = 0) -> np.random.Generator:
 
 
 def _sample(
-    n: int, k: int, size: int, rng: np.random.Generator, packs: Callable[[int], np.ndarray]
+    n: int,
+    k: int,
+    size: int,
+    rng: np.random.Generator,
+    packs: Callable[[int], np.ndarray],
+    lanes: int = 1,
+    counts: bool = False,
 ) -> np.ndarray:
-    """``size`` decks after k shuffle steps of the ordered deck, in chunks.
+    """``size`` decks per lane after k shuffle steps of the ordered deck, in chunks.
 
-    ``packs(rows)`` gives the per-row pack counts of one step. Per chunk and
-    per step the stream layout is: whatever ``packs`` draws, then (rows, n)
-    uniforms for the cut, then (rows, n) uniforms for the drops.
+    ``packs(rows)`` gives one step's (lanes, rows) pack counts; all lanes
+    shuffle with the step's one set of uniforms. Per chunk and per step the
+    stream layout is: whatever ``packs`` draws, then (rows, n) uniforms for
+    the cut, then (rows, n) uniforms for the drops. Returns the (lanes, size,
+    n) decks or, with ``counts``, only their (lanes, size) rising-sequence
+    counts.
     """
-    out = np.empty((size, n), np.int32)
+    out = np.empty((lanes, size) if counts else (lanes, size, n), np.int32)
     for lo in range(0, size, _CHUNK):
         rows = min(_CHUNK, size - lo)
-        decks = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
+        decks = [np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))] * lanes
         for _ in range(k):
             pack_m = packs(rows)
             digit_u = rng.random((rows, n))
             drop_u = rng.random((rows, n))
-            decks = _kernels.chain_step(decks, pack_m, digit_u, drop_u)
-        out[lo : lo + rows] = decks
+            decks = [_kernels.chain_step(d, m, digit_u, drop_u) for d, m in zip(decks, pack_m)]
+        for lane, lane_decks in enumerate(decks):
+            out[lane, lo : lo + rows] = _kernels.rising_counts(lane_decks) if counts else lane_decks
     return out
 
 
@@ -78,7 +89,23 @@ def sample_m_shuffles(n: int, m: int, rng: np.random.Generator, size: int) -> np
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    return _sample(n, 1, size, rng, lambda rows: np.full(rows, m, np.int64))
+    return _sample(n, 1, size, rng, lambda rows: np.full((1, rows), m, np.int64))[0]
+
+
+def sample_rising_counts(
+    n: int, ms: Sequence[int], rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Rising-sequence counts of ``size`` m-shuffles for every m in ``ms``.
+
+    Row i of the (len(ms), size) int32 result is
+    ``rising_counts(sample_m_shuffles(n, ms[i], rng, size))`` for ``rng`` in
+    its current state: the m-shuffle stream does not depend on m, so every
+    pack count reuses one draw of the uniforms.
+    """
+    pack_ms = np.array(ms, np.int64).reshape(-1, 1)
+    if n < 1 or not len(pack_ms) or pack_ms.min() < 1:
+        raise ValueError("need n >= 1 and at least one m, every m >= 1")
+    return _sample(n, 1, size, rng, lambda rows: np.repeat(pack_ms, rows, 1), len(pack_ms), True)
 
 
 def sample_chains(
@@ -96,9 +123,9 @@ def sample_chains(
     cum[-1] = 1.0
 
     def packs(rows: int) -> np.ndarray:
-        return support[np.searchsorted(cum, rng.random(rows), side="right")]
+        return support[np.searchsorted(cum, rng.random((1, rows)), side="right")]
 
-    return _sample(n, k, size, rng, packs)
+    return _sample(n, k, size, rng, packs)[0]
 
 
 def rising_counts(decks: np.ndarray) -> np.ndarray:
@@ -240,5 +267,6 @@ SAMPLE_CSV_HEADER = "n,m,trial,r\n"
 
 def write_sample_csv(out: IO[str], n: int, m: int, r_values: Iterable[int]) -> None:
     """Append one (n, m) cell's rising-sequence counts as ``n,m,trial,r`` rows."""
-    for trial, r in enumerate(r_values):
-        out.write(f"{n},{m},{trial},{int(r)}\n")
+    cell = f"{n},{m},"
+    rows = [f"{cell}{trial},{r}\n" for trial, r in enumerate(np.asarray(r_values).tolist())]
+    out.write("".join(rows))

@@ -158,30 +158,34 @@ def suite_sampler(
     Each (n, m) cell is tested at significance 1e-3; a failing cell is rerun
     once on the next stream split before being declared a violation (the
     documented flaky budget for a fixed-significance statistical test).
+    The first attempts of all cells of one deck size share one draw of the
+    split-0 uniforms, as separate draws from that split would be equal.
     With ``dump``, the first attempt's rising-sequence counts of every cell
     are written to it as one CSV table.
     """
     from .sampling import SAMPLE_CSV_HEADER, EmpiricalHistogram, chi_square_against_law
-    from .sampling import make_generator, rising_counts, sample_m_shuffles, write_sample_csv
+    from .sampling import make_generator, rising_counts, sample_m_shuffles
+    from .sampling import sample_rising_counts, write_sample_csv
+
+    def p_value(law, r_values) -> float:
+        return chi_square_against_law(EmpiricalHistogram.from_r_values(law.n, r_values), law)[2]
 
     out = []
     bad = []
     if dump is not None:
         dump.write(SAMPLE_CSV_HEADER)
+    ms = range(1, m_max + 1)
     for n in range(2, n_max + 1):
-        for m in range(1, m_max + 1):
+        # Every cell of deck size n reads the same split-0 stream.
+        first = sample_rising_counts(n, ms, make_generator(seed), n_samples)
+        for m, r_values in zip(ms, first):
             law = m_shuffle_law(n, m)
-            p_values = []
-            for attempt in (0, 1):
-                rng = make_generator(seed, split=attempt)
-                r_values = rising_counts(sample_m_shuffles(n, m, rng, n_samples))
-                if dump is not None and attempt == 0:
-                    write_sample_csv(dump, n, m, r_values)
-                hist = EmpiricalHistogram.from_r_values(n, r_values)
-                _, _, p_value = chi_square_against_law(hist, law)
-                p_values.append(p_value)
-                if p_value >= 1e-3:
-                    break
+            if dump is not None:
+                write_sample_csv(dump, n, m, r_values)
+            p_values = [p_value(law, r_values)]
+            if p_values[0] < 1e-3:
+                rerun = sample_m_shuffles(n, m, make_generator(seed, split=1), n_samples)
+                p_values.append(p_value(law, rising_counts(rerun)))
             if p_values[-1] < 1e-3:
                 bad.append((n, m, p_values))
     out.append(

@@ -253,6 +253,41 @@ class TestVerify:
             assert [trial for trial, _ in draws] == list(range(50))
             assert all(1 <= r <= n for _, r in draws)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--N", "0"), ("--N", "-5"), ("--n", "0"), ("--m", "0")],
+        ids=["N0", "N-neg", "n0", "m0"],
+    )
+    def test_bounds_below_one_are_usage_errors(self, runner, option, value):
+        # Each used to fail its own way, or to pass vacuously with "ok": true.
+        args = ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "100"]
+        result = runner.invoke(main, [*args, option, value])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+
+    def test_dump_csv_without_the_sampler_suite_is_refused(self, runner, tmp_path):
+        dump = tmp_path / "keep.csv"
+        dump.write_text("earlier contents\n")
+        result = runner.invoke(
+            main, ["verify", "--suite", "tailsets", "--n", "3", "--m", "2", "--dump-csv", str(dump)]
+        )
+        assert result.exit_code == 2
+        assert "--dump-csv" in result.output
+        assert dump.read_text() == "earlier contents\n"
+
+    def test_sampler_dump_is_pinned(self, runner, tmp_path):
+        # 25 cells of 20000 draws: each deck size crosses a chunk boundary
+        # and shares one draw of its uniforms among its five pack counts.
+        dump = tmp_path / "samples.csv"
+        args = ["verify", "--suite", "sampler", "--seed", "3", "--N", "20000"]
+        result = runner.invoke(main, [*args, "--dump-csv", str(dump)])
+        assert result.exit_code == 0
+        data = dump.read_bytes()
+        assert data.count(b"\n") == 500_001
+        assert hashlib.sha256(data).hexdigest() == (
+            "cbbf87f705330fc73fc00fd5e8fc2fea485a208dbf68a7f1483a9b60023744a3"
+        )
+
     def test_unknown_suite_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "nope"])
         assert result.exit_code == 2
@@ -352,7 +387,10 @@ class TestLibraryValueErrorExit:
             (["profile", "--n", "0", "--p", "2:1", "--k", "1..2"], "deck size must be >= 1, got 0"),
             (["poisson", "--n", "0", "--p", "2:1", "--t", "1:2:1"], "deck size must be >= 1, got 0"),
             (["cutoff", "--n-grid", "1:3:1", "--p", "invsq"], "deck size 1 too small"),
-            (["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "-5"], "Error: "),
+            (
+                ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "100", "--seed", "-1"],
+                "seed and split must be nonnegative",
+            ),
             (["cutoff", "--n", "0", "--p", "2:1"], "deck size must be >= 2, got 0"),
             (["cutoff", "--n", "1", "--p", "2:1"], "deck size must be >= 2, got 1"),
         ],

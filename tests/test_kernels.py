@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riffle import _kernels
+from riffle.combinatorics import rising_sequences
 
 
 def _reference_step(deck, m, digit_u, drop_u):
@@ -79,6 +82,51 @@ def test_numpy_path_matches_reference_on_edge_batches(rows, n, m_low, m_high):
     _assert_matches_reference(*batch, out)
 
 
+@settings(deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    n=st.integers(1, 24),
+    extra_packs=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    edge_uniforms=st.booleans(),
+)
+def test_chain_step_matches_reference(rows, n, extra_packs, seed, edge_uniforms):
+    # Pack counts 1..n+3 on shuffled decks. With edge_uniforms, a third of
+    # the uniforms are 0 or the largest double below 1, the first and last
+    # pack of every cut and drop.
+    rng = np.random.default_rng(seed)
+    decks = np.array([rng.permutation(n) + 1 for _ in range(rows)], np.int32)
+    pack_m = rng.integers(1, n + extra_packs + 1, rows)
+    digit_u, drop_u = rng.random((rows, n)), rng.random((rows, n))
+    if edge_uniforms:
+        for u in (digit_u, drop_u):
+            pick = rng.random(u.shape) < 1 / 3
+            u[pick] = rng.choice([0.0, np.nextafter(1.0, 0.0)], int(pick.sum()))
+    out = _kernels.chain_step(decks, pack_m, digit_u, drop_u)
+    assert out.dtype == np.int32 and out.flags.c_contiguous
+    _assert_matches_reference(decks, pack_m, digit_u, drop_u, out)
+
+
+@pytest.mark.parametrize("n", [2**15 - 1, 2**15])
+def test_kernels_switch_count_type_at_two_to_the_fifteen(n):
+    # int16 counts and positions hold n = 2^15 - 1 cards; one card more
+    # needs int64, or the bottom pack's count wraps.
+    assert _kernels._count_type(n) is (np.int16 if n < 2**15 else np.int64)
+    rng = np.random.default_rng(n)
+    decks = np.tile(np.arange(1, n + 1, dtype=np.int32), (2, 1))
+    pack_m = np.array([1, 3])
+    digit_u, drop_u = rng.random((2, n)), rng.random((2, n))
+    out = _kernels.chain_step(decks, pack_m, digit_u, drop_u)
+    _assert_matches_reference(decks, pack_m, digit_u, drop_u, out)
+    assert out[0].tolist() == list(range(1, n + 1))
+    assert _kernels.rising_counts(out).tolist() == [1, rising_sequences(tuple(out[1].tolist()))]
+
+
+def test_flat_indices_switch_to_int64_at_two_to_the_thirty_one():
+    assert _kernels._index_type(2**31 - 1) is np.int32
+    assert _kernels._index_type(2**31) is np.int64
+
+
 def test_sampler_chunks_match_reference_across_a_chunk_boundary():
     # A row count that is not a multiple of the chunk size: the last chunk is
     # short, and every chunk draws its cut uniforms and then its drop uniforms.
@@ -103,14 +151,14 @@ def test_one_pack_returns_deck_unchanged(batch):
     assert np.array_equal(out, decks)
 
 
-def test_rising_counts_paths_agree(batch):
-    decks = batch[0]
-    a = _kernels.rising_counts(decks)
-    # spot-check against the exact implementation
-    from riffle.combinatorics import rising_sequences
-
-    for i in range(0, len(decks), 17):
-        assert a[i] == rising_sequences(tuple(int(v) for v in decks[i]))
+@pytest.mark.parametrize("n", [1, 2, 9, 300])
+def test_rising_counts_match_exact_on_every_row(n):
+    rng = np.random.default_rng(n)
+    rows = 40 if n > 100 else 300
+    decks = np.array([rng.permutation(n) + 1 for _ in range(rows)], np.int32)
+    counts = _kernels.rising_counts(decks)
+    assert counts.dtype == np.int32 and counts.flags.c_contiguous
+    assert counts.tolist() == [rising_sequences(tuple(row)) for row in decks.tolist()]
 
 
 def test_rising_counts_known_values():

@@ -31,6 +31,7 @@ from riffle.sampling import (
     rising_counts,
     sample_chains,
     sample_m_shuffles,
+    sample_rising_counts,
     write_sample_csv,
 )
 
@@ -113,6 +114,25 @@ class TestPinnedStreams:
         decks = draw()
         assert decks.dtype == np.int32
         assert hashlib.sha256(decks.tobytes()).hexdigest() == digest
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("n, seed, split", [(5, 3, 0), (2, 8, 1)])
+    def test_rows_equal_separate_m_shuffle_draws(self, n, seed, split):
+        # Past one chunk: every chunk's one draw of uniforms serves every m.
+        from riffle import sampling
+
+        size, ms = sampling._CHUNK + 7, [1, 2, 3, 5, 8]
+        counts = sample_rising_counts(n, ms, make_generator(seed, split), size)
+        assert counts.shape == (len(ms), size) and counts.dtype == np.int32
+        for i, m in enumerate(ms):
+            decks = sample_m_shuffles(n, m, make_generator(seed, split), size)
+            assert np.array_equal(counts[i], rising_counts(decks))
+
+    @pytest.mark.parametrize("n, ms", [(0, [2]), (3, []), (3, [2, 0])])
+    def test_rejects_empty_or_nonpositive_arguments(self, n, ms):
+        with pytest.raises(ValueError):
+            sample_rising_counts(n, ms, make_generator(0), 10)
 
 
 class TestChiSquareTail:
