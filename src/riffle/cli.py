@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -193,27 +193,40 @@ def _require_fixed_pack(parsed, spec: str) -> PackDistribution:
     return parsed
 
 
-class _Main(click.Group):
-    """Command group that maps library errors onto the exit-code contract.
+_HELP_AS_ERROR = getattr(click.exceptions, "NoArgsIsHelpError", ())  # click >= 8.2
 
-    A size guard exits 3; a ``ValueError`` is an input value the parsers
-    could not judge (a deck size of 0, say) and an ``OSError`` a path that
-    cannot be used (a ``--cache`` that is a regular file, say); both exit 2
-    like a usage error. Either way stderr gets one line and no traceback.
-    A broken stdout pipe is left to click.
+
+@contextmanager
+def _exit_codes():
+    try:
+        yield
+    except SizeGuardError as exc:
+        click.echo(f"size guard: {exc}", err=True)
+        sys.exit(3)
+    except (BrokenPipeError, _HELP_AS_ERROR):
+        raise
+    except (click.UsageError, ValueError, OSError) as exc:
+        message = exc.format_message() if isinstance(exc, click.UsageError) else exc
+        click.echo(f"Error: {message}", err=True)
+        sys.exit(2)
+
+
+class _Main(click.Group):
+    """Command group that maps errors onto the exit-code contract.
+
+    A size guard exits 3. A click usage error, a ``ValueError`` (an input
+    the parsers could not judge, as a deck size of 0) and an ``OSError`` (an
+    unusable path, as a ``--cache`` that is a file) exit 2. Either way stderr
+    gets one line. ``--help``, a bare call and a broken pipe are left to click.
     """
 
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _exit_codes():
+            return super().make_context(*args, **kwargs)
+
     def invoke(self, ctx: click.Context):
-        try:
+        with _exit_codes():
             return super().invoke(ctx)
-        except SizeGuardError as exc:
-            click.echo(f"size guard: {exc}", err=True)
-            sys.exit(3)
-        except BrokenPipeError:
-            raise
-        except (ValueError, OSError) as exc:
-            click.echo(f"Error: {exc}", err=True)
-            sys.exit(2)
 
 
 @click.group(cls=_Main)
@@ -231,8 +244,9 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
     """Exact TV profile over a range of shuffle counts.
 
     Emits one row per k with the exact rational distance, its float
-    rendering, and the normal approximation evaluated at the geometric-mean
-    pack count for k steps.
+    rendering, and bd_estimate, the sigma = 0 (GSR) limit shape at the
+    geometric-mean pack count: for sigma > 0 its gap to the exact TV grows
+    with n (0.058, 0.097, 0.110 at n = 52, 200, 600 for p = 2:1/2,3:1/2).
     """
     _apply_cache_dir(cache_dir)
     pack = _require_fixed_pack(parse_pack_spec(p_spec), p_spec)

@@ -6,18 +6,16 @@ the discrete k-step laws; the mixture is truncated at a certified tail mass.
 The unit-time view of the same chain is an ordinary p-shuffle for a modified
 pack distribution, constructed here as well.
 
-Since E[M_k**-j] = E[m**-j]**k (see :mod:`riffle.laws`), the truncated
-mixture's moments are sum(pi_k * E[m**-j]**k) over k <= K: one polynomial of
-degree K in each moment of p. :func:`poissonized_laws` evaluates it by Horner
-and turns it into class numerators once per time, with no k-step law built,
-when the product laws of k = 0..K hold more than (number of times) * n / 2
-atoms in all; otherwise it adds the k-step laws up one by one. Measured on a
-2-core x86 host (CPython 3.11), the break-even sum lies at 0.15-0.25 times
-n per time at n = 52, near 0.8 at n = 100 and 0.8-1.4 at n = 200, and the
-moment path wins 3-6x at large K with one atom per step (n = 52 to 200).
-The n / 2 rule takes the per-k path at n = 200 with p = 2:1 on three times
-(0.10 s against 0.51 s) and the moment path for {2, 3} at n = 52 (0.015 s
-against 0.15 s on three times).
+Since E[M_k**(i - n)] = E[m**(i - n)]**k (see :mod:`riffle.laws`), the
+truncated mixture's moments are sum(pi_k * E[m**(i - n)]**k) over k <= K:
+one polynomial of degree K in each moment of p. :func:`poissonized_laws`
+evaluates it by Horner and turns it into class numerators once per time,
+with no k-step law built, when the product laws of k = 0..K hold more than
+(number of times) * n / 2 atoms in all; otherwise it adds the k-step laws up
+one by one. With one time and p = 2:1 or {2, 3} (2-core x86, CPython 3.11)
+the paths break even at 0.15-0.4 atoms per time and card for n = 52 to 200,
+and the moments win 8-11x at t = 100 with one atom per step. The n / 2 rule
+dates from an evaluator that broke even at 0.4-1.3 and is kept on purpose.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from typing import Iterable, NamedTuple
 
@@ -187,27 +186,20 @@ def _moment_sums(
     """Numerators and denominator per time, from the moments of p alone.
 
     With the weights at their exact dyadic values pi_k = c_k / B and
-    E[m**-j] = mu_j / (q * L**j), the time's E[M**-j] is
-    ``sum(c_k * mu_j**k * (q * L**j)**(K - k)) / (B * q**K * L**(j * K))``,
-    a polynomial in mu_j evaluated by Horner; the class numerators follow
-    with ``top = L**K`` and ``den = B * q**K``.
+    E[m**(i - n)] = x[i] / d (:func:`~riffle.laws._pack_moments`), the
+    time's E[M**(i - n)] is ``sum(c_k * d**(K - k) * x[i]**k) / (B * d**K)``:
+    one polynomial in x[i], whose coefficients are built once per time and
+    evaluated by Horner for every i.
     """
-    mu, top, q = _pack_moments(n, p)
+    x, d = _pack_moments(n, p)
     out = []
     for weights in weight_lists:
         ratios = [w.as_integer_ratio() for w in weights]
         big = max(b for _, b in ratios)
-        coeffs = [a * (big // b) for a, b in ratios]
-        last = len(coeffs) - 1
-        sums, y = [], q  # y = q * L**j
-        for x in mu:
-            acc, y_power = coeffs[last], 1
-            for c in reversed(coeffs[:last]):
-                y_power *= y
-                acc = acc * x + c * y_power
-            sums.append(acc)
-            y *= top
-        out.append(_moment_numerators(n, sums, top**last, big * q**last))
+        last = len(ratios) - 1
+        coeffs = [a * (big // b) * d ** (last - k) for k, (a, b) in enumerate(ratios)]
+        v = [reduce(lambda acc, c: acc * xi + c, reversed(coeffs)) for xi in x]
+        out.append(_moment_numerators(n, v, big * d**last))
     return out
 
 

@@ -8,25 +8,26 @@ is an integer-weighted mixture of them; ``Fraction`` appears only at the
 interface, and floats only when a caller explicitly renders a value.
 
 A mixture depends on its pack count M only through n + 1 moments: class r
-has probability E[C(M + n - r, n) / M**n], and n! * C(x + n - r, n) is the
-degree-n polynomial P_r(x) = (x + 1 - r)(x + 2 - r)...(x + n - r), so with
-a[r] its coefficients the probability is sum(a[r][i] * E[M**(i - n)]) / n!.
-These moments are the weights of the m-shuffle's eigenvalues m**-i (Bayer &
-Diaconis 1992). One evaluator, :func:`_moment_numerators`, turns them into
-class numerators in about n**2 / 2 big multiplies, where
-:func:`mixture_of_m_shuffles` goes atom by atom along r in n small
-multiply-divides of a big integer per atom.
+has probability E[C(M + n - r, n) / M**n], and C(x + n - r, n) is a
+polynomial of degree n in x. These moments are the weights of the
+m-shuffle's eigenvalues m**-i (Bayer & Diaconis 1992). Every path hands
+them over as E[M**(i - n)] = v[i] / D to one evaluator,
+:func:`_moment_numerators`: rising factorials and forward differences, in
+about n**2 / 2 big-by-small multiply-adds and as many big additions.
+:func:`mixture_of_m_shuffles` instead goes atom by atom along r in n small
+multiply-divides of a big integer per atom; both scale the atoms' weights
+in :func:`_scaled_atoms`.
 
 For the k-step law M_k is a product of k independent draws from p, so
-E[M_k**-j] = E[m**-j]**k: every k-step law follows from the n + 1 integer
-moments mu[j] = sum(w * (L / m)**j) of p alone, L the lcm of its support.
-:func:`k_step_laws` builds product laws and mixes them atom by atom while a
-step has at most 2n atoms; the atom count never falls as k grows, and from
-the first step with more it builds none and evaluates mu[j]**k over L**k
-instead. There the powers cross the atom-by-atom sum at 0.7n atoms (n = 52)
-and 0.8n (n = 100) and are 4-5x faster at 2n; without the rule a
-single-atom p at n = 600 would pay n**2 / 2 big multiplies per law where
-the chain pays n small ones. That 2n rule lives in :func:`k_step_laws` only.
+E[M_k**(i - n)] = E[m**(i - n)]**k = x[i]**k / d**k with x and d from p
+alone (:func:`_pack_moments`). :func:`k_step_laws` builds product laws and
+mixes them atom by atom while a step has at most 2n atoms; the atom count
+never falls as k grows, and from the first step with more it builds none
+and evaluates x**k instead. Per law on {2, 3, 5} (2-core x86, CPython 3.11)
+the two cost the same at 0.3n-0.4n atoms for n = 52 to 200, and the moments
+are 6-15x faster at 2n. The rule, set for an evaluator that crossed at
+0.7n-0.8n and kept on purpose (moving it is a measured change of its own),
+lives in :func:`k_step_laws` only.
 """
 
 from __future__ import annotations
@@ -319,14 +320,23 @@ def product_power(p: PackDistribution, k: int) -> ProductLaw:
     return ProductLaw({v: Fraction(w, den) for v, w in weights.items()})
 
 
-def _pack_moments(n: int, p: PackDistribution) -> tuple[list[int], int, int]:
-    """``(mu, top, q)``: E[m**-j] = mu[j] / (q * top**j) for j = 0..n.
+def _scaled_atoms(n: int, atoms: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
+    """``(scaled, top**n)``: each atom (m, w) as (m, w * (top / m)**n), top = lcm(m)."""
+    top = math.lcm(*(m for m, _ in atoms))
+    return [(m, w * (top // m) ** n) for m, w in atoms], top**n
 
-    ``top`` is the lcm of p's support and ``q`` the lcm of its denominators.
-    """
+
+def _pack_moments(n: int, p: PackDistribution) -> tuple[list[int], int]:
+    """``(x, d)``: E[m**(i - n)] = x[i] / d for i = 0..n, where p's integer weights
+    w over q give ``x[i] = sum(w * (top / m)**n * m**i)`` and ``d = q * top**n``."""
     atoms, q = _integer_atoms(p)
-    mu, top = _power_sums(n, atoms)
-    return mu, top, q
+    atoms, scale = _scaled_atoms(n, atoms)
+    ms, terms = [m for m, _ in atoms], [w for _, w in atoms]
+    x = [sum(terms)]
+    for _ in range(n):
+        terms = list(map(mul, terms, ms))
+        x.append(sum(terms))
+    return x, q * scale
 
 
 def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingSeqLaw]:
@@ -336,9 +346,9 @@ def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingS
     pack count M_k, so law k is the product-law mixture of m-shuffle laws.
     While a step has at most 2n product-law atoms it is built and mixed
     (:func:`mixture_of_m_shuffles`). From the first step with more, no
-    product law is built: E[M_k**-j] = E[m**-j]**k, so law k is evaluated
-    from ``mu[j]**k`` over ``top**k`` and ``q**k`` (:func:`_pack_moments`),
-    with ``pow`` for the first k and one multiply per moment after it.
+    product law is built: E[M_k**(i - n)] = E[m**(i - n)]**k, so law k is
+    evaluated from ``x[i]**k`` over ``d**k`` (:func:`_pack_moments`), with
+    ``pow`` for the first k and one multiply per moment after it.
     The product-law size guard bounds the atoms actually built.
     """
     if n < 1:
@@ -350,12 +360,12 @@ def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingS
             break
         if k >= start:
             yield mixture_of_m_shuffles(n, weights, den)
-    mu, top, q = _pack_moments(n, p)
+    x, d = _pack_moments(n, p)
     k = max(k, start)
-    sums, top_k, den = [pow(x, k) for x in mu], top**k, q**k
+    v, den = [pow(a, k) for a in x], d**k
     while True:
-        yield RisingSeqLaw(n, *_moment_numerators(n, sums, top_k, den))
-        sums, top_k, den = list(map(mul, sums, mu)), top_k * top, den * q
+        yield RisingSeqLaw(n, *_moment_numerators(n, v, den))
+        v, den = list(map(mul, v, x)), den * d
 
 
 def law_after_k(n: int, p: PackDistribution, k: int) -> RisingSeqLaw:
@@ -369,58 +379,35 @@ def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSe
     The m-shuffle numerators of each atom are scaled to ``den * lcm(m)**n``
     and added; the law's one gcd is the only reduction.
     """
-    atoms = [(m, w) for m, w in weights.items() if w]
-    top = math.lcm(*(m for m, _ in atoms))
+    atoms, scale = _scaled_atoms(n, [(m, w) for m, w in weights.items() if w])
     nums = [0] * n
     for m, w in atoms:
-        scaled = _shuffle_numerators(n, m, w * (top // m) ** n)
-        nums = [a + c for a, c in zip(nums, scaled)]
-    return RisingSeqLaw(n, tuple(nums), den * top**n)
+        nums = [a + c for a, c in zip(nums, _shuffle_numerators(n, m, w))]
+    return RisingSeqLaw(n, tuple(nums), den * scale)
 
 
-def _power_sums(n: int, atoms: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """``(T, top)``: ``T[j] = sum(w * (top / m)**j)`` for j = 0..n, top = lcm(m)."""
-    top = math.lcm(*(m for m, _ in atoms))
-    ratios = [top // m for m, _ in atoms]
-    terms = [w for _, w in atoms]
-    sums = [sum(terms)]
-    for _ in range(n):
-        terms = list(map(mul, terms, ratios))
-        sums.append(sum(terms))
-    return sums, top
+def _moment_numerators(n: int, v: list[int], den: int) -> tuple[list[int], int]:
+    """Class numerators of the law with E[M**(i - n)] = v[i] / den, and their
+    denominator ``den * n!``.
 
-
-def _moment_numerators(n: int, sums: list[int], top: int, den: int) -> tuple[list[int], int]:
-    """Class numerators of the law with E[M**-j] = T[j] / (den * top**j), and their
-    denominator ``den * top**n * n!``.
-
-    Class r's numerator is ``sum(a[r][i] * v[i])`` with ``a[r]`` the
-    coefficients of P_r(x) = (x + 1 - r)(x + 2 - r)...(x + n - r) and
-    ``v[i] = top**i * T[n - i]``. One row of a is held at a time:
-    P_(r+1) = P_r * (x - r) / (x + n - r), and since
-    P_(n+1-r)(x) = (-1)**n * P_r(-x) row r also gives class n + 1 - r.
+    With L the linear map x**i -> v[i] and y^(j) = y(y + 1)...(y + j - 1),
+    class s + 1 has numerator N(s) = L((x - s)^(n)). As (z - 1)^(j) - z^(j)
+    = -j * z^(j-1), its forward differences are Delta**d N(0) =
+    (-1)**d * n! / (n - d)! * u[n - d], u[j] = L(x^(j)) = E_j[0], where
+    E_0[a] = v[a] and E_(j+1)[a] = E_j[a + 1] + j * E_j[a]. Summing the
+    difference table gives N(0..n-1). Apart from the n factors n! / (n - d)!,
+    every step adds big integers or multiplies one by a small integer.
     """
-    v, power = [], 1
-    for s in reversed(sums):
-        v.append(power * s)
-        power *= top
-    even_v, odd_v = v[0::2], v[1::2]
-    a = [1]  # P_1 = x(x + 1)...(x + n - 1), lowest coefficient first
-    for j in range(n):
-        a = [x + j * y for x, y in zip([0, *a], [*a, 0])]
-    nums = [0] * n
-    for r in range(1, (n + 1) // 2 + 1):
-        even = sum(map(mul, a[0::2], even_v))
-        odd = sum(map(mul, a[1::2], odd_v))
-        nums[r - 1] = even + odd
-        nums[n - r] = even - odd if n % 2 == 0 else odd - even
-        # Divide by x + n - r from the top coefficient down, then times x - r.
-        q = [0] * n
-        q[-1] = a[n]
-        for i in range(n - 1, 0, -1):
-            q[i - 1] = a[i] - (n - r) * q[i]
-        a = [x - r * y for x, y in zip([0, *q], [*q, 0])]
-    return nums, den * top**n * math.factorial(n)
+    u, e = [], v
+    for j in range(n + 1):
+        u.append(e[0])
+        e = [b + j * a for a, b in zip(e, e[1:])]
+    diffs = [(-1) ** d * math.perm(n, d) * u[n - d] for d in range(n + 1)]
+    nums = []
+    for _ in range(n):
+        nums.append(diffs[0])
+        diffs = [a + b for a, b in zip(diffs, diffs[1:])]
+    return nums, den * math.factorial(n)
 
 
 def tv_to_uniform(law: ClassNumerators) -> Fraction:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -267,6 +268,15 @@ SAMPLE_CSV_HEADER = "n,m,trial,r\n"
 
 def write_sample_csv(out: IO[str], n: int, m: int, r_values: Iterable[int]) -> None:
     """Append one (n, m) cell's rising-sequence counts as ``n,m,trial,r`` rows."""
-    cell = f"{n},{m},"
-    rows = [f"{cell}{trial},{r}\n" for trial, r in enumerate(np.asarray(r_values).tolist())]
-    out.write("".join(rows))
+    r_list = np.asarray(r_values).tolist()
+    r_text = {r: f"{r}\n" for r in set(r_list)}
+    parts = [f"{n},{m},"] * (3 * len(r_list))
+    parts[1::3] = _trial_column(len(r_list))
+    parts[2::3] = map(r_text.__getitem__, r_list)
+    out.write("".join(parts))
+
+
+@lru_cache(maxsize=1)
+def _trial_column(size: int) -> tuple[str, ...]:
+    """The trial column's text, built once for all cells of one size."""
+    return tuple(f"{trial}," for trial in range(size))

@@ -164,13 +164,11 @@ def suite_sampler(
     are written to it as one CSV table.
     """
     from .sampling import SAMPLE_CSV_HEADER, EmpiricalHistogram, chi_square_against_law
-    from .sampling import make_generator, rising_counts, sample_m_shuffles
-    from .sampling import sample_rising_counts, write_sample_csv
+    from .sampling import make_generator, sample_rising_counts, write_sample_csv
 
     def p_value(law, r_values) -> float:
         return chi_square_against_law(EmpiricalHistogram.from_r_values(law.n, r_values), law)[2]
 
-    out = []
     bad = []
     if dump is not None:
         dump.write(SAMPLE_CSV_HEADER)
@@ -184,18 +182,12 @@ def suite_sampler(
                 write_sample_csv(dump, n, m, r_values)
             p_values = [p_value(law, r_values)]
             if p_values[0] < 1e-3:
-                rerun = sample_m_shuffles(n, m, make_generator(seed, split=1), n_samples)
-                p_values.append(p_value(law, rising_counts(rerun)))
+                rerun = sample_rising_counts(n, [m], make_generator(seed, split=1), n_samples)[0]
+                p_values.append(p_value(law, rerun))
             if p_values[-1] < 1e-3:
                 bad.append((n, m, p_values))
-    out.append(
-        _verdict(
-            f"sampler_chi_square_n<={n_max}_m<={m_max}_N={n_samples}",
-            not bad,
-            f"violations: {bad}" if bad else "",
-        )
-    )
-    return out
+    name = f"sampler_chi_square_n<={n_max}_m<={m_max}_N={n_samples}"
+    return [_verdict(name, not bad, f"violations: {bad}" if bad else "")]
 
 
 SUITES: dict[str, Callable[..., list[Verdict]]] = {

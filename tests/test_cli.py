@@ -379,8 +379,9 @@ class TestSizeGuardExit:
 
 
 class TestLibraryValueErrorExit:
-    # Values the parsers accept but the library rejects: a one-line error
-    # and exit 2, checked on the real stderr of a CLI process.
+    # Values the parsers accept but the library rejects, and click's own
+    # usage errors: a one-line error and exit 2, checked on the real stderr
+    # of a CLI process.
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -393,8 +394,18 @@ class TestLibraryValueErrorExit:
             ),
             (["cutoff", "--n", "0", "--p", "2:1"], "deck size must be >= 2, got 0"),
             (["cutoff", "--n", "1", "--p", "2:1"], "deck size must be >= 2, got 1"),
+            (["verify", "--N", "0"], "Error: Invalid value for '--N'"),
+            (["verify", "--N", "abc"], "Error: Invalid value for '--N'"),
+            (["profile", "--n", "5", "--p", "2.0:1", "--k", "1..2"], "Error: bad pack entry '2.0:1'"),
+            (["profile", "--n", "5", "--p", "2:1"], "Error: Missing option '--k'"),
+            (["nosuch"], "Error: No such command 'nosuch'"),
+            (["--bogus"], "Error: No such option"),
         ],
-        ids=["profile", "poisson", "cutoff", "verify", "cutoff-n0", "cutoff-n1"],
+        ids=[
+            "profile", "poisson", "cutoff", "verify", "cutoff-n0", "cutoff-n1",
+            "click-range", "click-type", "click-pack-spec", "click-missing", "click-command",
+            "click-group-option",
+        ],
     )
     def test_exits_2_without_traceback(self, args, message, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
@@ -495,8 +506,18 @@ def test_profile_atoms_stdout_pinned(runner, tmp_path):
             ["profile", "--n", "52", "--p", "2:1/4,3:1/4,5:1/4,7:1/4", "--k", "1..30"],
             "bece8f6a668133e90abb9507cc014010a09b2fffa966f55fff964e9e8f4e73fe",
         ),
+        (
+            ["poisson", "--n", "200", "--p", "2:1/2,3:1/2", "--t", "4:20:4"],
+            "ee79d280e3c59fd17e29279d2e82350fa280c5d555248e666f481221b4556d1f",
+        ),
+        (
+            ["profile", "--n", "100", "--p", "2:1/3,3:1/3,5:1/3", "--k", "12..30"],
+            "33487323147a9c5786628489aeeae501f3f2adfec34d0bb25e1885fcf5ce2540",
+        ),
     ],
-    ids=["poisson-mix-wide", "poisson-delta", "profile-four-atoms"],
+    ids=[
+        "poisson-mix-wide", "poisson-delta", "profile-four-atoms", "poisson-n200", "profile-n100",
+    ],
 )
 def test_moment_path_stdout_pinned(runner, tmp_path, args, digest):
     result = runner.invoke(main, [*args, "--cache", str(tmp_path)])

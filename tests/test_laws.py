@@ -32,7 +32,6 @@ from riffle import laws
 from riffle.laws import (
     _moment_numerators,
     _pack_moments,
-    _power_sums,
     _shuffle_numerators,
 )
 from riffle.oracles import oracle_convolution
@@ -189,9 +188,10 @@ class TestLawAfterK:
 SUPPORTS = [(1, 2), (2, 3, 4, 6), (1, 2, 3, 4, 6), (2, 2**200 + 1), (1, 3, 2**200 + 1)]
 
 
-def _moment_law(n, atoms, den):
-    """The mixture of ``atoms`` over ``den``, evaluated from its n + 1 moments."""
-    return RisingSeqLaw(n, *_moment_numerators(n, *_power_sums(n, atoms), den))
+def _moment_law(n, weights, den):
+    """The mixture of ``weights`` over ``den``, evaluated from its n + 1 moments."""
+    p = PackDistribution.from_pairs({m: Fraction(w, den) for m, w in weights.items()})
+    return RisingSeqLaw(n, *_moment_numerators(n, *_pack_moments(n, p)))
 
 
 class TestMixtureEvaluators:
@@ -209,7 +209,7 @@ class TestMixtureEvaluators:
     )
     def test_agree_on_any_mixture(self, n, weights):
         den = sum(weights.values())
-        assert _moment_law(n, list(weights.items()), den) == mixture_of_m_shuffles(n, weights, den)
+        assert _moment_law(n, weights, den) == mixture_of_m_shuffles(n, weights, den)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 60), st.sampled_from(SUPPORTS), st.integers(0, 5), st.data())
@@ -219,7 +219,32 @@ class TestMixtureEvaluators:
             {m: Fraction(w, sum(raw)) for m, w in zip(support, raw)}
         )
         weights, den = next(islice(product_laws(p), k, None))
-        assert _moment_law(n, list(weights.items()), den) == mixture_of_m_shuffles(n, weights, den)
+        assert _moment_law(n, weights, den) == mixture_of_m_shuffles(n, weights, den)
+
+    def test_agree_at_n200_on_a_21_atom_step(self):
+        # Step 20 of {2, 3}: 21 atoms, well past n = 52 and a machine word.
+        weights, den = next(islice(product_laws(MIX23), 20, None))
+        assert len(weights) == 21
+        assert _moment_law(200, weights, den) == mixture_of_m_shuffles(200, weights, den)
+
+    @pytest.mark.parametrize(
+        "n, v, nums",
+        [(1, [7, 11], [11]), (2, [7, 11, 13], [11 + 13, 13 - 11])],
+        ids=["n1", "n2"],
+    )
+    def test_smallest_decks_by_hand(self, n, v, nums):
+        # P_1 = x and, for n = 2, P_1 = x**2 + x and P_2 = x**2 - x.
+        assert _moment_numerators(n, v, 5) == (nums, 5 * math.factorial(n))
+
+    def test_smallest_decks_on_both_k_step_paths(self):
+        # E[1/m] = 5/12 for {2, 3}, so the n = 2 classes have probability
+        # (1 +- (5/12)**k) / 2; the moment path takes over at k = 2 (n = 1)
+        # and k = 4 (n = 2).
+        for law in islice(k_step_laws(1, MIX23), 8):
+            assert law.class_prob == (1,)
+        for k, law in enumerate(islice(k_step_laws(2, MIX23), 10)):
+            g = Fraction(5, 12) ** k
+            assert law.class_prob == ((1 + g) / 2, (1 - g) / 2)
 
 
 def _pack(support, raw):
@@ -251,8 +276,8 @@ class TestKStepLaws:
         p = _pack(support, raw)
         k = max(0, _switch_step(n, p) + offset)
         weights, den = next(islice(product_laws(p), k, None))
-        mu, top, q = _pack_moments(n, p)
-        moment = RisingSeqLaw(n, *_moment_numerators(n, [x**k for x in mu], top**k, q**k))
+        x, d = _pack_moments(n, p)
+        moment = RisingSeqLaw(n, *_moment_numerators(n, [a**k for a in x], d**k))
         assert moment == mixture_of_m_shuffles(n, weights, den)
 
     @settings(deadline=None, max_examples=40)
