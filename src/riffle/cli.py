@@ -25,6 +25,7 @@ import click
 
 from .combinatorics import CACHE_ENV_VAR, int_to_decimal
 from .cutoff import (
+    _log_deck_size,
     cutoff_report,
     cutoff_shape,
     hyp_check,
@@ -193,9 +194,6 @@ def _require_fixed_pack(parsed, spec: str) -> PackDistribution:
     return parsed
 
 
-_HELP_AS_ERROR = getattr(click.exceptions, "NoArgsIsHelpError", ())  # click >= 8.2
-
-
 @contextmanager
 def _exit_codes():
     try:
@@ -203,7 +201,7 @@ def _exit_codes():
     except SizeGuardError as exc:
         click.echo(f"size guard: {exc}", err=True)
         sys.exit(3)
-    except (BrokenPipeError, _HELP_AS_ERROR):
+    except BrokenPipeError:
         raise
     except (click.UsageError, ValueError, OSError) as exc:
         message = exc.format_message() if isinstance(exc, click.UsageError) else exc
@@ -217,7 +215,7 @@ class _Main(click.Group):
     A size guard exits 3. A click usage error, a ``ValueError`` (an input
     the parsers could not judge, as a deck size of 0) and an ``OSError`` (an
     unusable path, as a ``--cache`` that is a file) exit 2. Either way stderr
-    gets one line. ``--help``, a bare call and a broken pipe are left to click.
+    gets one line. ``--help`` and a broken pipe are left to click.
     """
 
     def make_context(self, *args, **kwargs) -> click.Context:
@@ -229,9 +227,12 @@ class _Main(click.Group):
             return super().invoke(ctx)
 
 
-@click.group(cls=_Main)
-def main() -> None:
+@click.group(cls=_Main, invoke_without_command=True)
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Exact and Monte-Carlo mixing profiles for randomized riffle shuffles."""
+    if ctx.invoked_subcommand is None:
+        click.echo(ctx.get_help())
 
 
 @main.command()
@@ -309,7 +310,7 @@ def cutoff(
             "n": size,
             "mu": mu,
             "sigma": sigma,
-            "t_n": 3 * math.log(size) / (2 * mu),
+            "t_n": 3 * _log_deck_size(size) / (2 * mu),
             "lindeberg_eps1": lindeberg_value(pack, size, 1.0) if sigma > 0 else None,
         }
         row["hyp1"], row["hyp2"] = hyp_check(pack, size, 0.5)

@@ -10,12 +10,8 @@ Since E[M_k**(i - n)] = E[m**(i - n)]**k (see :mod:`riffle.laws`), the
 truncated mixture's moments are sum(pi_k * E[m**(i - n)]**k) over k <= K:
 one polynomial of degree K in each moment of p. :func:`poissonized_laws`
 evaluates it by Horner and turns it into class numerators once per time,
-with no k-step law built, when the product laws of k = 0..K hold more than
-(number of times) * n / 2 atoms in all; otherwise it adds the k-step laws up
-one by one. With one time and p = 2:1 or {2, 3} (2-core x86, CPython 3.11)
-the paths break even at 0.15-0.4 atoms per time and card for n = 52 to 200,
-and the moments win 8-11x at t = 100 with one atom per step. The n / 2 rule
-dates from an evaluator that broke even at 0.4-1.3 and is kept on purpose.
+with no k-step law built, or adds the k-step laws up one by one, as
+:func:`~riffle.laws._moments_pay` decides.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, NamedTuple
 
 from .cutoff import _log_deck_size, log_moments
@@ -33,6 +29,7 @@ from .laws import (
     PackDistribution,
     SizeGuardError,
     _moment_numerators,
+    _moments_pay,
     _pack_moments,
     k_step_laws,
     product_laws,
@@ -119,9 +116,10 @@ def poissonized_laws(
     Each time's truncation K comes from its float weights alone
     (:func:`_poisson_weights`), before any law is built. Then one of two
     paths gives every time's class numerators and denominator:
-    :func:`_moment_sums` when the product laws of k = 0..K hold more than
-    ``len(ts) * n / 2`` atoms in all (:func:`_moments_pay`), and
-    :func:`_per_k_sums` otherwise. Both give the same laws.
+    :func:`_moment_sums` when the product laws of k = 0..K hold enough atoms
+    in all for ``len(ts)`` moment evaluations to pay
+    (:func:`~riffle.laws._moments_pay`; the product laws are built only until
+    they do), and :func:`_per_k_sums` otherwise. Both give the same laws.
     """
     ts = [float(t) for t in ts]
     if n < 1:
@@ -135,7 +133,8 @@ def poissonized_laws(
     plans = [_poisson_weights(t, Fraction(tol)) for t in ts]
     weight_lists = [weights for weights, _ in plans]
     steps = max(map(len, weight_lists), default=0)
-    sums = _moment_sums if _moments_pay(n, p, steps, len(ts)) else _per_k_sums
+    atoms = accumulate(len(weights) for weights, _ in islice(product_laws(p), steps))
+    sums = _moment_sums if any(_moments_pay(n, a, len(ts)) for a in atoms) else _per_k_sums
     out = []
     for t, (weights, mass), (acc, den) in zip(ts, plans, sums(n, p, weight_lists)):
         if mass > 1:
@@ -147,19 +146,6 @@ def poissonized_laws(
             PoissonizedLaw(n, t, float(tol), len(weights) - 1, tuple(acc), den, mass, tuple(weights))
         )
     return out
-
-
-def _moments_pay(n: int, p: PackDistribution, steps: int, times: int) -> bool:
-    """Whether the product laws of k < steps hold more than ``times * n / 2`` atoms.
-
-    The product laws are built only until their atom count passes that sum.
-    """
-    total = 0
-    for _, (weights, _) in zip(range(steps), product_laws(p)):
-        total += len(weights)
-        if 2 * total > times * n:
-            return True
-    return False
 
 
 def _per_k_sums(

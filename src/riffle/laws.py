@@ -20,14 +20,8 @@ in :func:`_scaled_atoms`.
 
 For the k-step law M_k is a product of k independent draws from p, so
 E[M_k**(i - n)] = E[m**(i - n)]**k = x[i]**k / d**k with x and d from p
-alone (:func:`_pack_moments`). :func:`k_step_laws` builds product laws and
-mixes them atom by atom while a step has at most 2n atoms; the atom count
-never falls as k grows, and from the first step with more it builds none
-and evaluates x**k instead. Per law on {2, 3, 5} (2-core x86, CPython 3.11)
-the two cost the same at 0.3n-0.4n atoms for n = 52 to 200, and the moments
-are 6-15x faster at 2n. The rule, set for an evaluator that crossed at
-0.7n-0.8n and kept on purpose (moving it is a measured change of its own),
-lives in :func:`k_step_laws` only.
+alone (:func:`_pack_moments`). One predicate, :func:`_moments_pay`, picks
+the path for both the k-step and the continuous-time laws.
 """
 
 from __future__ import annotations
@@ -339,16 +333,28 @@ def _pack_moments(n: int, p: PackDistribution) -> tuple[list[int], int]:
     return x, q * scale
 
 
+def _moments_pay(n: int, atoms: int, laws: int = 1) -> bool:
+    """Whether ``laws`` moment evaluations cost less than mixing ``atoms`` atoms.
+
+    The chain makes n small multiply-divides of a big integer per atom, the
+    moment evaluator about n**2 / 2 multiply-adds per law, so the moments
+    pay once ``atoms * n > laws * n**2 / 2``. This is the one comparison of
+    a product-law atom count with n.
+    """
+    return 2 * atoms > laws * n
+
+
 def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingSeqLaw]:
     """Deck laws after k = start, start + 1, ... successive p-shuffles.
 
     k independent p-shuffles compose into a single shuffle with the product
     pack count M_k, so law k is the product-law mixture of m-shuffle laws.
-    While a step has at most 2n product-law atoms it is built and mixed
-    (:func:`mixture_of_m_shuffles`). From the first step with more, no
-    product law is built: E[M_k**(i - n)] = E[m**(i - n)]**k, so law k is
-    evaluated from ``x[i]**k`` over ``d**k`` (:func:`_pack_moments`), with
-    ``pow`` for the first k and one multiply per moment after it.
+    Steps are built and mixed (:func:`mixture_of_m_shuffles`) until the
+    first whose atoms make :func:`_moments_pay` hold; the atom count never
+    falls as k grows, so from that step on no product law is built:
+    E[M_k**(i - n)] = E[m**(i - n)]**k, so law k is evaluated from
+    ``x[i]**k`` over ``d**k`` (:func:`_pack_moments`), with ``pow`` for the
+    first k and one multiply per moment after it.
     The product-law size guard bounds the atoms actually built.
     """
     if n < 1:
@@ -356,7 +362,7 @@ def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingS
     if start < 0:
         raise ValueError(f"k must be >= 0, got {start}")
     for k, (weights, den) in enumerate(product_laws(p)):
-        if len(weights) > 2 * n:
+        if _moments_pay(n, len(weights)):
             break
         if k >= start:
             yield mixture_of_m_shuffles(n, weights, den)
@@ -387,27 +393,30 @@ def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSe
 
 
 def _moment_numerators(n: int, v: list[int], den: int) -> tuple[list[int], int]:
-    """Class numerators of the law with E[M**(i - n)] = v[i] / den, and their
-    denominator ``den * n!``.
+    """Class numerators of the law with E[M**(i - n)] = v[i] / den, over ``den``.
 
     With L the linear map x**i -> v[i] and y^(j) = y(y + 1)...(y + j - 1),
-    class s + 1 has numerator N(s) = L((x - s)^(n)). As (z - 1)^(j) - z^(j)
-    = -j * z^(j-1), its forward differences are Delta**d N(0) =
-    (-1)**d * n! / (n - d)! * u[n - d], u[j] = L(x^(j)) = E_j[0], where
-    E_0[a] = v[a] and E_(j+1)[a] = E_j[a + 1] + j * E_j[a]. Summing the
-    difference table gives N(0..n-1). Apart from the n factors n! / (n - d)!,
-    every step adds big integers or multiplies one by a small integer.
+    class s + 1 has probability N(s) / (den * n!), N(s) = L((x - s)^(n)). As
+    (z - 1)^(j) - z^(j) = -j * z^(j-1), its forward differences are
+    Delta**d N(0) = (-1)**d * n! / (n - d)! * u[n - d], u[j] = L(x^(j)) =
+    E_j[0], where E_0[a] = v[a] and E_(j+1)[a] = E_j[a + 1] + j * E_j[a].
+    v must come from a mixture of integer pack counts, v[i] = sum(w * m**i):
+    then u[j] = sum(w * m^(j)) is a multiple of j!, so Delta**d N(0) / n!
+    is the integer (-1)**d * u[n - d] / (n - d)!, and summing that
+    difference table gives N(0..n-1) / n!, the chain's own numerators.
+    Apart from those n + 1 exact divisions, every step adds big integers or
+    multiplies one by a small integer.
     """
     u, e = [], v
     for j in range(n + 1):
         u.append(e[0])
         e = [b + j * a for a, b in zip(e, e[1:])]
-    diffs = [(-1) ** d * math.perm(n, d) * u[n - d] for d in range(n + 1)]
+    diffs = [(-1) ** d * (u[n - d] // math.factorial(n - d)) for d in range(n + 1)]
     nums = []
     for _ in range(n):
         nums.append(diffs[0])
         diffs = [a + b for a, b in zip(diffs, diffs[1:])]
-    return nums, den * math.factorial(n)
+    return nums, den
 
 
 def tv_to_uniform(law: ClassNumerators) -> Fraction:

@@ -370,10 +370,11 @@ class TestBigOutputs:
 
 class TestSizeGuardExit:
     def test_profile_exits_3_when_product_law_explodes(self, runner, monkeypatch):
+        # At n = 40 step 2, of 10 atoms, is still built and mixed atom by atom.
         monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", "5")
         result = runner.invoke(
             main,
-            ["profile", "--n", "6", "--p", "2:1/4,3:1/4,5:1/4,7:1/4", "--k", "1..6"],
+            ["profile", "--n", "40", "--p", "2:1/4,3:1/4,5:1/4,7:1/4", "--k", "1..6"],
         )
         assert result.exit_code == 3
 
@@ -400,11 +401,15 @@ class TestLibraryValueErrorExit:
             (["profile", "--n", "5", "--p", "2:1"], "Error: Missing option '--k'"),
             (["nosuch"], "Error: No such command 'nosuch'"),
             (["--bogus"], "Error: No such option"),
+            (
+                ["cutoff", "--n-grid", "0:3:1", "--p", "2:1", "--format", "csv"],
+                "deck size must be >= 2, got 0",
+            ),
         ],
         ids=[
             "profile", "poisson", "cutoff", "verify", "cutoff-n0", "cutoff-n1",
             "click-range", "click-type", "click-pack-spec", "click-missing", "click-command",
-            "click-group-option",
+            "click-group-option", "cutoff-grid-n0",
         ],
     )
     def test_exits_2_without_traceback(self, args, message, tmp_path):
@@ -424,6 +429,13 @@ def _run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "riffle.cli", *args], env=env, timeout=120, **kwargs
     )
+
+
+def test_bare_call_prints_help_to_stdout_and_exits_0():
+    proc = _run_cli(capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == _run_cli("--help", capture_output=True, text=True).stdout
+    assert "Commands:" in proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -475,7 +487,7 @@ def test_broken_stdout_pipe_keeps_clicks_quiet_exit(tmp_path):
 
 def test_profile_atoms_stdout_pinned(runner, tmp_path):
     # sha256 of this stdout with every mixture summed atom by atom; the
-    # mixtures of more than 2n product-law atoms (k >= 13 here) now take the
+    # mixtures of more than n/2 product-law atoms (k >= 6 here) now take the
     # moment basis and must print the same bytes.
     result = runner.invoke(
         main,

@@ -1,15 +1,15 @@
 import json
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle import continuous_time
+from riffle import continuous_time, laws
 from riffle.continuous_time import (
     PoissonizedLaw,
-    _moments_pay,
     _poisson_weights,
     continuous_cutoff_report,
     poissonized_law,
@@ -17,9 +17,16 @@ from riffle.continuous_time import (
     unit_time_pack_law,
 )
 from riffle.cutoff import log_moments
-from riffle.laws import PackDistribution, law_to_json, m_shuffle_law, tv_to_uniform
+from riffle.laws import (
+    PackDistribution,
+    k_step_laws,
+    law_to_json,
+    m_shuffle_law,
+    product_laws,
+    tv_to_uniform,
+)
 
-from test_laws import SUPPORTS, record_product_steps
+from test_laws import SUPPORTS, _pack, _switch_step, record_mixtures, record_product_steps
 
 MIX23 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 2)})
 DELTA2 = PackDistribution.delta(2)
@@ -145,19 +152,46 @@ class TestPoissonPaths:
             len(_poisson_weights(t, Fraction(tol))[0]) - 1 for t in ts
         ]
 
-    @pytest.mark.parametrize("times", [1, 2])
-    def test_rule_boundary(self, times):
-        # Steps k < s of {2, 3} hold s(s + 1)/2 atoms in all: the moment path
-        # needs more than times * n / 2 of them.
-        s = 5
-        edge = s * (s + 1) // times
-        assert not _moments_pay(edge, MIX23, s, times)
-        assert _moments_pay(edge - 1, MIX23, s, times)
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.sampled_from(SUPPORTS),
+        st.lists(st.floats(0, 8), min_size=1, max_size=4),
+        st.sampled_from([0.5, 1e-3, 1e-9]),
+        st.data(),
+    )
+    def test_both_mixtures_follow_the_one_rule(self, support, ts, tol, data):
+        # k-step laws mix atom by atom exactly the steps before the first
+        # whose atoms make the moments pay; n <= 12 keeps the draws with an
+        # atom past a machine word short.
+        n = data.draw(st.integers(1, 40 if max(support) < 2**64 else 12))
+        raw = data.draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+        p = _pack(support, raw)
+        switch = _switch_step(n, p)
+        with pytest.MonkeyPatch.context() as patch:
+            mixed = record_mixtures(patch)
+            list(islice(k_step_laws(n, p), switch + 2))
+        assert mixed == [len(w) for w, _ in islice(product_laws(p), switch)]
+        # Poisson laws take the moment path exactly when the atoms of steps
+        # k <= K, K the largest truncation, make len(ts) moment evaluations
+        # pay. Both paths are stubbed out, so every n <= 40 is cheap to ask.
+        steps = max(len(_poisson_weights(t, Fraction(tol))[0]) for t in ts)
+        total = sum(len(w) for w, _ in islice(product_laws(p), steps))
+        taken = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_moment_sums", "_per_k_sums"):
+                patch.setattr(continuous_time, name, lambda *a, name=name: taken.append(name) or [])
+            for size in range(1, 41):
+                poissonized_laws(size, p, ts, tol)
+        assert taken == [
+            "_moment_sums" if laws._moments_pay(size, total, len(ts)) else "_per_k_sums"
+            for size in range(1, 41)
+        ]
 
     def test_rule_stops_building_once_passed(self, monkeypatch):
         built = record_product_steps(monkeypatch, continuous_time)
-        # 1 + 2 + 3 + 4 = 10 > 19 / 2 after four steps of fifty.
-        assert _moments_pay(19, MIX23, 50, 1)
+        # 1 + 2 + 3 + 4 = 10 > 19 / 2 after four of the K + 1 > 50 steps.
+        law = poissonized_law(19, MIX23, 40.0, 1e-9)
+        assert law.truncation_k >= 50
         assert built == [1, 2, 3, 4]
 
     @pytest.mark.parametrize(

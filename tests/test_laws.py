@@ -32,6 +32,7 @@ from riffle import laws
 from riffle.laws import (
     _moment_numerators,
     _pack_moments,
+    _scaled_atoms,
     _shuffle_numerators,
 )
 from riffle.oracles import oracle_convolution
@@ -188,6 +189,10 @@ class TestLawAfterK:
 SUPPORTS = [(1, 2), (2, 3, 4, 6), (1, 2, 3, 4, 6), (2, 2**200 + 1), (1, 3, 2**200 + 1)]
 
 
+def _pack(support, raw):
+    return PackDistribution.from_pairs({m: Fraction(w, sum(raw)) for m, w in zip(support, raw)})
+
+
 def _moment_law(n, weights, den):
     """The mixture of ``weights`` over ``den``, evaluated from its n + 1 moments."""
     p = PackDistribution.from_pairs({m: Fraction(w, den) for m, w in weights.items()})
@@ -229,17 +234,30 @@ class TestMixtureEvaluators:
 
     @pytest.mark.parametrize(
         "n, v, nums",
-        [(1, [7, 11], [11]), (2, [7, 11, 13], [11 + 13, 13 - 11])],
+        [(1, [7, 11], [11]), (2, [7, 11, 13], [(11 + 13) // 2, (13 - 11) // 2])],
         ids=["n1", "n2"],
     )
     def test_smallest_decks_by_hand(self, n, v, nums):
-        # P_1 = x and, for n = 2, P_1 = x**2 + x and P_2 = x**2 - x.
-        assert _moment_numerators(n, v, 5) == (nums, 5 * math.factorial(n))
+        # n! times the class probability is P_1 = x and, for n = 2,
+        # P_1 = x**2 + x and P_2 = x**2 - x; the n! is divided out.
+        assert _moment_numerators(n, v, 5) == (nums, 5)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 40), st.sampled_from(SUPPORTS), st.integers(0, 5), st.data())
+    def test_returns_the_chains_integers(self, n, support, k, data):
+        # Before any gcd: the moments of the scaled atoms give the very
+        # integers that the atom-by-atom sum adds up.
+        raw = data.draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+        weights, den = next(islice(product_laws(_pack(support, raw)), k, None))
+        atoms, scale = _scaled_atoms(n, list(weights.items()))
+        chain = [sum(col) for col in zip(*(_shuffle_numerators(n, m, w) for m, w in atoms))]
+        v = [sum(w * m**i for m, w in atoms) for i in range(n + 1)]
+        assert _moment_numerators(n, v, den * scale) == (chain, den * scale)
 
     def test_smallest_decks_on_both_k_step_paths(self):
         # E[1/m] = 5/12 for {2, 3}, so the n = 2 classes have probability
-        # (1 +- (5/12)**k) / 2; the moment path takes over at k = 2 (n = 1)
-        # and k = 4 (n = 2).
+        # (1 +- (5/12)**k) / 2; the moment path takes over at k = 0 (n = 1)
+        # and k = 1 (n = 2).
         for law in islice(k_step_laws(1, MIX23), 8):
             assert law.class_prob == (1,)
         for k, law in enumerate(islice(k_step_laws(2, MIX23), 10)):
@@ -247,13 +265,18 @@ class TestMixtureEvaluators:
             assert law.class_prob == ((1 + g) / 2, (1 - g) / 2)
 
 
-def _pack(support, raw):
-    return PackDistribution.from_pairs({m: Fraction(w, sum(raw)) for m, w in zip(support, raw)})
-
-
 def _switch_step(n, p):
-    """First k whose product law has more than 2n atoms."""
-    return next(k for k, (w, _) in enumerate(product_laws(p)) if len(w) > 2 * n)
+    """First k whose product law makes the moments pay."""
+    return next(k for k, (w, _) in enumerate(product_laws(p)) if laws._moments_pay(n, len(w)))
+
+
+def record_mixtures(monkeypatch):
+    """Make ``laws.mixture_of_m_shuffles`` append each mixture's atom count to the returned list."""
+    mixed, mixture = [], laws.mixture_of_m_shuffles
+    monkeypatch.setattr(
+        laws, "mixture_of_m_shuffles", lambda n, w, d: mixed.append(len(w)) or mixture(n, w, d)
+    )
+    return mixed
 
 
 def record_product_steps(monkeypatch, module):
@@ -267,7 +290,7 @@ def record_product_steps(monkeypatch, module):
 
 
 class TestKStepLaws:
-    """Past 2n atoms a k-step law comes from the powers mu[j]**k of p's moments."""
+    """Once the moments pay, a k-step law comes from the powers x[i]**k of p's moments."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 8), st.sampled_from(SUPPORTS), st.integers(-2, 2), st.data())
@@ -290,26 +313,23 @@ class TestKStepLaws:
         assert law_after_k(n, p, k) == walked[k]
         assert list(islice(k_step_laws(n, p, k), 3)) == walked[k:]
 
-    def test_switch_at_first_step_above_2n_atoms(self, monkeypatch):
-        # Step k of {2, 3} has k + 1 atoms: steps 0..2n - 1 are mixed atom by
-        # atom, and no product law past step 2n, of 2n + 1 atoms, is built.
-        mixed, mixture = [], laws.mixture_of_m_shuffles
-        monkeypatch.setattr(
-            laws, "mixture_of_m_shuffles", lambda n, w, d: mixed.append(len(w)) or mixture(n, w, d)
-        )
+    def test_switch_at_first_step_above_half_n_atoms(self, monkeypatch):
+        # Step k of {2, 3} has k + 1 atoms: steps 0..n/2 - 1 are mixed atom
+        # by atom, and no product law past step n/2, of n/2 + 1 atoms, is built.
+        mixed = record_mixtures(monkeypatch)
         built = record_product_steps(monkeypatch, laws)
-        n = 3
-        walked = list(islice(k_step_laws(n, MIX23), 2 * n + 4))
-        assert mixed == list(range(1, 2 * n + 1))
-        assert built == list(range(1, 2 * n + 2))
-        assert walked == [law_after_k(n, MIX23, k) for k in range(2 * n + 4)]
+        n = 8
+        walked = list(islice(k_step_laws(n, MIX23), n + 4))
+        assert mixed == list(range(1, n // 2 + 1))
+        assert built == list(range(1, n // 2 + 2))
+        assert walked == [law_after_k(n, MIX23, k) for k in range(n + 4)]
 
     def test_jump_builds_no_product_law_past_the_switch(self, monkeypatch):
         built = record_product_steps(monkeypatch, laws)
         law_after_k(3, MIX23, 40)
-        assert max(built) == 7
+        assert built == [1, 2]
         # The size guard bounds the atoms built, not those of step 40.
-        monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", "6")
+        monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", "1")
         with pytest.raises(SizeGuardError):
             law_after_k(3, MIX23, 40)
 
