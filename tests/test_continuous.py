@@ -187,6 +187,20 @@ class TestPoissonPaths:
             for size in range(1, 41)
         ]
 
+    @pytest.mark.parametrize("times", [1, 2])
+    def test_rule_boundary(self, times, monkeypatch):
+        # Steps k < s of {2, 3} hold s(s + 1)/2 atoms in all: the moment path
+        # needs more than times * n / 2 of them.
+        s = len(_poisson_weights(1.0, Fraction(1e-3))[0])
+        assert s >= 3
+        edge = s * (s + 1) // times
+        taken = []
+        for name in ("_moment_sums", "_per_k_sums"):
+            monkeypatch.setattr(continuous_time, name, lambda *a, name=name: taken.append(name) or [])
+        poissonized_laws(edge, MIX23, [1.0] * times, 1e-3)
+        poissonized_laws(edge - 1, MIX23, [1.0] * times, 1e-3)
+        assert taken == ["_per_k_sums", "_moment_sums"]
+
     def test_rule_stops_building_once_passed(self, monkeypatch):
         built = record_product_steps(monkeypatch, continuous_time)
         # 1 + 2 + 3 + 4 = 10 > 19 / 2 after four of the K + 1 > 50 steps.
