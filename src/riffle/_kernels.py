@@ -7,22 +7,25 @@ cards one at a time from the bottom of a pack chosen with probability
 proportional to the current pack sizes. The new deck is the drop pile read
 top to bottom.
 
-Both kernels take (rows, n) decks, and ``chain_step`` returns them so, but
-they work card-major inside: every per-card or per-pack array is (n, rows)
-or (m, rows), so each numpy operation runs along the long row axis rather
-than the short deck axis. Card counts and positions are int16, and int64
-once n >= 2^15; flat indices are int32, and int64 once rows*n or m*rows
-reaches 2^31. A drop compares integer pack counts c with u*(n - s) for the
-s-th drop, and for an integer c, c <= x iff c <= floor(x); so all n
-thresholds floor(u*(n - s)) of a step are taken at once, as integers, from
-the very floats the comparison would use.
+``chain_step`` moves the cards of (rows, n) decks. ``shuffled_rising_counts``
+runs the same cut and drops on the ordered deck but moves no card: it reads
+each row's rising-sequence count off every pack's first and last drop. All
+kernels work card-major inside: every per-card or per-pack array is (n,
+rows) or (m, rows), so each numpy operation runs along the long row axis
+rather than the short deck axis. Card counts and positions are int16, and
+int64 once n >= 2^15; flat indices are int32, and int64 once rows*n or
+m*rows reaches 2^31, except the cut's, which ``bincount`` wants as intp. A
+drop compares integer pack counts c with u*(n - s) for the s-th drop, and
+for an integer c, c <= x iff c <= floor(x); so all n thresholds
+floor(u*(n - s)) of a step are taken at once, as integers, from the very
+floats the comparison would use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["NUMBA_ENABLED", "chain_step", "rising_counts"]
+__all__ = ["NUMBA_ENABLED", "chain_step", "rising_counts", "shuffled_rising_counts"]
 
 # perfbench/child.py reads this on every CLI run; it goes with the next benchmark change.
 NUMBA_ENABLED = False
@@ -38,6 +41,41 @@ def _index_type(size: int) -> type:
     return np.int32 if size < 2**31 else np.int64
 
 
+def _cut(digit_t: np.ndarray, m) -> np.ndarray:
+    """(m_max, rows) cards in packs 0..j of the cut of (n, rows) uniforms into m[row] packs."""
+    n, rows = digit_t.shape
+    m_max = int(np.max(m))
+    # bincount counts intp indices; any narrower type it would copy first.
+    digits = np.multiply(digit_t, m, out=np.empty((n, rows), np.intp), casting="unsafe")
+    np.minimum(digits, m - 1, out=digits)
+    # Pack-major flat index, entry (pack j, row) at j*rows + row.
+    digits *= rows
+    digits += np.arange(rows)
+    cum = np.bincount(digits.ravel(), minlength=m_max * rows).astype(_count_type(n))
+    cum = cum.reshape(m_max, rows)
+    for j in range(1, m_max):
+        cum[j] += cum[j - 1]
+    return cum
+
+
+def _thresholds(drop_u: np.ndarray) -> np.ndarray:
+    """(n, rows) threshold[s] = floor(u * cards left) for drop s."""
+    rows, n = drop_u.shape
+    out = np.empty((n, rows), _count_type(n))
+    return np.multiply(drop_u.T, np.arange(n, 0, -1)[:, None], out=out, casting="unsafe")
+
+
+def _drop(
+    cum: np.ndarray, threshold: np.ndarray, packs: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """Each row's pack for one drop, as the dtype of the (m_max, 1) ``packs``; updates ``cum``."""
+    np.less_equal(cum, threshold, out=mask)
+    chosen = np.add.reduce(mask, axis=0, dtype=packs.dtype)
+    np.greater_equal(packs, chosen, out=mask)
+    cum -= mask
+    return chosen
+
+
 def chain_step(
     decks: np.ndarray,
     pack_m: np.ndarray,
@@ -50,49 +88,61 @@ def chain_step(
     ``digit_u``/``drop_u`` are (rows, n) uniforms for the cut and the drops.
     """
     rows, n = decks.shape
-    m_max = int(pack_m.max())
-    count_t = _count_type(n)
+    # cum is updated in place as cards drop, never recomputed.
+    cum = _cut(digit_u.T, pack_m)
+    m_max = len(cum)
     index_t = _index_type(max(rows * n, m_max * rows))
     row_idx = np.arange(rows, dtype=index_t)
-    m = pack_m.astype(index_t)
-    digits = np.multiply(digit_u.T, m, out=np.empty((n, rows), index_t), casting="unsafe")
-    np.minimum(digits, m - 1, out=digits)
-
-    # Per-pack state is pack-major, entry (pack j, row) at j*rows + row.
-    # cum[j] is the number of cards left in packs 0..j; it is updated in place
-    # as cards drop, never recomputed.
-    digits *= rows
-    digits += row_idx
-    cum = np.bincount(digits.ravel(), minlength=m_max * rows).astype(count_t)
-    cum = cum.reshape(m_max, rows)
-    for j in range(1, m_max):
-        cum[j] += cum[j - 1]
     # Bottom card of each pack, as a flat index into ``decks``.
     ptr = cum.astype(index_t)
     ptr += row_idx * n - 1
     ptr = ptr.ravel()
-    # threshold[s] = floor(u * cards left) for drop s.
-    threshold = np.multiply(
-        drop_u.T, np.arange(n, 0, -1)[:, None], out=np.empty((n, rows), count_t), casting="unsafe"
-    )
+    threshold = _thresholds(drop_u)
     flat = decks.ravel()
     packs = np.arange(m_max, dtype=index_t)[:, None]
     mask = np.empty((m_max, rows), bool)
 
     out = np.empty((n, rows), decks.dtype)
     for step in range(n):
-        np.less_equal(cum, threshold[step], out=mask)
-        chosen = np.add.reduce(mask, axis=0, dtype=index_t)
-        at = chosen * rows
+        at = _drop(cum, threshold[step], packs, mask) * rows
         at += row_idx
         src = ptr.take(at)
         # The drop pile is read top to bottom, so drop s is output card n-1-s.
         flat.take(src, out=out[n - 1 - step])
         src -= 1
         ptr[at] = src
-        np.greater_equal(packs, chosen, out=mask)
-        cum -= mask
     return np.ascontiguousarray(out.T)
+
+
+def shuffled_rising_counts(ms, digit_u: np.ndarray, drop_u: np.ndarray) -> np.ndarray:
+    """(len(ms), rows) int32 rising-sequence counts of the ordered deck m-shuffled on the uniforms.
+
+    No card moves: each pack keeps its first drop f and its last drop l.
+    Drop s lands at position n-1-s and a pack keeps its order, so a new
+    rising sequence starts between consecutive nonempty packs j < j' exactly
+    when l_j' > f_j.
+    """
+    rows, n = digit_u.shape
+    count_t = _count_type(n)
+    digit_t = np.ascontiguousarray(digit_u.T)
+    threshold = _thresholds(drop_u)
+    out = np.empty((len(ms), rows), np.int32)
+    for i, m in enumerate(ms):
+        cum = _cut(digit_t, m)
+        packs = np.arange(m, dtype=np.uint8 if m <= 256 else _index_type(m))[:, None]
+        mask = np.empty((m, rows), bool)
+        # lead = n - f and last = l, both 0 for a pack never dropped from.
+        lead, last, tmp = np.zeros((3, m, rows), count_t)
+        for step in range(n):
+            np.equal(packs, _drop(cum, threshold[step], packs, mask), out=mask)
+            np.maximum(lead, np.multiply(mask, count_t(n - step), out=tmp), out=lead)
+            np.maximum(last, np.multiply(mask, count_t(step), out=tmp), out=last)
+        # An empty pack takes the first drop of the nonempty pack above it.
+        for j in range(1, m):
+            lead[j] += (lead[j] == 0) * lead[j - 1]
+        first = np.subtract(n, lead, out=lead)
+        out[i] = np.add.reduce(last[1:] > first[:-1], axis=0, dtype=np.int32) + np.int32(1)
+    return out
 
 
 def rising_counts(decks: np.ndarray) -> np.ndarray:

@@ -352,6 +352,8 @@ def verify(
         raise click.UsageError(f"unknown suite {suite!r}; try one of {suite_names()}")
     if dump_csv is not None and "sampler" not in selected:
         raise click.UsageError(f"--dump-csv needs the sampler suite, not {suite!r}")
+    if n is not None and n < 2 and "sampler" in selected:
+        raise click.BadParameter(f"the sampler suite needs n >= 2, got {n}", param_hint="'--n'")
 
     results: dict[str, list[dict]] = {}
     with open(dump_csv, "w") if dump_csv is not None else nullcontext() as dump:

@@ -4,6 +4,9 @@ The sampler implements the cut-and-drop process literally (multinomial cut,
 then drops proportional to current pack sizes) rather than the digit-word
 equivalence, which lives in :mod:`riffle.oracles` as part of the exact
 machinery. Disagreement between the two would localize a bug to one side.
+:func:`sample_rising_counts`, which the sampler suite uses, runs the same
+cut and drops but builds no deck: it reads each draw's rising-sequence count
+off every pack's first and last drop.
 
 Streams are reproducible: the same ``(seed, split)`` pair always yields the
 same samples, via a counter-based Philox generator.
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .combinatorics import EulerianRow
-from .laws import PackDistribution, RisingSeqLaw
+from .laws import PackDistribution, RisingSeqLaw, SizeGuardError
 
 __all__ = [
     "EmpiricalHistogram",
@@ -42,6 +45,10 @@ __all__ = [
 #: random stream identically on every run.
 _CHUNK = 16384
 
+#: Largest pack count times chunk rows a sampler allocates state for; the
+#: kernels peak near 11 bytes a cell, so about 180 MiB.
+MAX_CHUNK_CELLS = 2**24
+
 
 def make_generator(seed: int, split: int = 0) -> np.random.Generator:
     """Counter-based generator for the given seed and stream split."""
@@ -51,35 +58,37 @@ def make_generator(seed: int, split: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _sample(
-    n: int,
-    k: int,
-    size: int,
-    rng: np.random.Generator,
-    packs: Callable[[int], np.ndarray],
-    lanes: int = 1,
-    counts: bool = False,
-) -> np.ndarray:
-    """``size`` decks per lane after k shuffle steps of the ordered deck, in chunks.
+def _chunks(size: int, m_max: int) -> list[tuple[int, int]]:
+    """(first row, rows) of each chunk, once the pack state is known to fit."""
+    cells = m_max * min(size, _CHUNK)
+    if cells > MAX_CHUNK_CELLS:
+        raise SizeGuardError(f"pack count {m_max} needs {cells} cells, over {MAX_CHUNK_CELLS}")
+    return [(lo, min(_CHUNK, size - lo)) for lo in range(0, size, _CHUNK)]
 
-    ``packs(rows)`` gives one step's (lanes, rows) pack counts; all lanes
-    shuffle with the step's one set of uniforms. Per chunk and per step the
-    stream layout is: whatever ``packs`` draws, then (rows, n) uniforms for
-    the cut, then (rows, n) uniforms for the drops. Returns the (lanes, size,
-    n) decks or, with ``counts``, only their (lanes, size) rising-sequence
-    counts.
+
+def _uniforms(rng: np.random.Generator, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One step's (rows, n) uniforms: the cut's, then the drops'."""
+    return rng.random((rows, n)), rng.random((rows, n))
+
+
+def _sample(
+    n: int, k: int, size: int, rng: np.random.Generator, packs: Callable[[int], np.ndarray],
+    m_max: int,
+) -> np.ndarray:
+    """``size`` (rows, n) decks after k shuffle steps of the ordered deck, in chunks.
+
+    ``packs(rows)`` gives one step's pack count, at most ``m_max``, per row.
+    Per chunk and per step the stream layout is: whatever ``packs`` draws,
+    then :func:`_uniforms`.
     """
-    out = np.empty((lanes, size) if counts else (lanes, size, n), np.int32)
-    for lo in range(0, size, _CHUNK):
-        rows = min(_CHUNK, size - lo)
-        decks = [np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))] * lanes
+    chunks = _chunks(size, m_max)
+    out = np.empty((size, n), np.int32)
+    for lo, rows in chunks:
+        decks = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
         for _ in range(k):
             pack_m = packs(rows)
-            digit_u = rng.random((rows, n))
-            drop_u = rng.random((rows, n))
-            decks = [_kernels.chain_step(d, m, digit_u, drop_u) for d, m in zip(decks, pack_m)]
-        for lane, lane_decks in enumerate(decks):
-            out[lane, lo : lo + rows] = _kernels.rising_counts(lane_decks) if counts else lane_decks
+            decks = _kernels.chain_step(decks, pack_m, *_uniforms(rng, rows, n))
+        out[lo : lo + rows] = decks
     return out
 
 
@@ -90,7 +99,7 @@ def sample_m_shuffles(n: int, m: int, rng: np.random.Generator, size: int) -> np
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    return _sample(n, 1, size, rng, lambda rows: np.full((1, rows), m, np.int64))[0]
+    return _sample(n, 1, size, rng, lambda rows: np.full(rows, m, np.int64), m)
 
 
 def sample_rising_counts(
@@ -101,12 +110,18 @@ def sample_rising_counts(
     Row i of the (len(ms), size) int32 result is
     ``rising_counts(sample_m_shuffles(n, ms[i], rng, size))`` for ``rng`` in
     its current state: the m-shuffle stream does not depend on m, so every
-    pack count reuses one draw of the uniforms.
+    pack count reuses one draw of the uniforms. The decks are never built:
+    :func:`riffle._kernels.shuffled_rising_counts` runs the same cut and
+    drops and reads the counts off each pack's first and last drop.
     """
-    pack_ms = np.array(ms, np.int64).reshape(-1, 1)
-    if n < 1 or not len(pack_ms) or pack_ms.min() < 1:
+    ms = [int(m) for m in ms]
+    if n < 1 or not ms or min(ms) < 1:
         raise ValueError("need n >= 1 and at least one m, every m >= 1")
-    return _sample(n, 1, size, rng, lambda rows: np.repeat(pack_ms, rows, 1), len(pack_ms), True)
+    chunks = _chunks(size, max(ms))
+    out = np.empty((len(ms), size), np.int32)
+    for lo, rows in chunks:
+        out[:, lo : lo + rows] = _kernels.shuffled_rising_counts(ms, *_uniforms(rng, rows, n))
+    return out
 
 
 def sample_chains(
@@ -124,9 +139,9 @@ def sample_chains(
     cum[-1] = 1.0
 
     def packs(rows: int) -> np.ndarray:
-        return support[np.searchsorted(cum, rng.random((1, rows)), side="right")]
+        return support[np.searchsorted(cum, rng.random(rows), side="right")]
 
-    return _sample(n, k, size, rng, packs)[0]
+    return _sample(n, k, size, rng, packs, int(support.max()))
 
 
 def rising_counts(decks: np.ndarray) -> np.ndarray:

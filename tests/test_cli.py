@@ -265,6 +265,19 @@ class TestVerify:
         assert result.exit_code == 2
         assert f"Invalid value for '{option}'" in result.output
 
+    @pytest.mark.parametrize("suite", ["sampler", "all"])
+    def test_sampler_deck_bound_below_two_is_a_usage_error(self, runner, suite):
+        # --n 1 leaves the sampler no deck size to check; it used to pass
+        # vacuously with "ok": true.
+        args = ["verify", "--suite", suite, "--m", "2", "--N", "100"]
+        result = runner.invoke(main, [*args, "--n", "1"])
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1 and "Invalid value for '--n'" in result.output
+
+    def test_deck_bound_of_one_still_runs_the_exact_suites(self, runner):
+        result = runner.invoke(main, ["verify", "--suite", "tailsets", "--n", "1", "--m", "2"])
+        assert result.exit_code == 0
+
     def test_dump_csv_without_the_sampler_suite_is_refused(self, runner, tmp_path):
         dump = tmp_path / "keep.csv"
         dump.write_text("earlier contents\n")
@@ -377,6 +390,21 @@ class TestSizeGuardExit:
             ["profile", "--n", "40", "--p", "2:1/4,3:1/4,5:1/4,7:1/4", "--k", "1..6"],
         )
         assert result.exit_code == 3
+
+    def test_sampler_exits_3_before_a_huge_pack_count_allocates(self, runner, monkeypatch):
+        # m * 16384 cells would not fit: the guard fires before the sampler
+        # draws a uniform or calls a kernel.
+        from riffle import _kernels, sampling
+
+        def refuse(*args):
+            raise AssertionError("the sampler ran past its size guard")
+
+        monkeypatch.setattr(_kernels, "shuffled_rising_counts", refuse)
+        monkeypatch.setattr(sampling, "_uniforms", refuse)
+        m = sampling.MAX_CHUNK_CELLS // sampling._CHUNK + 1
+        result = runner.invoke(main, ["verify", "--suite", "sampler", "--n", "2", "--m", str(m)])
+        assert result.exit_code == 3
+        assert result.output.startswith("size guard: pack count") and result.output.count("\n") == 1
 
 
 class TestLibraryValueErrorExit:

@@ -337,3 +337,19 @@ class TestContinuousReport:
     def test_delta1_rejected(self):
         with pytest.raises(ValueError):
             continuous_cutoff_report(PackDistribution.delta(1), 10)
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (52, [0.9631, 0.6307, 0.2788, 0.0952, 0.0285]),
+        (104, [0.9600, 0.6443, 0.2880, 0.0971, 0.0270]),
+        (208, [0.9592, 0.6576, 0.2960, 0.0982, 0.0264]),
+    ],
+)
+def test_cutoff_window_profile_is_pinned(n, expected):
+    # Exact TV at t = t_n + c * b_n for c = -2..2: in window coordinates the
+    # profile barely moves with n, which is the cutoff phenomenon.
+    rep = continuous_cutoff_report(MIX23, n)
+    laws = poissonized_laws(n, MIX23, [rep.t_n + c * rep.b_n for c in range(-2, 3)], 1e-9)
+    assert [law.tv_to_uniform().value for law in laws] == pytest.approx(expected, abs=5e-5)

@@ -120,6 +120,10 @@ def test_kernels_switch_count_type_at_two_to_the_fifteen(n):
     _assert_matches_reference(decks, pack_m, digit_u, drop_u, out)
     assert out[0].tolist() == list(range(1, n + 1))
     assert _kernels.rising_counts(out).tolist() == [1, rising_sequences(tuple(out[1].tolist()))]
+    # First and last drops reach n without overflowing the count type.
+    assert _kernels.shuffled_rising_counts([3], digit_u[1:], drop_u[1:]).tolist() == [
+        [rising_sequences(tuple(out[1].tolist()))]
+    ]
 
 
 def test_flat_indices_switch_to_int64_at_two_to_the_thirty_one():
@@ -142,6 +146,47 @@ def test_sampler_chunks_match_reference_across_a_chunk_boundary():
         _assert_matches_reference(
             identity, np.full(rows, m), digit_u, drop_u, decks[lo : lo + rows]
         )
+
+
+def _rising_counts_of_moved_decks(ms, digit_u, drop_u):
+    rows, n = digit_u.shape
+    identity = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
+    moved = [_kernels.chain_step(identity, np.full(rows, m), digit_u, drop_u) for m in ms]
+    return [_kernels.rising_counts(decks) for decks in moved]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_counts_off_the_drops_equal_counts_of_moved_decks(n):
+    # Every chunk of a sampler stream that crosses a chunk boundary; m = 300
+    # takes the wide pack type, m = n + 3 leaves packs empty.
+    from riffle import sampling
+
+    ms = [1, 2, n, n + 3, 300]
+    rng = sampling.make_generator(n)
+    for _, rows in sampling._chunks(sampling._CHUNK + 7, max(ms)):
+        digit_u, drop_u = sampling._uniforms(rng, rows, n)
+        counts = _kernels.shuffled_rising_counts(ms, digit_u, drop_u)
+        assert counts.dtype == np.int32 and counts.shape == (len(ms), rows)
+        assert np.array_equal(counts, _rising_counts_of_moved_decks(ms, digit_u, drop_u))
+
+
+@settings(deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    n=st.integers(1, 24),
+    ms=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    edge_uniforms=st.booleans(),
+)
+def test_counts_off_the_drops_match_on_any_uniforms(rows, n, ms, seed, edge_uniforms):
+    rng = np.random.default_rng(seed)
+    digit_u, drop_u = rng.random((rows, n)), rng.random((rows, n))
+    if edge_uniforms:
+        for u in (digit_u, drop_u):
+            pick = rng.random(u.shape) < 1 / 3
+            u[pick] = rng.choice([0.0, np.nextafter(1.0, 0.0)], int(pick.sum()))
+    counts = _kernels.shuffled_rising_counts(ms, digit_u, drop_u)
+    assert np.array_equal(counts, _rising_counts_of_moved_decks(ms, digit_u, drop_u))
 
 
 def test_one_pack_returns_deck_unchanged(batch):

@@ -135,6 +135,30 @@ class TestSharedDraws:
             sample_rising_counts(n, ms, make_generator(0), 10)
 
 
+class TestChunkSizeGuard:
+    def test_pack_state_past_the_bound_raises_before_drawing(self, monkeypatch):
+        from riffle import sampling
+        from riffle.laws import SizeGuardError
+
+        # The bound counts m times the rows of one chunk: 3 * 4 cells fit,
+        # 3 * 5 do not, and a size past one chunk counts one chunk's rows.
+        monkeypatch.setattr(sampling, "MAX_CHUNK_CELLS", 12)
+        assert sample_rising_counts(2, [1, 3], make_generator(0), 4).shape == (2, 4)
+        assert sample_m_shuffles(2, 3, make_generator(0), 4).shape == (4, 2)
+        with pytest.raises(SizeGuardError):
+            sample_rising_counts(2, [1, 3], make_generator(0), 5)
+        monkeypatch.setattr(sampling, "MAX_CHUNK_CELLS", 3 * sampling._CHUNK - 1)
+        for draw in (
+            lambda rng: sample_rising_counts(2, [1, 3], rng, sampling._CHUNK + 1),
+            lambda rng: sample_m_shuffles(2, 3, rng, sampling._CHUNK),
+            lambda rng: sample_chains(2, PackDistribution.delta(3), 1, rng, sampling._CHUNK),
+        ):
+            rng = make_generator(0)
+            with pytest.raises(SizeGuardError, match="pack count 3"):
+                draw(rng)
+            assert rng.random() == make_generator(0).random()
+
+
 class TestChiSquareTail:
     def test_matches_scipy_in_both_tails(self):
         chi2 = pytest.importorskip("scipy.stats").chi2
