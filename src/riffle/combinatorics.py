@@ -161,10 +161,12 @@ def _next_half(prev: list[int], n: int) -> list[int]:
 class EulerianCache:
     """On-disk store of Eulerian rows, one row per file.
 
-    File format: ``eulerian_<n>.txt`` holding decimal integers, one per line;
-    the first line is n and line i+1 is the count for r = i. Writes go through
-    a per-writer temp file and an atomic rename, so concurrent readers always
-    see a complete row and concurrent writers of one row all succeed.
+    File format: ``eulerian_<n>.txt``, one integer per line: n in decimal,
+    then the counts for r = 1..n as ``hex()`` text, linear to convert where
+    decimal is quadratic. Older decimal files still read; a decimal line past
+    ``int``'s str-digit limit reads as corrupt. Writes go through a per-writer
+    temp file and an atomic rename, so concurrent readers always see a
+    complete row and concurrent writers of one row all succeed.
     """
 
     def __init__(self, directory: str | os.PathLike[str]):
@@ -183,8 +185,7 @@ class EulerianCache:
             lines = data.decode("ascii").split()
             if int(lines[0]) != n or len(lines) != n + 1:
                 return None
-            counts = tuple(decimal_to_int(s) for s in lines[1:])
-            return EulerianRow(n, counts)
+            return EulerianRow(n, tuple(int(s, 0) for s in lines[1:]))
         except (ValueError, IndexError):
             # Corrupt cache entry; caller recomputes and overwrites.
             return None
@@ -195,7 +196,7 @@ class EulerianCache:
         # One temp file per writing thread, so concurrent writers never rename
         # each other's file away.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        body = "\n".join([str(row.n), *map(int_to_decimal, row.counts)]) + "\n"
+        body = "\n".join([str(row.n), *map(hex, row.counts)]) + "\n"
         tmp.write_text(body)
         os.replace(tmp, path)
 

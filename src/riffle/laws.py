@@ -80,16 +80,22 @@ class ClassNumerators:
 
     def _check(self, mass: Fraction) -> None:
         """Raise ValueError unless the law is nonincreasing in r, lies in
-        [0, 1] and has total ``sum(count * num) / den`` equal to ``mass``."""
+        [0, 1] and has total ``sum(count * num) / den`` equal to ``mass``.
+        The classes above uniform, ``num > den // n!``, are a prefix; their
+        sum and count are kept as ``_above`` for :func:`tv_to_uniform`."""
         n, nums, den = self.n, self.nums, self.den
         for r in range(2, n + 1):
             if nums[r - 1] > nums[r - 2]:
                 raise ValueError(f"class probability increases at r={r}")
         if nums[0] > den or nums[-1] < 0:
             raise ValueError("class probability out of [0,1]")
-        total = sum(c * x for c, x in zip(eulerian_row(n).counts, nums))
+        counts, floor = eulerian_row(n).counts, den // math.factorial(n)
+        cut = next((i for i, x in enumerate(nums) if x <= floor), n)
+        above = sum(map(mul, counts[:cut], nums[:cut]))
+        total = above + sum(map(mul, counts[cut:], nums[cut:]))
         if total * mass.denominator != den * mass.numerator:
             raise ValueError(f"law for n={n} has total mass {Fraction(total, den)}, not {mass}")
+        object.__setattr__(self, "_above", (above, sum(counts[:cut])))
 
     @property
     def class_prob(self) -> tuple[Fraction, ...]:
@@ -423,19 +429,12 @@ def tv_to_uniform(law: ClassNumerators) -> Fraction:
     """Exact total variation distance between a class law and the uniform deck.
 
     TV is the mass the law puts above uniform less uniform's mass there, plus
-    half of any mass the law lacks (Bayer & Diaconis 1992). Class r is above
-    uniform iff ``num * n! > den``, that is iff ``num > den // n!``, so only
-    those classes take a big multiply:
-    ``(sum(count * num) * n! - den * sum(count)) / (den * n!) + (1 - mass) / 2``
-    over them.
+    half of any mass the law lacks (Bayer & Diaconis 1992). The mass check
+    keeps ``law._above = (sum(count * num), sum(count))`` over the classes
+    above uniform, so TV is ``(above * n! - den * count) / (den * n!) + (1 - mass) / 2``.
     """
+    above, count = law._above
     nfact = math.factorial(law.n)
-    floor = law.den // nfact
-    above = count = 0
-    for c, x in zip(eulerian_row(law.n).counts, law.nums):
-        if x > floor:
-            above += c * x
-            count += c
     tv = Fraction(above * nfact - law.den * count, law.den * nfact)
     return tv if law.mass == 1 else tv + (1 - law.mass) / 2
 

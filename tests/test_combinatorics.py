@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 from itertools import permutations
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -163,7 +164,37 @@ class TestCache:
         lines = (tmp_path / "eulerian_35.txt").read_text().splitlines()
         assert lines[0] == "35"
         assert len(lines) == 36
-        assert [int(s) for s in lines[1:]] == list(eulerian_row(35).counts)
+        assert lines[1:] == [hex(c) for c in eulerian_row(35).counts]
+
+    def test_committed_decimal_file_reads_unchanged(self, tmp_path, monkeypatch):
+        # Files written before hex hold decimal counts: they read as they are
+        # and are not rewritten.
+        legacy = (Path(__file__).parents[1] / "cache" / "eulerian_52.txt").read_bytes()
+        (tmp_path / "eulerian_52.txt").write_bytes(legacy)
+        monkeypatch.setattr(comb, "_memo", {})
+        row = eulerian_row(52, EulerianCache(tmp_path))
+        assert row.counts == tuple(int(s) for s in legacy.split()[1:])
+        assert (tmp_path / "eulerian_52.txt").read_bytes() == legacy
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="Python before 3.10.7 has no limit"
+    )
+    def test_decimal_line_past_the_str_digit_limit_is_recomputed(self, tmp_path, monkeypatch):
+        # The middle counts of row 400 have about 867 decimal digits; under a
+        # 640-digit limit that old-format file reads as corrupt and is
+        # rewritten as hex.
+        row = eulerian_row(400)
+        path = tmp_path / "eulerian_400.txt"
+        path.write_text("\n".join(["400", *map(str, row.counts)]) + "\n")
+        monkeypatch.setattr(comb, "_memo", {})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert EulerianCache(tmp_path).read(400) is None
+            assert eulerian_row(400, EulerianCache(tmp_path)) == row
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert path.read_text().split()[1:] == [hex(c) for c in row.counts]
 
     def test_corrupt_file_ignored(self, tmp_path):
         cache = EulerianCache(tmp_path)
@@ -189,7 +220,7 @@ class TestCache:
 
     def test_row_past_the_str_digit_limit_round_trips(self, tmp_path, monkeypatch):
         # The middle counts of row 1800 have more digits than str() converts
-        # by default; the file still holds them as plain decimal lines.
+        # by default; the file holds them as hex lines, which have no limit.
         import riffle.combinatorics as comb
 
         cache = EulerianCache(tmp_path)
@@ -197,8 +228,8 @@ class TestCache:
         row = eulerian_row(1800, cache)
         lines = (tmp_path / "eulerian_1800.txt").read_text().splitlines()
         assert lines[0] == "1800" and len(lines) == 1801
-        assert max(map(len, lines)) > 4300
-        assert lines[1:] == [int_to_decimal(c) for c in row.counts]
+        assert len(int_to_decimal(max(row.counts))) > 4300
+        assert lines[1:] == [hex(c) for c in row.counts]
         monkeypatch.setattr(comb, "_memo", {})
         assert eulerian_row(1800, cache) == row
 

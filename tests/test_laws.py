@@ -396,6 +396,14 @@ class TestTvToUniform:
         assert law.mass < 1
         assert tv_to_uniform(law) == tv_reference(law)
 
+    def test_no_class_above_uniform(self):
+        # Every class at or below uniform: the reduction's sums are empty and
+        # only the missing mass counts.
+        law = poissonized_law(3, MIX23, 20.0, 0.5)
+        assert law.nums[0] <= law.den // math.factorial(3)
+        assert tv_to_uniform(law) == (1 - law.mass) / 2 == tv_reference(law)
+        assert tv_to_uniform(m_shuffle_law(1, 3)) == 0 == tv_reference(m_shuffle_law(1, 3))
+
 
 def tv_reference(law):
     """sum(count * |num * n! - den|) / (2 * den * n!): TV summed over every class."""
