@@ -23,7 +23,7 @@ from functools import reduce
 from itertools import accumulate, islice
 from typing import Iterable, NamedTuple
 
-from .cutoff import _log_deck_size, log_moments
+from .cutoff import _critical_time
 from .laws import (
     ClassNumerators,
     PackDistribution,
@@ -72,10 +72,6 @@ class PoissonizedLaw(ClassNumerators):
     den: int
     mass: Fraction
     weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._check(self.mass)
 
     def tv_to_uniform(self) -> PoissonizedTv:
         """TV distance to uniform of the truncated law, with certificate.
@@ -295,11 +291,7 @@ class ContinuousCutoffReport:
 
 def continuous_cutoff_report(p: PackDistribution, n: int) -> ContinuousCutoffReport:
     """Continuous-time cutoff parameters for the p-shuffle chain at size n."""
-    mu, sigma = log_moments(p)
-    if mu <= 0:
-        raise ValueError("pack distribution concentrated at 1 never mixes")
-    log_n = _log_deck_size(n)
-    t_n = 3 * log_n / (2 * mu)
+    mu, sigma, log_n, t_n = _critical_time(p, n)
     b_n = (1.0 / mu) * max((mu + sigma) * math.sqrt(log_n / mu), 1.0)
     single = p.is_single_atom()
     return ContinuousCutoffReport(

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .combinatorics import EulerianRow
 from .laws import PackDistribution
@@ -148,6 +148,19 @@ def _log_deck_size(n: int) -> float:
     if n < 2:
         raise ValueError(f"deck size must be >= 2, got {n}")
     return math.log(n)
+
+
+def _critical_time(p: PackDistribution, n: int) -> tuple[float, float, float, float]:
+    """``(mu, sigma, log n, t_n)`` with the critical time t_n = 3 log n / (2 mu).
+
+    Both the discrete- and the continuous-time cutoff sit at t_n, so p must
+    have mu > 0: a pack distribution concentrated at 1 is an error.
+    """
+    mu, sigma = log_moments(p)
+    if mu <= 0:
+        raise ValueError("pack distribution concentrated at 1 never mixes")
+    log_n = _log_deck_size(n)
+    return mu, sigma, log_n, 3 * log_n / (2 * mu)
 
 
 def truncation_report(p: PackDistribution, n: int, a_n: float) -> TruncationReport:
@@ -344,20 +357,13 @@ class CutoffReport:
     xi: tuple[float, ...]
 
 
-DEFAULT_LINDEBERG_EPS = (0.25, 0.5, 1.0, 2.0)
+#: The eps values at which :func:`cutoff_report` evaluates :func:`lindeberg_value`.
+LINDEBERG_EPS = (0.25, 0.5, 1.0, 2.0)
 
 
-def cutoff_report(
-    p: PackDistribution,
-    n: int,
-    lindeberg_eps: Sequence[float] = DEFAULT_LINDEBERG_EPS,
-) -> CutoffReport:
+def cutoff_report(p: PackDistribution, n: int) -> CutoffReport:
     """Discrete-time cutoff parameters for the p-shuffle at deck size n."""
-    mu, sigma = log_moments(p)
-    if mu <= 0:
-        raise ValueError("pack distribution concentrated at 1 never mixes")
-    log_n = _log_deck_size(n)
-    t_n = 3 * log_n / (2 * mu)
+    mu, sigma, log_n, t_n = _critical_time(p, n)
     degenerate = sigma == 0.0
     if degenerate:
         b_n = 1.0 / mu
@@ -365,7 +371,7 @@ def cutoff_report(
         xi: tuple[float, ...] = ()
     else:
         b_n = (1.0 / mu) * max(1.0, math.sqrt(sigma * sigma * log_n / mu))
-        lind = {eps: lindeberg_value(p, n, eps) for eps in lindeberg_eps}
+        lind = {eps: lindeberg_value(p, n, eps) for eps in LINDEBERG_EPS}
         xi = xi_values(p)
     beta, relaxation = second_eigenvalue(p)
     return CutoffReport(

@@ -71,19 +71,24 @@ class ClassNumerators:
     ``nums[i] / den`` is the probability of each arrangement with r = i + 1
     rising sequences; construction reduces it to lowest terms with one gcd.
     Subclasses also give ``mass``, the exact total ``sum(count * num) / den``.
+
+    Construction raises ValueError unless n >= 1, there are n numerators over
+    a positive den, the law is nonincreasing in r, lies in [0, 1] and has
+    total ``mass``, all checked in integers. The classes above uniform,
+    ``num > den // n!``, are a prefix; their sum and count are kept as
+    ``_above`` for :func:`tv_to_uniform`.
     """
 
     def __post_init__(self) -> None:
+        n, mass = self.n, self.mass
+        if n < 1:
+            raise ValueError(f"deck size must be >= 1, got {n}")
+        if len(self.nums) != n or self.den < 1:
+            raise ValueError(f"law for n={n} needs {n} class entries over a positive den")
         g = math.gcd(self.den, *self.nums)
-        object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
-        object.__setattr__(self, "den", self.den // g)
-
-    def _check(self, mass: Fraction) -> None:
-        """Raise ValueError unless the law is nonincreasing in r, lies in
-        [0, 1] and has total ``sum(count * num) / den`` equal to ``mass``.
-        The classes above uniform, ``num > den // n!``, are a prefix; their
-        sum and count are kept as ``_above`` for :func:`tv_to_uniform`."""
-        n, nums, den = self.n, self.nums, self.den
+        nums, den = tuple(x // g for x in self.nums), self.den // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
         for r in range(2, n + 1):
             if nums[r - 1] > nums[r - 2]:
                 raise ValueError(f"class probability increases at r={r}")
@@ -123,15 +128,6 @@ class RisingSeqLaw(ClassNumerators):
     nums: tuple[int, ...]
     den: int
     mass: ClassVar[Fraction] = Fraction(1)  # checked on construction
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if n < 1:
-            raise ValueError(f"deck size must be >= 1, got {n}")
-        if len(self.nums) != n or self.den < 1:
-            raise ValueError(f"law for n={n} needs {n} class entries over a positive den")
-        super().__post_init__()
-        self._check(self.mass)
 
     @classmethod
     def from_probs(cls, n: int, probs: Iterable[Fraction]) -> "RisingSeqLaw":
@@ -493,11 +489,15 @@ def law_to_json(law: ClassNumerators) -> str:
 
 
 def law_from_json(text: str) -> RisingSeqLaw:
+    """Parse :func:`law_to_json` text; each class r = 1..n must appear exactly once."""
     data = json.loads(text)
     n = int(data["n"])
-    probs = [Fraction(0)] * n
+    probs: dict[int, Fraction] = {}
     for entry in data["entries"]:
-        probs[int(entry["r"]) - 1] = Fraction(
-            decimal_to_int(entry["prob_num"]), decimal_to_int(entry["prob_den"])
-        )
-    return RisingSeqLaw.from_probs(n, probs)
+        r = entry["r"]
+        if type(r) is not int or not 1 <= r <= n or r in probs:
+            raise ValueError(f"law for n={n} has a bad or repeated class r={r!r}")
+        probs[r] = Fraction(decimal_to_int(entry["prob_num"]), decimal_to_int(entry["prob_den"]))
+    if len(probs) != n:
+        raise ValueError(f"law for n={n} needs an entry for each class r = 1..{n}")
+    return RisingSeqLaw.from_probs(n, [probs[r] for r in range(1, n + 1)])

@@ -40,7 +40,7 @@ def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(outer[inner[i] - 1] for i in range(len(outer)))
 
 
-def oracle_digit_law(n: int, m: int, max_words: int = MAX_DIGIT_WORDS) -> RisingSeqLaw:
+def oracle_digit_law(n: int, m: int) -> RisingSeqLaw:
     """m-shuffle law obtained by enumerating all m**n digit words.
 
     Each word assigns a digit to every card of the ordered deck; stable
@@ -52,8 +52,8 @@ def oracle_digit_law(n: int, m: int, max_words: int = MAX_DIGIT_WORDS) -> Rising
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     words = m**n
-    if words > max_words:
-        raise SizeGuardError(f"digit enumeration needs {words} words > {max_words}")
+    if words > MAX_DIGIT_WORDS:
+        raise SizeGuardError(f"digit enumeration needs {words} words > {MAX_DIGIT_WORDS}")
     tally: dict[tuple[int, ...], int] = {}
     cards = range(n)
     for word in product(range(m), repeat=n):

@@ -226,14 +226,16 @@ def chi2_sf(x: float, dof: int) -> float:
     return min(1.0, math.fsum(terms))
 
 
-def chi_square_against_law(
-    hist: EmpiricalHistogram, law: RisingSeqLaw, min_expected: float = 5.0
-) -> tuple[float, int, float]:
+#: Fewest expected observations per bin; :func:`chi_square_against_law` merges up to it.
+MIN_EXPECTED = 5.0
+
+
+def chi_square_against_law(hist: EmpiricalHistogram, law: RisingSeqLaw) -> tuple[float, int, float]:
     """Goodness-of-fit chi-square of a histogram against an exact law.
 
     Zero-mass classes must be unobserved (one observation there refutes the
     law outright). Low-expectation bins are merged left to right until each
-    merged bin expects at least ``min_expected``. Returns (statistic, dof,
+    merged bin expects at least ``MIN_EXPECTED``. Returns (statistic, dof,
     p-value).
     """
     if hist.n != law.n:
@@ -259,7 +261,7 @@ def chi_square_against_law(
     for e, o in zip(expected, observed):
         acc_e += e
         acc_o += o
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED:
             merged_e.append(acc_e)
             merged_o.append(acc_o)
             acc_e, acc_o = 0.0, 0

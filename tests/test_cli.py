@@ -50,6 +50,12 @@ class TestParsers:
         with pytest.raises(click.UsageError):
             parse_pack_spec("2:1/3,3:1/3")
 
+    def test_pack_spec_rejects_a_repeated_pack_count(self):
+        import click
+
+        with pytest.raises(click.UsageError, match="duplicate pack count 2"):
+            parse_pack_spec("2:1/2,3:1/4,2:1/4")
+
     def test_k_range(self):
         assert parse_k_range("1..12") == range(1, 13)
 
@@ -362,6 +368,15 @@ class TestPoisson:
             main, ["poisson", "--n", "6", "--p", "2:1", "--t", "0:1:1", "--tol", "2"]
         )
         assert result.exit_code == 2
+        assert "tolerance must be in (0, 1), got 2.0" in result.output
+
+    def test_float_weights_past_one_exit_0(self, runner):
+        # The float weights' exact total is 1 + 8.1e-17: the law is rescaled to mass 1.
+        result = runner.invoke(
+            main,
+            ["poisson", "--n", "6", "--p", "2:1/2,3:1/2", "--t", "31.25:31.25:1", "--tol", "1e-15"],
+        )
+        assert result.exit_code == 0, result.output
 
 
 class TestBigOutputs:
@@ -433,17 +448,20 @@ class TestLibraryValueErrorExit:
                 ["cutoff", "--n-grid", "0:3:1", "--p", "2:1", "--format", "csv"],
                 "deck size must be >= 2, got 0",
             ),
+            # cutoff reads no Eulerian row, so it has no --cache.
+            (["cutoff", "--n", "52", "--p", "2:1", "--cache", "cache"], "Error: No such option '--cache'"),
         ],
         ids=[
             "profile", "poisson", "cutoff", "verify", "cutoff-n0", "cutoff-n1",
             "click-range", "click-type", "click-pack-spec", "click-missing", "click-command",
-            "click-group-option", "cutoff-grid-n0",
+            "click-group-option", "cutoff-grid-n0", "cutoff-cache",
         ],
     )
     def test_exits_2_without_traceback(self, args, message, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
+        cache = ["--cache", str(tmp_path)] if args[0] in ("profile", "poisson", "verify") else []
         proc = subprocess.run(
-            [sys.executable, "-m", "riffle.cli", *args, "--cache", str(tmp_path)],
+            [sys.executable, "-m", "riffle.cli", *args, *cache],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 2
@@ -696,7 +714,9 @@ def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(sidecar.read_text())["numba_enabled"] is False
-    assert "cli" in {name for name, *_ in json.loads(trace.read_text())["spans"]}
+    spans = {name for name, *_ in json.loads(trace.read_text())["spans"]}
+    # laws.validate wraps RisingSeqLaw.__post_init__, inherited or not.
+    assert {"cli", "laws.validate"} <= spans
 
 
 # sha256 of stdout as printed when each report rendered its own JSON; one
@@ -773,10 +793,13 @@ def test_rendered_stdout_pinned(runner, args, digest):
     ids=["profile", "cutoff", "cutoff-grid", "poisson", "verify"],
 )
 def test_config_echoes_every_option_with_a_value(runner, tmp_path, args, config):
-    # Each option under its parameter name, defaults included; --cache too.
+    # Each option under its parameter name, defaults included; --cache too,
+    # on the commands that have it (cutoff reads no Eulerian row).
     cache = str(tmp_path / "cache")
-    args = [a.format(tmp=tmp_path) for a in args] + ["--cache", cache]
+    args = [a.format(tmp=tmp_path) for a in args]
     config = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in config.items()}
+    if args[0] != "cutoff":
+        args, config = args + ["--cache", cache], {**config, "cache_dir": cache}
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["config"] == {**config, "cache_dir": cache}
+    assert json.loads(result.output)["config"] == config

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riffle import continuous_time, laws
+from riffle.combinatorics import eulerian_row
 from riffle.continuous_time import (
     PoissonizedLaw,
     _poisson_weights,
@@ -258,6 +259,32 @@ class TestPoissonizedLawChecks:
     def test_zero_deck_rejected(self):
         with pytest.raises(ValueError):
             poissonized_laws(0, MIX23, [1.0], 1e-6)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(nums=(1, 1, 1)), "needs 4 class entries"),
+            (dict(n=0, nums=()), "deck size must be >= 1"),
+        ],
+        ids=["three-entries", "n0"],
+    )
+    def test_malformed_shape_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            PoissonizedLaw(**self._fields(**changes))
+
+    def test_float_weights_past_one_are_rescaled(self, monkeypatch):
+        # The exact total of these 86 float weights is 1 + 8.1e-17.
+        weights, mass = _poisson_weights(31.25, Fraction(1e-15))
+        assert mass > 1
+        built = []
+        for pays in (True, False):
+            monkeypatch.setattr(continuous_time, "_moments_pay", lambda *args, pays=pays: pays)
+            law = poissonized_law(6, MIX23, 31.25, 1e-15)
+            assert law.truncation_k == len(weights) - 1 == 85
+            assert law.mass == 1
+            assert sum(c * x for c, x in zip(eulerian_row(6).counts, law.nums)) == law.den
+            built.append(law)
+        assert built[0] == built[1]
 
 
 class TestUnitTimePackLaw:

@@ -26,7 +26,13 @@ from riffle.cutoff import (
     uniform_crossing_exact,
 )
 from riffle.combinatorics import eulerian_row
-from riffle.laws import PackDistribution, inverse_square_pack, m_shuffle_law
+from riffle.laws import (
+    PackDistribution,
+    inverse_square_pack,
+    k_step_laws,
+    m_shuffle_law,
+    tv_to_uniform,
+)
 
 MIX23 = PackDistribution.from_pairs({2: Fraction(1, 2), 3: Fraction(1, 2)})
 DELTA2 = PackDistribution.delta(2)
@@ -295,3 +301,20 @@ class TestCutoffReport:
         assert data["relaxation"] == {"num": "12", "den": "7"}
         assert isinstance(data["mu"], str)
         assert float(data["t_n"]) == rep.t_n
+
+
+@pytest.mark.parametrize(
+    "n, ks, expected",
+    [
+        (52, range(5, 9), [0.4652, 0.2202, 0.0942, 0.0399]),
+        (104, range(6, 11), [0.5156, 0.2532, 0.1094, 0.0464, 0.0194]),
+        (208, range(7, 12), [0.5662, 0.2892, 0.1287, 0.0542, 0.0228]),
+    ],
+)
+def test_discrete_cutoff_window_profile_is_pinned(n, ks, expected):
+    # Exact TV at every integer k with |k - t_n| <= 2 b_n, the discrete
+    # counterpart of test_continuous.py::test_cutoff_window_profile_is_pinned.
+    rep = cutoff_report(MIX23, n)
+    assert [k for k in range(40) if abs(k - rep.t_n) <= 2 * rep.b_n] == list(ks)
+    tvs = [float(tv_to_uniform(law)) for _, law in zip(ks, k_step_laws(n, MIX23, ks.start))]
+    assert tvs == pytest.approx(expected, abs=5e-5)

@@ -493,3 +493,23 @@ class TestJsonExport:
         law = m_shuffle_law(4, 2)
         entries = json.loads(law_to_json(law))["entries"]
         assert [int(e["count"]) for e in entries] == [1, 11, 11, 1]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # As a list index, r = 0 would write class n, here with its own value.
+            (lambda entries: entries[-1].update(r=0), "bad or repeated class r=0"),
+            # A repeated class with its own value would pass the mass check.
+            (lambda entries: entries.append(dict(entries[-1])), "bad or repeated class r=5"),
+            (lambda entries: entries[-1].update(r=6), "bad or repeated class r=6"),
+            # As a list index, r = -2 would move class 1 to class 3 ("increases").
+            (lambda entries: entries[0].update(r=-2), "bad or repeated class r=-2"),
+            (lambda entries: entries.pop(), "needs an entry for each class"),
+        ],
+        ids=["r-zero", "r-repeated", "r-past-n", "r-negative", "r-missing"],
+    )
+    def test_class_entries_are_checked(self, edit, message):
+        data = json.loads(law_to_json(law_after_k(5, MIX23, 2)))
+        edit(data["entries"])
+        with pytest.raises(ValueError, match=message):
+            law_from_json(json.dumps(data))
