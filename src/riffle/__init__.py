@@ -72,6 +72,7 @@ _SAMPLING_NAMES = frozenset(
         "chi_square_against_law",
         "empirical_tv",
         "make_generator",
+        "rising_count_histograms",
         "rising_counts",
         "sample_chains",
         "sample_m_shuffles",

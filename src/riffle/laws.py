@@ -489,9 +489,11 @@ def law_to_json(law: ClassNumerators) -> str:
 
 
 def law_from_json(text: str) -> RisingSeqLaw:
-    """Parse :func:`law_to_json` text; each class r = 1..n must appear exactly once."""
+    """Parse :func:`law_to_json` text: n a JSON integer >= 1, each class r = 1..n exactly once."""
     data = json.loads(text)
-    n = int(data["n"])
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"law needs a deck size n that is a JSON integer >= 1, got n={n!r}")
     probs: dict[int, Fraction] = {}
     for entry in data["entries"]:
         r = entry["r"]

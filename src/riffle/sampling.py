@@ -4,9 +4,11 @@ The sampler implements the cut-and-drop process literally (multinomial cut,
 then drops proportional to current pack sizes) rather than the digit-word
 equivalence, which lives in :mod:`riffle.oracles` as part of the exact
 machinery. Disagreement between the two would localize a bug to one side.
-:func:`sample_rising_counts`, which the sampler suite uses, runs the same
-cut and drops but builds no deck: it reads each draw's rising-sequence count
-off every pack's first and last drop.
+:func:`sample_rising_counts` runs the same cut and drops but builds no deck:
+it reads each draw's rising-sequence count off every pack's first and last
+drop. :func:`rising_count_histograms`, which the sampler suite uses, folds
+those counts into per-m class histograms chunk by chunk, so its memory does
+not grow with the sample count.
 
 Streams are reproducible: the same ``(seed, split)`` pair always yields the
 same samples, via a counter-based Philox generator.
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import IO, Callable, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ __all__ = [
     "chi_square_against_law",
     "empirical_tv",
     "make_generator",
+    "rising_count_histograms",
     "rising_counts",
     "sample_chains",
     "sample_m_shuffles",
@@ -102,6 +105,22 @@ def sample_m_shuffles(n: int, m: int, rng: np.random.Generator, size: int) -> np
     return _sample(n, 1, size, rng, lambda rows: np.full(rows, m, np.int64), m)
 
 
+def _rising_count_chunks(
+    n: int, ms: Sequence[int], rng: np.random.Generator, size: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, (len(ms), rows) int32 counts) of each chunk, drawn as it is consumed.
+
+    The arguments and the chunk size guard are checked on the call, before
+    anything is drawn.
+    """
+    ms = [int(m) for m in ms]
+    if n < 1 or not ms or min(ms) < 1:
+        raise ValueError("need n >= 1 and at least one m, every m >= 1")
+    chunks = _chunks(size, max(ms))
+    return ((lo, _kernels.shuffled_rising_counts(ms, *_uniforms(rng, rows, n)))
+            for lo, rows in chunks)
+
+
 def sample_rising_counts(
     n: int, ms: Sequence[int], rng: np.random.Generator, size: int
 ) -> np.ndarray:
@@ -114,14 +133,30 @@ def sample_rising_counts(
     :func:`riffle._kernels.shuffled_rising_counts` runs the same cut and
     drops and reads the counts off each pack's first and last drop.
     """
-    ms = [int(m) for m in ms]
-    if n < 1 or not ms or min(ms) < 1:
-        raise ValueError("need n >= 1 and at least one m, every m >= 1")
-    chunks = _chunks(size, max(ms))
+    chunks = _rising_count_chunks(n, ms, rng, size)
     out = np.empty((len(ms), size), np.int32)
-    for lo, rows in chunks:
-        out[:, lo : lo + rows] = _kernels.shuffled_rising_counts(ms, *_uniforms(rng, rows, n))
+    for lo, counts in chunks:
+        out[:, lo : lo + counts.shape[1]] = counts
     return out
+
+
+def rising_count_histograms(
+    n: int, ms: Sequence[int], rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Class counts of :func:`sample_rising_counts`, one chunk held at a time.
+
+    Entry (i, r - 1) of the (len(ms), n) int64 result is the number of the
+    ``size`` m-shuffles, m = ``ms[i]``, with r rising sequences: the
+    ``bincount`` of row i of ``sample_rising_counts(n, ms, rng, size)`` for
+    ``rng`` in the same state. Memory does not grow with ``size``.
+    """
+    chunks = _rising_count_chunks(n, ms, rng, size)
+    # Class r of row i is bin i*n + r - 1, so one bincount serves every m.
+    offsets = (np.arange(len(ms), dtype=np.intp) * n - 1)[:, None]
+    out = np.zeros(len(ms) * n, np.int64)
+    for _, counts in chunks:
+        out += np.bincount(np.add(counts, offsets).ravel(), minlength=len(out))
+    return out.reshape(len(ms), n)
 
 
 def sample_chains(

@@ -160,30 +160,40 @@ def suite_sampler(
     documented flaky budget for a fixed-significance statistical test).
     The first attempts of all cells of one deck size share one draw of the
     split-0 uniforms, as separate draws from that split would be equal.
-    With ``dump``, the first attempt's rising-sequence counts of every cell
-    are written to it as one CSV table.
+    Draws are folded into class histograms chunk by chunk, so memory does not
+    grow with ``n_samples``. With ``dump``, the first attempt's
+    rising-sequence counts of every cell are written to it as one CSV table;
+    only then are one deck size's counts held at once.
     """
     from .sampling import SAMPLE_CSV_HEADER, EmpiricalHistogram, chi_square_against_law
-    from .sampling import make_generator, sample_rising_counts, write_sample_csv
+    from .sampling import make_generator, rising_count_histograms, sample_rising_counts
+    from .sampling import write_sample_csv
 
-    def p_value(law, r_values) -> float:
-        return chi_square_against_law(EmpiricalHistogram.from_r_values(law.n, r_values), law)[2]
+    ms = range(1, m_max + 1)
+
+    def histograms(n: int, cells, split: int) -> list:
+        counts = rising_count_histograms(n, cells, make_generator(seed, split), n_samples)
+        return [EmpiricalHistogram(n, row, n_samples) for row in counts]
+
+    def first_attempts(n: int) -> list:
+        # Every cell of deck size n reads the same split-0 stream.
+        if dump is None:
+            return histograms(n, ms, 0)
+        hists = []
+        for m, r_values in zip(ms, sample_rising_counts(n, ms, make_generator(seed), n_samples)):
+            write_sample_csv(dump, n, m, r_values)
+            hists.append(EmpiricalHistogram.from_r_values(n, r_values))
+        return hists
 
     bad = []
     if dump is not None:
         dump.write(SAMPLE_CSV_HEADER)
-    ms = range(1, m_max + 1)
     for n in range(2, n_max + 1):
-        # Every cell of deck size n reads the same split-0 stream.
-        first = sample_rising_counts(n, ms, make_generator(seed), n_samples)
-        for m, r_values in zip(ms, first):
+        for m, hist in zip(ms, first_attempts(n)):
             law = m_shuffle_law(n, m)
-            if dump is not None:
-                write_sample_csv(dump, n, m, r_values)
-            p_values = [p_value(law, r_values)]
+            p_values = [chi_square_against_law(hist, law)[2]]
             if p_values[0] < 1e-3:
-                rerun = sample_rising_counts(n, [m], make_generator(seed, split=1), n_samples)[0]
-                p_values.append(p_value(law, rerun))
+                p_values.append(chi_square_against_law(histograms(n, [m], 1)[0], law)[2])
             if p_values[-1] < 1e-3:
                 bad.append((n, m, p_values))
     name = f"sampler_chi_square_n<={n_max}_m<={m_max}_N={n_samples}"

@@ -707,16 +707,23 @@ def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
         PYTHONDONTWRITEBYTECODE="1",
     )
     sidecar, trace = tmp_path / "sidecar.json", tmp_path / "trace.json"
-    args = ["profile", "--n", "6", "--p", "2:1/2,3:1/2", "--k", "1..3", "--cache", str(tmp_path / "cache")]
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "child.py"), str(sidecar), str(trace), *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(sidecar.read_text())["numba_enabled"] is False
-    spans = {name for name, *_ in json.loads(trace.read_text())["spans"]}
+
+    def traced_spans(*args):
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), str(sidecar), str(trace), *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(sidecar.read_text())["numba_enabled"] is False
+        return {name for name, *_ in json.loads(trace.read_text())["spans"]}
+
+    spans = traced_spans("profile", "--n", "6", "--p", "2:1/2,3:1/2", "--k", "1..3",
+                         "--cache", str(tmp_path / "cache"))
     # laws.validate wraps RisingSeqLaw.__post_init__, inherited or not.
     assert {"cli", "laws.validate"} <= spans
+    # The sampler suite imports the names the tracer wraps from riffle.sampling.
+    spans = traced_spans("verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "2000")
+    assert {"cli", "sampling.chi_square_against_law"} <= spans
 
 
 # sha256 of stdout as printed when each report rendered its own JSON; one

@@ -513,3 +513,11 @@ class TestJsonExport:
         edit(data["entries"])
         with pytest.raises(ValueError, match=message):
             law_from_json(json.dumps(data))
+
+    # int() would take 5.9, "5" and true as a deck size; JSON true is a bool.
+    @pytest.mark.parametrize("n", [5.9, "5", True, 0], ids=["float", "string", "true", "zero"])
+    def test_deck_size_must_be_a_json_integer_at_least_one(self, n):
+        data = json.loads(law_to_json(law_after_k(5, MIX23, 2)))
+        data["n"] = n
+        with pytest.raises(ValueError, match=f"JSON integer >= 1, got n={n!r}"):
+            law_from_json(json.dumps(data))

@@ -28,6 +28,7 @@ from riffle.sampling import (
     chi_square_against_law,
     empirical_tv,
     make_generator,
+    rising_count_histograms,
     rising_counts,
     sample_chains,
     sample_m_shuffles,
@@ -129,10 +130,49 @@ class TestSharedDraws:
             decks = sample_m_shuffles(n, m, make_generator(seed, split), size)
             assert np.array_equal(counts[i], rising_counts(decks))
 
+    @pytest.mark.parametrize("n, seed, split", [(5, 3, 0), (2, 8, 1)])
+    def test_histograms_equal_bincounts_of_the_counts(self, n, seed, split):
+        # Past one chunk, with m = n + 3 leaving packs empty: the chunks
+        # folded into one histogram give every row's class counts.
+        from riffle import sampling
+
+        size, ms = sampling._CHUNK + 7, [1, 2, n, n + 3]
+        hist = rising_count_histograms(n, ms, make_generator(seed, split), size)
+        assert hist.shape == (len(ms), n) and hist.dtype == np.int64
+        counts = sample_rising_counts(n, ms, make_generator(seed, split), size)
+        for row, r_values in zip(hist, counts):
+            assert np.array_equal(row, np.bincount(r_values, minlength=n + 1)[1:])
+
     @pytest.mark.parametrize("n, ms", [(0, [2]), (3, []), (3, [2, 0])])
     def test_rejects_empty_or_nonpositive_arguments(self, n, ms):
         with pytest.raises(ValueError):
             sample_rising_counts(n, ms, make_generator(0), 10)
+
+    @pytest.mark.parametrize("n, ms", [(0, [2]), (3, []), (3, [2, 0])])
+    def test_histograms_reject_the_same_arguments(self, n, ms):
+        with pytest.raises(ValueError, match="need n >= 1 and at least one m"):
+            rising_count_histograms(n, ms, make_generator(0), 10)
+
+    def test_suite_memory_does_not_grow_with_the_sample_count(self):
+        # The suite folds each chunk into its histograms: four times the
+        # draws may not raise its traced peak. Holding every draw's count,
+        # a (len(ms), N) int32 array per deck size, took it from 3.8 MiB to
+        # 6.1 MiB.
+        import tracemalloc
+
+        from riffle import sampling
+        from riffle.verify import suite_sampler
+
+        suite_sampler(4, 3, 0, 100)
+        peaks = []
+        for size in (2 * sampling._CHUNK, 8 * sampling._CHUNK):
+            tracemalloc.start()
+            try:
+                assert suite_sampler(4, 3, 0, size)[0]["ok"]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.25 * 2**20, peaks
 
 
 class TestChunkSizeGuard:
@@ -150,6 +190,7 @@ class TestChunkSizeGuard:
         monkeypatch.setattr(sampling, "MAX_CHUNK_CELLS", 3 * sampling._CHUNK - 1)
         for draw in (
             lambda rng: sample_rising_counts(2, [1, 3], rng, sampling._CHUNK + 1),
+            lambda rng: rising_count_histograms(2, [1, 3], rng, sampling._CHUNK + 1),
             lambda rng: sample_m_shuffles(2, 3, rng, sampling._CHUNK),
             lambda rng: sample_chains(2, PackDistribution.delta(3), 1, rng, sampling._CHUNK),
         ):
