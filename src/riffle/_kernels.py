@@ -14,12 +14,11 @@ kernels work card-major inside: every per-card or per-pack array is (n,
 rows) or (m, rows), so each numpy operation runs along the long row axis
 rather than the short deck axis. Card counts and positions are int16, and
 int64 once n >= 2^15; flat indices are int32, and int64 once rows*n or
-m*rows reaches 2^31. The cut compares int8 pack digits with each pack for
-up to ``_COMPARE_PACKS`` packs and takes one ``bincount`` of intp flat
-indices past that. A drop compares integer pack counts c with u*(n - s)
-for the s-th drop, and for an integer c, c <= x iff c <= floor(x); so all
-n thresholds floor(u*(n - s)) of a step are taken at once, as integers,
-from the very floats the comparison would use.
+m*rows reaches 2^31, except the cut's, which ``bincount`` wants as intp. A
+drop compares integer pack counts c with u*(n - s) for the s-th drop, and
+for an integer c, c <= x iff c <= floor(x); so all n thresholds
+floor(u*(n - s)) of a step are taken at once, as integers, from the very
+floats the comparison would use.
 """
 
 from __future__ import annotations
@@ -42,37 +41,20 @@ def _index_type(size: int) -> type:
     return np.int32 if size < 2**31 else np.int64
 
 
-#: Most packs a cut counts by comparing every card's digit with each pack.
-#: Past it one ``bincount`` is faster, though its intp indices and int64
-#: counts take 8 bytes a card and 8 a pack for every row.
-_COMPARE_PACKS = 8
-
-
 def _cut(digit_t: np.ndarray, m) -> np.ndarray:
     """(m_max, rows) cards in packs 0..j of the cut of (n, rows) uniforms into m[row] packs."""
     n, rows = digit_t.shape
     m_max = int(np.max(m))
-    count_t = _count_type(n)
-    by_bincount = m_max > _COMPARE_PACKS
     # bincount counts intp indices; any narrower type it would copy first.
-    digit_type = np.intp if by_bincount else np.int8
-    digits = np.multiply(digit_t, m, out=np.empty((n, rows), digit_type), casting="unsafe")
+    digits = np.multiply(digit_t, m, out=np.empty((n, rows), np.intp), casting="unsafe")
     np.minimum(digits, m - 1, out=digits)
-    if by_bincount:
-        # Pack-major flat index, entry (pack j, row) at j*rows + row.
-        digits *= rows
-        digits += np.arange(rows)
-        cum = np.bincount(digits.ravel(), minlength=m_max * rows).astype(count_t)
-        cum = cum.reshape(m_max, rows)
-        for j in range(1, m_max):
-            cum[j] += cum[j - 1]
-        return cum
-    cum = np.empty((m_max, rows), count_t)
-    below = np.empty((n, rows), bool)
-    for j in range(m_max - 1):
-        np.less_equal(digits, j, out=below)
-        np.add.reduce(below, axis=0, dtype=count_t, out=cum[j])
-    cum[-1] = n
+    # Pack-major flat index, entry (pack j, row) at j*rows + row.
+    digits *= rows
+    digits += np.arange(rows)
+    cum = np.bincount(digits.ravel(), minlength=m_max * rows).astype(_count_type(n))
+    cum = cum.reshape(m_max, rows)
+    for j in range(1, m_max):
+        cum[j] += cum[j - 1]
     return cum
 
 

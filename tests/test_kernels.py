@@ -131,25 +131,6 @@ def test_flat_indices_switch_to_int64_at_two_to_the_thirty_one():
     assert _kernels._index_type(2**31) is np.int64
 
 
-@pytest.mark.parametrize("m_max", [_kernels._COMPARE_PACKS, _kernels._COMPARE_PACKS + 1])
-def test_cut_counts_match_reference_on_both_sides_of_the_comparison_bound(m_max):
-    # Up to the bound the cut compares digits with each pack, past it it
-    # takes one bincount; a third of the uniforms are 0 or the largest double
-    # below 1, whose digit u*m rounds up to m and is clamped to m - 1.
-    rng = np.random.default_rng(m_max)
-    rows, n = 300, 11
-    digit_u = rng.random((rows, n))
-    pick = rng.random(digit_u.shape) < 1 / 3
-    digit_u[pick] = rng.choice([0.0, np.nextafter(1.0, 0.0)], int(pick.sum()))
-    pack_m = rng.integers(1, m_max + 1, rows)
-    pack_m[0] = m_max
-    cum = _kernels._cut(np.ascontiguousarray(digit_u.T), pack_m)
-    assert cum.shape == (m_max, rows) and cum.dtype == np.int16
-    for row, m in enumerate(pack_m):
-        digits = [min(int(u * m), m - 1) for u in digit_u[row]]
-        assert cum[:, row].tolist() == [sum(d <= j for d in digits) for j in range(m_max)]
-
-
 def test_sampler_chunks_match_reference_across_a_chunk_boundary():
     # A row count that is not a multiple of the chunk size: the last chunk is
     # short, and every chunk draws its cut uniforms and then its drop uniforms.
