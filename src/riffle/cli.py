@@ -376,17 +376,10 @@ def poisson(
     _apply_cache_dir(cache_dir)
     pack = _require_fixed_pack(parse_pack_spec(p_spec), p_spec)
     ts = parse_float_grid(t_grid)
-    rows = []
-    for t, law in zip(ts, poissonized_laws(n, pack, ts, tol)):
-        tv = law.tv_to_uniform()
-        rows.append(
-            {
-                "t": t,
-                "tv": tv.value,
-                "certificate": tv.certificate,
-                "truncation_k": law.truncation_k,
-            }
-        )
+    rows = [
+        {"t": t, "tv": float(law.tv_to_uniform()), "certificate": law.tol, "truncation_k": law.truncation_k}
+        for t, law in zip(ts, poissonized_laws(n, pack, ts, tol))
+    ]
     _emit_rows(rows, ["t", "tv", "certificate", "truncation_k"], fmt)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .cutoff import _critical_time
 from .laws import (
@@ -39,19 +39,12 @@ from .laws import (
 __all__ = [
     "ContinuousCutoffReport",
     "PoissonizedLaw",
-    "PoissonizedTv",
     "UnitTimePackLaw",
     "continuous_cutoff_report",
     "poissonized_law",
     "poissonized_laws",
     "unit_time_pack_law",
 ]
-
-class PoissonizedTv(NamedTuple):
-    exact: Fraction
-    value: float
-    certificate: float
-
 
 @dataclass(frozen=True)
 class PoissonizedLaw(ClassNumerators):
@@ -73,14 +66,13 @@ class PoissonizedLaw(ClassNumerators):
     mass: Fraction
     weights: tuple[float, ...]
 
-    def tv_to_uniform(self) -> PoissonizedTv:
-        """TV distance to uniform of the truncated law, with certificate.
+    def tv_to_uniform(self) -> Fraction:
+        """Exact TV distance to uniform of the truncated law.
 
-        The true time-t distance differs from the exact value by at most the
-        discarded tail mass, hence by less than the stored tolerance.
+        The true time-t distance differs from it by at most the discarded
+        tail mass, hence by less than ``tol``, the law's certificate.
         """
-        exact = tv_to_uniform(self)
-        return PoissonizedTv(exact, float(exact), self.tol)
+        return tv_to_uniform(self)
 
 
 def _poisson_weights(t: float, tol: Fraction) -> tuple[list[float], Fraction]:

@@ -108,18 +108,10 @@ def lindeberg_value(p: PackDistribution, n: int, eps: float) -> float:
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    mu, sigma = log_moments(p)
-    if sigma == 0:
-        raise ValueError("standardization undefined for a single-atom law")
-    if mu <= 0:
-        raise ValueError("mean log pack count must be positive")
-    threshold = eps * math.log(n) / mu
-    terms = []
-    for m, w in p.atoms:
-        xi2 = ((math.log(m) - mu) / sigma) ** 2
-        if xi2 > threshold:
-            terms.append(float(w) * xi2)
-    return math.fsum(terms)
+    mu, _, log_n, _ = _critical_time(p, n)
+    threshold = eps * log_n / mu
+    squares = [xi**2 for xi in xi_values(p)]
+    return math.fsum(float(w) * xi2 for (_, w), xi2 in zip(p.atoms, squares) if xi2 > threshold)
 
 
 @dataclass(frozen=True)
@@ -205,10 +197,7 @@ def hyp_check(p: PackDistribution, n: int, eta: float) -> tuple[float, float]:
     """
     if eta <= 0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    mu, _ = log_moments(p)
-    if mu <= 0:
-        raise ValueError("mean log pack count must be positive")
-    log_n = _log_deck_size(n)
+    mu, _, log_n, _ = _critical_time(p, n)
     tail = math.fsum(
         float(w) * math.log(m) for m, w in p.atoms if math.log(m) > eta * log_n
     )

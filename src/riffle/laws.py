@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -58,7 +57,8 @@ __all__ = [
     "window_set_gap",
 ]
 
-_MAX_PRODUCT_ATOMS_ENV = "RIFFLE_MAX_PRODUCT_ATOMS"
+#: Size guard: :func:`product_laws` refuses a step of more products than this.
+MAX_PRODUCT_ATOMS = 1_000_000
 
 
 class SizeGuardError(RuntimeError):
@@ -281,10 +281,9 @@ def product_laws(p: PackDistribution) -> Iterator[tuple[dict[int, int], int]]:
     Step k is ``(weights, den)``: product v has probability weights[v] / den,
     with den = q**k for q the lcm of p's denominators. Step k is step k - 1
     convolved with p, colliding products (2*6 = 3*4) merged. A step of more
-    than ``RIFFLE_MAX_PRODUCT_ATOMS`` products (default 1,000,000) raises
-    :class:`SizeGuardError`.
+    than :data:`MAX_PRODUCT_ATOMS` products raises :class:`SizeGuardError`.
     """
-    limit = int(os.environ.get(_MAX_PRODUCT_ATOMS_ENV) or 1_000_000)
+    limit = MAX_PRODUCT_ATOMS
     step, q = _integer_atoms(p)
     weights, den = {1: 1}, 1
     while True:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -318,17 +317,22 @@ def chi_square_against_law(hist: EmpiricalHistogram, law: RisingSeqLaw) -> tuple
 SAMPLE_CSV_HEADER = "n,m,trial,r\n"
 
 
-def write_sample_csv(out: IO[str], n: int, m: int, r_values: Iterable[int]) -> None:
-    """Append one (n, m) cell's rising-sequence counts as ``n,m,trial,r`` rows."""
+def write_sample_csv(
+    out: IO[str], n: int, m: int, r_values: Iterable[int], trials: Sequence[str] | None = None
+) -> None:
+    """Append one (n, m) cell's rising-sequence counts as ``n,m,trial,r`` rows.
+
+    ``trials``, the trial column's text (``"0,"``, ``"1,"``, ..., one per
+    row), lets a caller that writes many cells of one size build it once.
+    """
     r_list = np.asarray(r_values).tolist()
     r_text = {r: f"{r}\n" for r in set(r_list)}
     parts = [f"{n},{m},"] * (3 * len(r_list))
-    parts[1::3] = _trial_column(len(r_list))
+    parts[1::3] = _trial_column(len(r_list)) if trials is None else trials
     parts[2::3] = map(r_text.__getitem__, r_list)
     out.write("".join(parts))
 
 
-@lru_cache(maxsize=1)
 def _trial_column(size: int) -> tuple[str, ...]:
-    """The trial column's text, built once for all cells of one size."""
+    """The trial column's text for a cell of ``size`` rows."""
     return tuple(f"{trial}," for trial in range(size))

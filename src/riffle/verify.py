@@ -27,8 +27,9 @@ __all__ = ["SUITES", "suite_names"]
 Verdict = dict[str, object]
 
 
-def _verdict(name: str, ok: bool, detail: str = "") -> Verdict:
-    return {"property": name, "ok": bool(ok), "detail": detail}
+def _verdict(name: str, bad: list, what: str = "violations: ") -> Verdict:
+    """The verdict on one property: it holds when ``bad`` lists no case."""
+    return {"property": name, "ok": not bad, "detail": f"{what}{bad}" if bad else ""}
 
 
 def suite_oracles(n_max: int = 6, m_max: int = 5, seed: int = 0, n_samples: int = 0) -> list[Verdict]:
@@ -39,13 +40,7 @@ def suite_oracles(n_max: int = 6, m_max: int = 5, seed: int = 0, n_samples: int 
         for m in range(1, m_max + 1):
             if oracle_digit_law(n, m) != m_shuffle_law(n, m):
                 bad.append((n, m))
-    out.append(
-        _verdict(
-            f"digit_oracle_equality_n<={n_max}_m<={m_max}",
-            not bad,
-            f"mismatches: {bad}" if bad else "",
-        )
-    )
+    out.append(_verdict(f"digit_oracle_equality_n<={n_max}_m<={m_max}", bad, "mismatches: "))
 
     packs = {
         "delta2": PackDistribution.delta(2),
@@ -58,13 +53,7 @@ def suite_oracles(n_max: int = 6, m_max: int = 5, seed: int = 0, n_samples: int 
             for k in range(0, 4):
                 if oracle_convolution(n, p, k) != law_after_k(n, p, k):
                     bad.append((n, label, k))
-    out.append(
-        _verdict(
-            "convolution_oracle_equality_n<=5_k<=3",
-            not bad,
-            f"mismatches: {bad}" if bad else "",
-        )
-    )
+    out.append(_verdict("convolution_oracle_equality_n<=5_k<=3", bad, "mismatches: "))
     return out
 
 
@@ -77,13 +66,12 @@ def suite_composition(n_max: int = 6, m_max: int = 0, seed: int = 0, n_samples: 
             if oracle_shuffle_sequence(n, pair) != m_shuffle_law(n, product):
                 bad.append(n)
         name = f"compose_{pair[0]}x{pair[1]}_equals_{product}_n<={n_max}"
-        out.append(_verdict(name, not bad, f"mismatches at n={bad}" if bad else ""))
+        out.append(_verdict(name, bad, "mismatches at n="))
     return out
 
 
 def suite_monotonicity(n_max: int = 8, m_max: int = 30, seed: int = 0, n_samples: int = 0) -> list[Verdict]:
     """TV decreases in the pack count; class probabilities cross uniform once."""
-    out = []
     tv_bad = []
     low_bad = []
     high_bad = []
@@ -105,28 +93,11 @@ def suite_monotonicity(n_max: int = 8, m_max: int = 30, seed: int = 0, n_samples
                         if laws[j].prob(r) <= u:
                             high_bad.append((n, m, r, j))
                             break
-    out.append(
-        _verdict(
-            f"tv_nonincreasing_in_m_n<={n_max}_m<={m_max}",
-            not tv_bad,
-            f"violations: {tv_bad}" if tv_bad else "",
-        )
-    )
-    out.append(
-        _verdict(
-            "below_uniform_class_prob_nondecreasing_in_m",
-            not low_bad,
-            f"violations: {low_bad}" if low_bad else "",
-        )
-    )
-    out.append(
-        _verdict(
-            "above_uniform_stays_above_for_larger_m",
-            not high_bad,
-            f"violations: {high_bad}" if high_bad else "",
-        )
-    )
-    return out
+    return [
+        _verdict(f"tv_nonincreasing_in_m_n<={n_max}_m<={m_max}", tv_bad),
+        _verdict("below_uniform_class_prob_nondecreasing_in_m", low_bad),
+        _verdict("above_uniform_stays_above_for_larger_m", high_bad),
+    ]
 
 
 def suite_tailsets(n_max: int = 8, m_max: int = 30, seed: int = 0, n_samples: int = 0) -> list[Verdict]:
@@ -137,13 +108,7 @@ def suite_tailsets(n_max: int = 8, m_max: int = 30, seed: int = 0, n_samples: in
             for r in range(1, n + 1):
                 if tail_set_gap(n, m, r) < 0:
                     bad.append((n, m, r))
-    return [
-        _verdict(
-            f"tail_set_gap_nonnegative_n<={n_max}_m<={m_max}",
-            not bad,
-            f"violations: {bad}" if bad else "",
-        )
-    ]
+    return [_verdict(f"tail_set_gap_nonnegative_n<={n_max}_m<={m_max}", bad)]
 
 
 def suite_sampler(
@@ -167,9 +132,11 @@ def suite_sampler(
     """
     from .sampling import SAMPLE_CSV_HEADER, EmpiricalHistogram, chi_square_against_law
     from .sampling import make_generator, rising_count_histograms, sample_rising_counts
-    from .sampling import write_sample_csv
+    from .sampling import _trial_column, write_sample_csv
 
     ms = range(1, m_max + 1)
+    # Every dumped cell has n_samples rows: their trial text is built once per call.
+    trials = _trial_column(n_samples) if dump is not None else ()
 
     def histograms(n: int, cells, split: int) -> list:
         counts = rising_count_histograms(n, cells, make_generator(seed, split), n_samples)
@@ -181,7 +148,7 @@ def suite_sampler(
             return histograms(n, ms, 0)
         hists = []
         for m, r_values in zip(ms, sample_rising_counts(n, ms, make_generator(seed), n_samples)):
-            write_sample_csv(dump, n, m, r_values)
+            write_sample_csv(dump, n, m, r_values, trials)
             hists.append(EmpiricalHistogram.from_r_values(n, r_values))
         return hists
 
@@ -197,7 +164,7 @@ def suite_sampler(
             if p_values[-1] < 1e-3:
                 bad.append((n, m, p_values))
     name = f"sampler_chi_square_n<={n_max}_m<={m_max}_N={n_samples}"
-    return [_verdict(name, not bad, f"violations: {bad}" if bad else "")]
+    return [_verdict(name, bad)]
 
 
 SUITES: dict[str, Callable[..., list[Verdict]]] = {

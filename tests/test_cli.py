@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import riffle
+from riffle import laws
 from riffle.cli import (
     MAX_GRID_POINTS,
     main,
@@ -307,6 +308,32 @@ class TestVerify:
             "cbbf87f705330fc73fc00fd5e8fc2fea485a208dbf68a7f1483a9b60023744a3"
         )
 
+    @pytest.mark.parametrize(
+        "args, target, key, wrong, detail",
+        [
+            (["tailsets", "--n", "3", "--m", "2"], "tail_set_gap", (3, 2, 2),
+             lambda real, n, m, r: -real(n, m, r), "violations: [(3, 2, 2)]"),
+            (["oracles", "--n", "3", "--m", "2"], "m_shuffle_law", (3, 2),
+             lambda real, n, m: real(n, m + 1), "mismatches: [(3, 2)]"),
+            (["composition", "--n", "4"], "m_shuffle_law", (4, 4),
+             lambda real, n, m: real(n, m + 1), "mismatches at n=[4]"),
+        ],
+        ids=["violations", "mismatches", "mismatches-at-n"],
+    )
+    def test_failure_details_are_pinned(self, runner, monkeypatch, args, target, key, wrong, detail):
+        # One wrong value per detail format: exactly one verdict fails, and
+        # its detail lists the case.
+        from riffle import verify
+
+        real = getattr(verify, target)
+        monkeypatch.setattr(
+            verify, target, lambda *at: wrong(real, *at) if at == key else real(*at)
+        )
+        result = runner.invoke(main, ["verify", "--suite", *args])
+        assert result.exit_code == 1
+        verdicts = json.loads(result.output)["suites"][args[0]]
+        assert [v["detail"] for v in verdicts if not v["ok"]] == [detail]
+
     def test_unknown_suite_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "nope"])
         assert result.exit_code == 2
@@ -399,12 +426,21 @@ class TestBigOutputs:
 class TestSizeGuardExit:
     def test_profile_exits_3_when_product_law_explodes(self, runner, monkeypatch):
         # At n = 40 step 2, of 10 atoms, is still built and mixed atom by atom.
-        monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", "5")
+        monkeypatch.setattr(laws, "MAX_PRODUCT_ATOMS", 5)
         result = runner.invoke(
             main,
             ["profile", "--n", "40", "--p", "2:1/4,3:1/4,5:1/4,7:1/4", "--k", "1..6"],
         )
         assert result.exit_code == 3
+
+    def test_environment_sets_no_product_guard(self, runner, monkeypatch):
+        # The guard is the module constant alone; this variable once set it.
+        monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", "1")
+        result = runner.invoke(
+            main,
+            ["profile", "--n", "40", "--p", "2:1/4,3:1/4,5:1/4,7:1/4", "--k", "1..6"],
+        )
+        assert result.exit_code == 0
 
     def test_sampler_exits_3_before_a_huge_pack_count_allocates(self, runner, monkeypatch):
         # m * 16384 cells would not fit: the guard fires before the sampler
@@ -583,12 +619,12 @@ def test_moment_path_stdout_pinned(runner, tmp_path, args, digest):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
-@pytest.mark.parametrize("guard, code", [("13", 0), ("12", 3)])
+@pytest.mark.parametrize("guard, code", [(13, 0), (12, 3)])
 def test_poisson_size_guard_counts_the_atoms_built(runner, tmp_path, monkeypatch, guard, code):
     # Steps 0..38 of {2, 3} (up to 39 atoms) are in K's range at t = 12, but
     # the moment path builds product laws only until they hold more than
     # 3 * 52 / 2 atoms in all: steps 0..12, the last of 13 atoms.
-    monkeypatch.setenv("RIFFLE_MAX_PRODUCT_ATOMS", guard)
+    monkeypatch.setattr(laws, "MAX_PRODUCT_ATOMS", guard)
     result = runner.invoke(
         main,
         ["poisson", "--n", "52", "--p", "2:1/2,3:1/2", "--t", "4:12:4", "--cache", str(tmp_path)],
@@ -724,6 +760,10 @@ def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
     # The sampler suite imports the names the tracer wraps from riffle.sampling.
     spans = traced_spans("verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "2000")
     assert {"cli", "sampling.chi_square_against_law"} <= spans
+    # The tracer patches PoissonizedLaw.tv_to_uniform, which poisson calls per time.
+    spans = traced_spans("poisson", "--n", "6", "--p", "2:1", "--t", "1:2:1",
+                         "--cache", str(tmp_path / "cache"))
+    assert {"cli", "continuous_time.tv_to_uniform"} <= spans
 
 
 # sha256 of stdout as printed when each report rendered its own JSON; one
@@ -759,9 +799,13 @@ def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
             ["poisson", "--n", "8", "--p", "2:1/2,3:1/2", "--t", "0:2:0.5", "--format", "json"],
             "20f1cb5a049b7f75faa3349f39c1e42a7ceb1e770c68f180d130f6647659d588",
         ),
+        (
+            ["verify", "--n", "5", "--m", "4", "--N", "2000", "--seed", "1"],
+            "8503ada7d151a72b09bca3a892a636f78ffe17d6993cf1cc1b5e8b7af3c4e2cf",
+        ),
     ],
     ids=["cutoff-delta", "cutoff-truncation", "grid-csv", "grid-json", "profile-json",
-         "poisson-json"],
+         "poisson-json", "verify"],
 )
 def test_rendered_stdout_pinned(runner, args, digest):
     result = runner.invoke(main, args)

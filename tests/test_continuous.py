@@ -39,8 +39,7 @@ class TestPoissonizedLaw:
         assert law.truncation_k == 0
         assert law.class_prob[0] == 1
         assert law.mass == 1
-        tv = law.tv_to_uniform()
-        assert tv.exact == 1 - Fraction(1, math.factorial(6))
+        assert law.tv_to_uniform() == 1 - Fraction(1, math.factorial(6))
 
     def test_mass_certificate(self):
         for t in (0.5, 3.0, 10.0):
@@ -74,21 +73,21 @@ class TestPoissonizedLaw:
         b = poissonized_law(8, DELTA2, 3.0, 1e-6)
         for x, y in zip(a.class_prob, b.class_prob):
             assert abs(float(x - y)) <= 1e-6
-        assert abs(a.tv_to_uniform().value - b.tv_to_uniform().value) <= 1e-6
+        assert abs(float(a.tv_to_uniform() - b.tv_to_uniform())) <= 1e-6
 
     def test_holding_at_identity_lower_bound(self):
         n = 52
         u = 1 / float(math.factorial(n))
         for t in (0.0, 0.5, 2.0, 6.0, 12.0):
             law = poissonized_law(n, DELTA2, t, 1e-9)
-            assert float(law.tv_to_uniform().exact) >= math.exp(-t) - u - 1e-9
+            assert float(law.tv_to_uniform()) >= math.exp(-t) - u - 1e-9
 
     def test_sandwiched_between_discrete_snapshots(self):
         # TV at continuous time t sits between the discrete values at
         # t +- 4 sqrt(t) steps (clamped at 0), by monotonicity in k.
         n, t = 52, 12.0
         law = poissonized_law(n, DELTA2, t, 1e-9)
-        v = law.tv_to_uniform().value
+        v = float(law.tv_to_uniform())
         hi_k = math.ceil(t + 4 * math.sqrt(t))
         lo_k = max(0, math.floor(t - 4 * math.sqrt(t)))
         upper = (
@@ -379,4 +378,4 @@ def test_cutoff_window_profile_is_pinned(n, expected):
     # profile barely moves with n, which is the cutoff phenomenon.
     rep = continuous_cutoff_report(MIX23, n)
     laws = poissonized_laws(n, MIX23, [rep.t_n + c * rep.b_n for c in range(-2, 3)], 1e-9)
-    assert [law.tv_to_uniform().value for law in laws] == pytest.approx(expected, abs=5e-5)
+    assert [float(law.tv_to_uniform()) for law in laws] == pytest.approx(expected, abs=5e-5)

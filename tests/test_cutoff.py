@@ -127,6 +127,17 @@ class TestLindeberg:
         with pytest.raises(ValueError):
             lindeberg_value(DELTA2, 100, 1.0)
 
+    def test_deck_of_one_rejected_as_hyp_check_does(self):
+        for check in (lindeberg_value, hyp_check):
+            with pytest.raises(ValueError, match="deck size must be >= 2"):
+                check(MIX23, 1, 1.0)
+
+    def test_pack_count_one_rejected_as_the_critical_time_does(self):
+        # Both take mu from _critical_time, the one owner of mu > 0.
+        for check in (lindeberg_value, hyp_check):
+            with pytest.raises(ValueError, match="concentrated at 1 never mixes"):
+                check(PackDistribution.delta(1), 52, 1.0)
+
 
 class TestTruncationReport:
     def test_inactive_truncation_recovers_plain_moments(self):

@@ -174,6 +174,25 @@ class TestSharedDraws:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 0.25 * 2**20, peaks
 
+    def test_dump_text_is_freed_when_the_suite_returns(self):
+        # The trial column's text lives for one suite call. Cached across
+        # calls, its 50021 strings stayed traced after the suite returned
+        # (3.0 MiB).
+        import os
+        import tracemalloc
+
+        from riffle.verify import suite_sampler
+
+        with open(os.devnull, "w") as dump:
+            suite_sampler(4, 3, 0, 100, dump=dump)
+            tracemalloc.start()
+            try:
+                assert suite_sampler(4, 3, 0, 50_021, dump=dump)[0]["ok"]
+                left = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert left < 2**20, left
+
 
 class TestChunkSizeGuard:
     def test_pack_state_past_the_bound_raises_before_drawing(self, monkeypatch):
