@@ -218,11 +218,8 @@ def nearest_step(t: float) -> float:
 
 def step_gap(t: float) -> float:
     """Signed gap ``t - nearest_step(t)``, defined as 1/2 on (0, 1/2)."""
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if t < 0.5:
-        return 0.5
-    return t - nearest_step(t)
+    k = nearest_step(t)
+    return 0.5 if t < 0.5 else t - k
 
 
 def tv_normal_approximation(n: int, m: int) -> float:
@@ -313,7 +310,7 @@ def gaussian_row_deviation(row: EulerianRow) -> float:
     worst = 0.0
     for r in row.r_values():
         h = r - n / 2.0
-        exact = float(Fraction(row.count(r), nfact))
+        exact = row.count(r) / nfact
         approx = math.exp(-6.0 * h * h / n) / math.sqrt(math.pi * n / 6.0)
         worst = max(worst, abs(exact - approx))
     return worst

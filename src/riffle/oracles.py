@@ -1,18 +1,21 @@
-"""Independent brute-force oracles for the exact shuffle laws.
+"""Brute-force oracles for the exact shuffle laws.
 
-These deliberately avoid the closed-form class probabilities: the digit
-oracle enumerates every digit word of the inverse-shuffle construction, and
-the convolution oracle works on full permutation distributions over the
-symmetric group. Agreement with :mod:`riffle.laws` is a two-route check, so
-neither side may be expressed through the other.
+Three pieces are independent of :mod:`riffle.laws`: the digit oracle
+enumerates every digit word of the inverse-shuffle construction, the
+convolution oracles compose full permutation tables over the symmetric
+group, and one fold turns a permutation table into a class law after
+checking that it is constant on rising-sequence classes. The one-step law
+the convolutions start from is the closed form
+:func:`~riffle.laws.m_shuffle_law`; ``verify --suite oracles`` checks that
+step against the digit oracle, by default for n <= 6 and m <= 5. Taking the
+step from the digit oracle instead would cap m**n, which an m = 100 step on
+n = 4 already exceeds.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from itertools import permutations, product
-from typing import Iterable, Sequence
+from itertools import permutations, product, repeat
+from typing import Iterable, Mapping
 
 from .combinatorics import eulerian_row, rising_sequences
 from .laws import PackDistribution, RisingSeqLaw, SizeGuardError, m_shuffle_law
@@ -26,18 +29,63 @@ __all__ = [
 MAX_DIGIT_WORDS = 10_000_000
 MAX_CONVOLUTION_N = 7
 
+Perm = tuple[int, ...]
 
-def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
+
+def _invert(perm: Perm) -> Perm:
     inv = [0] * len(perm)
     for i, v in enumerate(perm):
         inv[v - 1] = i + 1
     return tuple(inv)
 
 
-def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+def _compose(outer: Perm, inner: Perm) -> Perm:
     # Deck in state `outer` shuffled by step `inner`: position i receives the
     # card that sat at position inner[i].
     return tuple(outer[inner[i] - 1] for i in range(len(outer)))
+
+
+def _fold(n: int, table: Mapping[Perm, int], den: int) -> RisingSeqLaw:
+    """Class law of a table {permutation: nonzero numerator} over ``den``.
+
+    Walks the table's entries only, never all of S_n. Raises AssertionError
+    unless each class in the table carries one numerator on all of its
+    arrangements.
+    """
+    nums, hits = [0] * n, [0] * n
+    for perm, num in table.items():
+        i = rising_sequences(perm) - 1
+        if hits[i] and nums[i] != num:
+            raise AssertionError(f"law not constant on class r={i + 1} for n={n}")
+        nums[i], hits[i] = num, hits[i] + 1
+    for i, (seen, count) in enumerate(zip(hits, eulerian_row(n).counts)):
+        if seen and seen != count:
+            raise AssertionError(f"law not constant on class r={i + 1} for n={n}")
+    return RisingSeqLaw(n, tuple(nums), den)
+
+
+def _walk(n: int, steps: Iterable[RisingSeqLaw]) -> RisingSeqLaw:
+    """Law after the one-step laws ``steps``, in order, by convolution over S_n."""
+    if n > MAX_CONVOLUTION_N:
+        raise SizeGuardError(f"group convolution limited to n <= {MAX_CONVOLUTION_N}")
+    deck = range(1, n + 1)
+    tables: dict[RisingSeqLaw, dict[Perm, int]] = {}
+    acc: dict[Perm, int] = {tuple(deck): 1}
+    den = 1
+    for step in steps:
+        if step not in tables:
+            tables[step] = {
+                perm: num
+                for perm in permutations(deck)
+                if (num := step.nums[rising_sequences(perm) - 1])
+            }
+        out: dict[Perm, int] = {}
+        for s, ws in acc.items():
+            for t, wt in tables[step].items():
+                key = _compose(s, t)
+                out[key] = out.get(key, 0) + ws * wt
+        acc, den = out, den * step.den
+    return _fold(n, acc, den)
 
 
 def oracle_digit_law(n: int, m: int) -> RisingSeqLaw:
@@ -54,102 +102,29 @@ def oracle_digit_law(n: int, m: int) -> RisingSeqLaw:
     words = m**n
     if words > MAX_DIGIT_WORDS:
         raise SizeGuardError(f"digit enumeration needs {words} words > {MAX_DIGIT_WORDS}")
-    tally: dict[tuple[int, ...], int] = {}
+    tally: dict[Perm, int] = {}
     cards = range(n)
     for word in product(range(m), repeat=n):
         order = sorted(cards, key=word.__getitem__)
         inverse_shuffled = tuple(i + 1 for i in order)
         outcome = _invert(inverse_shuffled)
         tally[outcome] = tally.get(outcome, 0) + 1
-
-    row = eulerian_row(n)
-    by_class: dict[int, set[int]] = {}
-    class_count: dict[int, int] = {}
-    for outcome, hits in tally.items():
-        r = rising_sequences(outcome)
-        by_class.setdefault(r, set()).add(hits)
-        class_count[r] = class_count.get(r, 0) + 1
-    probs = [Fraction(0)] * n
-    for r in range(1, n + 1):
-        values = by_class.get(r, set())
-        if not values:
-            continue
-        if len(values) != 1 or class_count[r] != row.count(r):
-            raise AssertionError(
-                f"digit oracle not constant on class r={r} for n={n}, m={m}"
-            )
-        probs[r - 1] = Fraction(values.pop(), words)
-    return RisingSeqLaw.from_probs(n, probs)
-
-
-def _perm_law(n: int, class_prob: Sequence[Fraction]) -> tuple[dict[tuple[int, ...], int], int]:
-    """Expand per-class probabilities to a full map perm -> numerator / den."""
-    den = math.lcm(*(q.denominator for q in class_prob))
-    nums = [int(q * den) for q in class_prob]
-    table = {
-        perm: nums[rising_sequences(perm) - 1]
-        for perm in permutations(range(1, n + 1))
-    }
-    return table, den
-
-
-def _convolve(
-    a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for s, ws in a.items():
-        if ws == 0:
-            continue
-        for t, wt in b.items():
-            if wt == 0:
-                continue
-            key = _compose(s, t)
-            out[key] = out.get(key, 0) + ws * wt
-    return out
-
-
-def _project(n: int, table: dict[tuple[int, ...], int], den: int) -> RisingSeqLaw:
-    row = eulerian_row(n)
-    class_values: dict[int, set[int]] = {}
-    class_seen: dict[int, int] = {}
-    for perm in permutations(range(1, n + 1)):
-        r = rising_sequences(perm)
-        class_values.setdefault(r, set()).add(table.get(perm, 0))
-        class_seen[r] = class_seen.get(r, 0) + 1
-    probs = [Fraction(0)] * n
-    for r, values in class_values.items():
-        if len(values) != 1:
-            raise AssertionError(f"convolved law not constant on class r={r}")
-        assert class_seen[r] == row.count(r)
-        probs[r - 1] = Fraction(values.pop(), den)
-    return RisingSeqLaw.from_probs(n, probs)
+    return _fold(n, tally, words)
 
 
 def oracle_convolution(n: int, p: PackDistribution, k: int) -> RisingSeqLaw:
     """Law after k p-shuffles via k-fold convolution over the full group.
 
-    The single-step distribution is assembled per permutation as the p-mixture
-    of exact m-shuffle laws; the convolution then runs over all of S_n, which
-    is why n is capped at 7.
+    The single-step law is the p-mixture of exact m-shuffle laws; the
+    convolution then runs over all of S_n, which is why n is capped at 7.
     """
-    if n > MAX_CONVOLUTION_N:
-        raise SizeGuardError(f"group convolution limited to n <= {MAX_CONVOLUTION_N}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    step_prob = [Fraction(0)] * n
-    for m, w in p.atoms:
-        law = m_shuffle_law(n, m)
-        for i in range(n):
-            step_prob[i] += w * law.class_prob[i]
-    step, step_den = _perm_law(n, step_prob)
-
-    identity = tuple(range(1, n + 1))
-    acc: dict[tuple[int, ...], int] = {identity: 1}
-    den = 1
-    for _ in range(k):
-        acc = _convolve(acc, step)
-        den *= step_den
-    return _project(n, acc, den)
+    laws = [(w, m_shuffle_law(n, m)) for m, w in p.atoms]
+    step = RisingSeqLaw.from_probs(
+        n, (sum(w * law.prob(r) for w, law in laws) for r in range(1, n + 1))
+    )
+    return _walk(n, repeat(step, k))
 
 
 def oracle_shuffle_sequence(n: int, pack_counts: Iterable[int]) -> RisingSeqLaw:
@@ -159,13 +134,4 @@ def oracle_shuffle_sequence(n: int, pack_counts: Iterable[int]) -> RisingSeqLaw:
     applies. Used to check that an m-shuffle followed by an m'-shuffle equals
     a single (m * m')-shuffle.
     """
-    if n > MAX_CONVOLUTION_N:
-        raise SizeGuardError(f"group convolution limited to n <= {MAX_CONVOLUTION_N}")
-    identity = tuple(range(1, n + 1))
-    acc: dict[tuple[int, ...], int] = {identity: 1}
-    den = 1
-    for m in pack_counts:
-        step, step_den = _perm_law(n, m_shuffle_law(n, m).class_prob)
-        acc = _convolve(acc, step)
-        den *= step_den
-    return _project(n, acc, den)
+    return _walk(n, (m_shuffle_law(n, m) for m in pack_counts))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -228,7 +227,7 @@ def empirical_tv(hist: EmpiricalHistogram, exact_row: EulerianRow) -> TvEstimate
     if N == 0:
         raise ValueError("empty histogram")
     nfact = math.factorial(hist.n)
-    u = np.array([float(Fraction(exact_row.count(r), nfact)) for r in exact_row.r_values()])
+    u = np.array([exact_row.count(r) / nfact for r in exact_row.r_values()])
     p_hat = hist.counts / N
     diff = p_hat - u
     tv = 0.5 * float(np.abs(diff).sum())
