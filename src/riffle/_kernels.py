@@ -12,13 +12,18 @@ runs the same cut and drops on the ordered deck but moves no card: it reads
 each row's rising-sequence count off every pack's first and last drop. All
 kernels work card-major inside: every per-card or per-pack array is (n,
 rows) or (m, rows), so each numpy operation runs along the long row axis
-rather than the short deck axis. Card counts and positions are int16, and
-int64 once n >= 2^15; flat indices are int32, and int64 once rows*n or
-m*rows reaches 2^31, except the cut's, which ``bincount`` wants as intp. A
-drop compares integer pack counts c with u*(n - s) for the s-th drop, and
-for an integer c, c <= x iff c <= floor(x); so all n thresholds
-floor(u*(n - s)) of a step are taken at once, as integers, from the very
-floats the comparison would use.
+rather than the short deck axis; the (rows, n) uniforms are read through
+their transposed view, never copied. Card counts and positions are int8
+below 2^7 cards, int16 below 2^15 and int64 from there; flat indices are
+int32, and int64 once rows*n or m*rows reaches 2^31. Up to
+``_COMPARE_PACKS`` packs the cut takes each card's pack digit trunc(u*m) as
+int8 and counts the cards in packs 0..j by comparing the digits with j;
+past that it counts every pack with one ``bincount`` of intp flat indices,
+which at many packs costs less than one comparison per pack. A drop
+compares integer pack counts c with u*(n - s) for the s-th drop, and for an
+integer c, c <= x iff c <= floor(x); so all n thresholds floor(u*(n - s))
+of a step are taken at once, as integers, from the very floats the
+comparison would use.
 """
 
 from __future__ import annotations
@@ -31,9 +36,15 @@ __all__ = ["NUMBA_ENABLED", "chain_step", "rising_counts", "shuffled_rising_coun
 NUMBA_ENABLED = False
 
 
+#: Largest pack count the cut counts by comparing each card's digit with
+#: every pack. Each comparison is one pass over the cards, so past it the cut
+#: counts with one ``bincount`` over flat indices.
+_COMPARE_PACKS = 16
+
+
 def _count_type(n: int) -> type:
     """Integer type for card counts and positions of an n-card deck."""
-    return np.int16 if n < 2**15 else np.int64
+    return np.int8 if n < 2**7 else np.int16 if n < 2**15 else np.int64
 
 
 def _index_type(size: int) -> type:
@@ -45,13 +56,24 @@ def _cut(digit_t: np.ndarray, m) -> np.ndarray:
     """(m_max, rows) cards in packs 0..j of the cut of (n, rows) uniforms into m[row] packs."""
     n, rows = digit_t.shape
     m_max = int(np.max(m))
+    count_t = _count_type(n)
+    if m_max <= _COMPARE_PACKS:
+        # u*m < m for every u < 1, so no digit needs clamping, and a row with
+        # m[row] <= j counts all n cards in packs 0..j.
+        digits = np.multiply(digit_t, m, out=np.empty((n, rows), np.int8), casting="unsafe")
+        below = np.empty((n, rows), bool)
+        cum = np.empty((m_max, rows), count_t)
+        for j in range(m_max - 1):
+            np.add.reduce(np.less_equal(digits, j, out=below), axis=0, dtype=count_t, out=cum[j])
+        cum[m_max - 1] = n
+        return cum
     # bincount counts intp indices; any narrower type it would copy first.
     digits = np.multiply(digit_t, m, out=np.empty((n, rows), np.intp), casting="unsafe")
     np.minimum(digits, m - 1, out=digits)
     # Pack-major flat index, entry (pack j, row) at j*rows + row.
     digits *= rows
     digits += np.arange(rows)
-    cum = np.bincount(digits.ravel(), minlength=m_max * rows).astype(_count_type(n))
+    cum = np.bincount(digits.ravel(), minlength=m_max * rows).astype(count_t)
     cum = cum.reshape(m_max, rows)
     for j in range(1, m_max):
         cum[j] += cum[j - 1]
@@ -123,12 +145,11 @@ def shuffled_rising_counts(ms, digit_u: np.ndarray, drop_u: np.ndarray) -> np.nd
     when l_j' > f_j.
     """
     rows, n = digit_u.shape
-    digit_t = np.ascontiguousarray(digit_u.T)
     threshold = _thresholds(drop_u)
     out = np.empty((len(ms), rows), np.int32)
     for i, m in enumerate(ms):
         # One pack count's arrays live only in the call, so the next cut does not add to them.
-        out[i] = _cut_rising_counts(_cut(digit_t, m), threshold)
+        out[i] = _cut_rising_counts(_cut(digit_u.T, m), threshold)
     return out
 
 

@@ -46,8 +46,10 @@ __all__ = [
 #: random stream identically on every run.
 _CHUNK = 16384
 
-#: Largest pack count times chunk rows a sampler allocates state for; the
-#: kernels peak near 11 bytes a cell, so about 180 MiB.
+#: Largest pack count times chunk rows a sampler allocates state for. At the
+#: guard (m = 1024, one full chunk) the kernels peak near 9.5 bytes a cell
+#: for decks under 2^7 cards and 11.3 with int16 counts, mostly bincount's
+#: int64 pack sizes: about 150 to 180 MiB.
 MAX_CHUNK_CELLS = 2**24
 
 

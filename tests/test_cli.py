@@ -295,18 +295,30 @@ class TestVerify:
         assert "--dump-csv" in result.output
         assert dump.read_text() == "earlier contents\n"
 
-    def test_sampler_dump_is_pinned(self, runner, tmp_path):
-        # 25 cells of 20000 draws: each deck size crosses a chunk boundary
-        # and shares one draw of its uniforms among its five pack counts.
+    @pytest.mark.parametrize(
+        "args, lines, digest",
+        [
+            (["--seed", "3", "--N", "20000"], 500_001,
+             "cbbf87f705330fc73fc00fd5e8fc2fea485a208dbf68a7f1483a9b60023744a3"),
+            (["--n", "4", "--m", "20", "--N", "5000", "--seed", "4"], 300_001,
+             "e5b374b82388e6018a85dbdd50c120d84c5acc9c7bf7faf8e88520cb1cf7e9a0"),
+        ],
+        ids=["m5", "m20"],
+    )
+    def test_sampler_dump_is_pinned(self, runner, tmp_path, args, lines, digest):
+        # m5: 25 cells of 20000 draws; each deck size crosses a chunk
+        # boundary and shares one draw of its uniforms among its five pack
+        # counts. m20: 60 cells of 5000 draws, whose pack counts run past
+        # the kernels' comparison cut (_COMPARE_PACKS) onto its bincount.
         dump = tmp_path / "samples.csv"
-        args = ["verify", "--suite", "sampler", "--seed", "3", "--N", "20000"]
-        result = runner.invoke(main, [*args, "--dump-csv", str(dump)])
-        assert result.exit_code == 0
-        data = dump.read_bytes()
-        assert data.count(b"\n") == 500_001
-        assert hashlib.sha256(data).hexdigest() == (
-            "cbbf87f705330fc73fc00fd5e8fc2fea485a208dbf68a7f1483a9b60023744a3"
+        result = runner.invoke(
+            main, ["verify", "--suite", "sampler", *args, "--dump-csv", str(dump)]
         )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["ok"] is True
+        data = dump.read_bytes()
+        assert data.count(b"\n") == lines
+        assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "args, target, key, wrong, detail",

@@ -72,8 +72,19 @@ def _edge_batch(rows, n, m_low, m_high, seed=5):
 
 @pytest.mark.parametrize(
     "rows, n, m_low, m_high",
-    [(50, 1, 1, 4), (50, 9, 1, 1), (300, 3, 1, 12), (1, 6, 7, 7)],
-    ids=["n1", "all_m1", "m_max_above_n", "one_row"],
+    [
+        (50, 1, 1, 4),
+        (50, 9, 1, 1),
+        (300, 3, 1, 12),
+        (1, 6, 7, 7),
+        (50, 9, _kernels._COMPARE_PACKS, _kernels._COMPARE_PACKS),
+        (50, 9, _kernels._COMPARE_PACKS + 1, _kernels._COMPARE_PACKS + 1),
+        (300, 9, 1, _kernels._COMPARE_PACKS + 1),
+    ],
+    ids=[
+        "n1", "all_m1", "m_max_above_n", "one_row",
+        "all_m_compare", "all_m_bincount", "m_across_cut_sides",
+    ],
 )
 def test_numpy_path_matches_reference_on_edge_batches(rows, n, m_low, m_high):
     batch = _edge_batch(rows, n, m_low, m_high)
@@ -107,23 +118,30 @@ def test_chain_step_matches_reference(rows, n, extra_packs, seed, edge_uniforms)
     _assert_matches_reference(decks, pack_m, digit_u, drop_u, out)
 
 
-@pytest.mark.parametrize("n", [2**15 - 1, 2**15])
-def test_kernels_switch_count_type_at_two_to_the_fifteen(n):
-    # int16 counts and positions hold n = 2^15 - 1 cards; one card more
-    # needs int64, or the bottom pack's count wraps.
-    assert _kernels._count_type(n) is (np.int16 if n < 2**15 else np.int64)
+@pytest.mark.parametrize("n", [2**7 - 1, 2**7, 2**15 - 1, 2**15])
+def test_kernels_widen_count_type_at_two_to_the_seven_and_fifteen(n):
+    # int8 counts and positions hold n = 2^7 - 1 cards and int16 hold
+    # n = 2^15 - 1; one card more needs the next type, or the bottom pack's
+    # count wraps.
+    count_t = np.int8 if n < 2**7 else np.int16 if n < 2**15 else np.int64
+    assert _kernels._count_type(n) is count_t
     rng = np.random.default_rng(n)
-    decks = np.tile(np.arange(1, n + 1, dtype=np.int32), (2, 1))
-    pack_m = np.array([1, 3])
-    digit_u, drop_u = rng.random((2, n)), rng.random((2, n))
+    decks = np.tile(np.arange(1, n + 1, dtype=np.int32), (3, 1))
+    pack_m = np.array([1, 2, 3])
+    digit_u, drop_u = rng.random((3, n)), rng.random((3, n))
+    # Every row's first drop is from its top nonempty pack: that pack's
+    # first drop is position 0, so lead = n - 0 must hold n itself.
+    drop_u[:, 0] = 0.0
     out = _kernels.chain_step(decks, pack_m, digit_u, drop_u)
     _assert_matches_reference(decks, pack_m, digit_u, drop_u, out)
     assert out[0].tolist() == list(range(1, n + 1))
-    assert _kernels.rising_counts(out).tolist() == [1, rising_sequences(tuple(out[1].tolist()))]
-    # First and last drops reach n without overflowing the count type.
-    assert _kernels.shuffled_rising_counts([3], digit_u[1:], drop_u[1:]).tolist() == [
-        [rising_sequences(tuple(out[1].tolist()))]
-    ]
+    exact = [rising_sequences(tuple(row)) for row in out.tolist()]
+    assert _kernels.rising_counts(out).tolist() == exact
+    # First and last drops reach n without wrapping the count type.
+    ms = [1, 2, 3]
+    counts = _kernels.shuffled_rising_counts(ms, digit_u, drop_u)
+    assert np.array_equal(counts, _rising_counts_of_moved_decks(ms, digit_u, drop_u))
+    assert counts.diagonal().tolist() == exact
 
 
 def test_flat_indices_switch_to_int64_at_two_to_the_thirty_one():
@@ -158,10 +176,11 @@ def _rising_counts_of_moved_decks(ms, digit_u, drop_u):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_counts_off_the_drops_equal_counts_of_moved_decks(n):
     # Every chunk of a sampler stream that crosses a chunk boundary; m = 300
-    # takes the wide pack type, m = n + 3 leaves packs empty.
+    # takes the wide pack type, m = n + 3 leaves packs empty, and the cut
+    # compares digits up to _COMPARE_PACKS packs and counts by bincount past it.
     from riffle import sampling
 
-    ms = [1, 2, n, n + 3, 300]
+    ms = [1, 2, n, n + 3, _kernels._COMPARE_PACKS, _kernels._COMPARE_PACKS + 1, 300]
     rng = sampling.make_generator(n)
     for _, rows in sampling._chunks(sampling._CHUNK + 7, max(ms)):
         digit_u, drop_u = sampling._uniforms(rng, rows, n)

@@ -174,6 +174,23 @@ class TestSharedDraws:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 0.25 * 2**20, peaks
 
+    def test_suite_memory_at_its_defaults(self):
+        # n <= 6, m <= 5, N = 100000. With int16 counts, intp cut digits and
+        # a transposed float64 copy of the cut uniforms the suite peaked at
+        # 4.6 MiB traced; int8 digits and counts and no copy give 2.8 MiB.
+        import tracemalloc
+
+        from riffle.verify import suite_sampler
+
+        suite_sampler()
+        tracemalloc.start()
+        try:
+            assert all(verdict["ok"] for verdict in suite_sampler())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20, peak
+
     def test_dump_text_is_freed_when_the_suite_returns(self):
         # The trial column's text lives for one suite call. Cached across
         # calls, its 50021 strings stayed traced after the suite returned
