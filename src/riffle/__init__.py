@@ -29,17 +29,14 @@ from .cutoff import (
     TruncationReport,
     cutoff_report,
     cutoff_shape,
-    exact_log_scaled_class_prob,
     gaussian_row_deviation,
     hyp_check,
     lindeberg_value,
     log_moments,
-    log_scaled_class_prob_expansion,
     nearest_step,
     second_eigenvalue,
     step_gap,
     truncation_report,
-    tv_normal_approximation,
     uniform_crossing_asymptotic,
     uniform_crossing_exact,
 )
@@ -57,7 +54,6 @@ from .laws import (
     product_power,
     tail_set_gap,
     tv_to_uniform,
-    window_set_gap,
 )
 from .oracles import oracle_convolution, oracle_digit_law, oracle_shuffle_sequence
 

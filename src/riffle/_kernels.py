@@ -18,8 +18,9 @@ below 2^7 cards, int16 below 2^15 and int64 from there; flat indices are
 int32, and int64 once rows*n or m*rows reaches 2^31. Up to
 ``_COMPARE_PACKS`` packs the cut takes each card's pack digit trunc(u*m) as
 int8 and counts the cards in packs 0..j by comparing the digits with j;
-past that it counts every pack with one ``bincount`` of intp flat indices,
-which at many packs costs less than one comparison per pack. A drop
+past that it counts every pack with ``bincount`` of intp flat indices,
+which at many packs costs less than one comparison per pack, on at most
+``_BINCOUNT_CELLS`` (pack, row) cells at a time. A drop
 compares integer pack counts c with u*(n - s) for the s-th drop, and for an
 integer c, c <= x iff c <= floor(x); so all n thresholds floor(u*(n - s))
 of a step are taken at once, as integers, from the very floats the
@@ -41,6 +42,10 @@ NUMBA_ENABLED = False
 #: counts with one ``bincount`` over flat indices.
 _COMPARE_PACKS = 16
 
+#: Most (pack, row) cells one ``bincount`` of the cut counts at once: its
+#: int64 counts then take at most 2 MiB, whatever the pack count.
+_BINCOUNT_CELLS = 2**18
+
 
 def _count_type(n: int) -> type:
     """Integer type for card counts and positions of an n-card deck."""
@@ -57,24 +62,30 @@ def _cut(digit_t: np.ndarray, m) -> np.ndarray:
     n, rows = digit_t.shape
     m_max = int(np.max(m))
     count_t = _count_type(n)
+    cum = np.empty((m_max, rows), count_t)
     if m_max <= _COMPARE_PACKS:
         # u*m < m for every u < 1, so no digit needs clamping, and a row with
         # m[row] <= j counts all n cards in packs 0..j.
         digits = np.multiply(digit_t, m, out=np.empty((n, rows), np.int8), casting="unsafe")
         below = np.empty((n, rows), bool)
-        cum = np.empty((m_max, rows), count_t)
         for j in range(m_max - 1):
             np.add.reduce(np.less_equal(digits, j, out=below), axis=0, dtype=count_t, out=cum[j])
         cum[m_max - 1] = n
         return cum
-    # bincount counts intp indices; any narrower type it would copy first.
-    digits = np.multiply(digit_t, m, out=np.empty((n, rows), np.intp), casting="unsafe")
-    np.minimum(digits, m - 1, out=digits)
-    # Pack-major flat index, entry (pack j, row) at j*rows + row.
-    digits *= rows
-    digits += np.arange(rows)
-    cum = np.bincount(digits.ravel(), minlength=m_max * rows).astype(count_t)
-    cum = cum.reshape(m_max, rows)
+    # bincount's counts are int64, so it counts a slice of rows at a time.
+    width = max(1, _BINCOUNT_CELLS // m_max)
+    for lo in range(0, rows, width):
+        hi = min(lo + width, rows)
+        w = hi - lo
+        m_part = m[lo:hi] if np.ndim(m) else m
+        # bincount counts intp indices; any narrower type it would copy first.
+        digits = np.empty((n, w), np.intp)
+        np.multiply(digit_t[:, lo:hi], m_part, out=digits, casting="unsafe")
+        np.minimum(digits, m_part - 1, out=digits)
+        # Pack-major flat index, entry (pack j, row) at j*w + row - lo.
+        digits *= w
+        digits += np.arange(w)
+        cum[:, lo:hi] = np.bincount(digits.ravel(), minlength=m_max * w).reshape(m_max, w)
     for j in range(1, m_max):
         cum[j] += cum[j - 1]
     return cum

@@ -33,7 +33,7 @@ from .cutoff import (
     log_moments,
     truncation_report,
 )
-from .continuous_time import poissonized_laws
+from .continuous_time import continuous_cutoff_report, poissonized_laws
 from .laws import (
     PackDistribution,
     SizeGuardError,
@@ -276,7 +276,7 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
 def cutoff(
     n: int | None, n_grid: str | None, p_spec: str, a_n_expr: str | None, fmt: str
 ) -> None:
-    """Cutoff-parameter report, or per-n condition values over an n-grid."""
+    """Discrete- and continuous-time cutoff reports, or per-n condition values over an n-grid."""
     parsed = parse_pack_spec(p_spec)
     if (n is None) == (n_grid is None):
         raise click.UsageError("give exactly one of --n or --n-grid")
@@ -286,6 +286,7 @@ def cutoff(
             raise click.UsageError("the --n report is JSON only; --format csv needs --n-grid")
         pack = _require_fixed_pack(parsed, p_spec)
         payload = {"report": asdict(cutoff_report(pack, n))}
+        payload["continuous"] = asdict(continuous_cutoff_report(pack, n))
         if a_n_expr is not None:
             payload["truncation"] = asdict(truncation_report(pack, n, parse_a_n(a_n_expr, n)))
         _emit(payload)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -23,17 +22,14 @@ __all__ = [
     "TruncationReport",
     "cutoff_report",
     "cutoff_shape",
-    "exact_log_scaled_class_prob",
     "gaussian_row_deviation",
     "hyp_check",
     "lindeberg_value",
     "log_moments",
-    "log_scaled_class_prob_expansion",
     "nearest_step",
     "second_eigenvalue",
     "step_gap",
     "truncation_report",
-    "tv_normal_approximation",
     "uniform_crossing_asymptotic",
     "uniform_crossing_exact",
 ]
@@ -222,18 +218,6 @@ def step_gap(t: float) -> float:
     return 0.5 if t < 0.5 else t - k
 
 
-def tv_normal_approximation(n: int, m: int) -> float:
-    """Normal approximation of the TV distance of one m-shuffle.
-
-    Evaluates the cutoff shape at ``1/c`` with ``c = m * n**(-3/2)``; good to
-    O(n**(-1/4)) once c is bounded away from zero.
-    """
-    if m < 1:
-        raise ValueError(f"pack count must be >= 1, got {m}")
-    c = m * n ** (-1.5)
-    return cutoff_shape(1.0 / c)
-
-
 def uniform_crossing_exact(n: int, m: int) -> Fraction:
     """Largest class offset h = r - n/2 whose arrangements beat uniform.
 
@@ -260,43 +244,6 @@ def uniform_crossing_asymptotic(n: int, m: int) -> float:
     """First-order location of the crossing offset: ``-sqrt(n) / (24 c)``."""
     c = m * n ** (-1.5)
     return -math.sqrt(n) / (24 * c)
-
-
-def log_scaled_class_prob_expansion(n: int, m: int, h: float, a: float) -> float:
-    """Main terms of the expansion of ``log(n! * prob of class n/2 + h)``.
-
-    Valid only when ``c = m * n**(-3/2)`` stays above the caller-supplied
-    floor ``a > 0``. Only the explicit main terms are evaluated; the unknown
-    bounded-error terms are for callers to measure as empirical residuals
-    against :func:`exact_log_scaled_class_prob`, never folded in here.
-    """
-    if a <= 0:
-        raise ValueError(f"floor a must be > 0, got {a}")
-    c = m * n ** (-1.5)
-    if c <= a:
-        raise ValueError(f"c = {c} not above the floor a = {a}")
-    return (
-        (-h + 0.5) / (c * math.sqrt(n))
-        - 1.0 / (24.0 * c * c)
-        - 0.5 * (h / (c * n)) ** 2
-    )
-
-
-def exact_log_scaled_class_prob(n: int, m: int, r: int) -> float:
-    """Exact ``log(n! * per-arrangement probability of class r)`` as a float.
-
-    Computed from the exact integers through high-precision decimal logs, so
-    it serves as the oracle for the expansion above.
-    """
-    if not 1 <= r <= n:
-        raise ValueError(f"r must be in 1..{n}, got {r}")
-    num = math.factorial(n) * math.comb(n + m - r, n)
-    if num == 0:
-        raise ValueError(f"class r={r} has probability zero under m={m}")
-    ctx = getcontext().copy()
-    ctx.prec = 50
-    value = ctx.ln(Decimal(num)) - n * ctx.ln(Decimal(m))
-    return float(value)
 
 
 def gaussian_row_deviation(row: EulerianRow) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import ClassVar, Iterable, Iterator, NamedTuple
+from typing import ClassVar, Iterable, Iterator
 
 from .combinatorics import decimal_to_int, eulerian_row, int_to_decimal
 
@@ -42,7 +42,6 @@ __all__ = [
     "ProductLaw",
     "RisingSeqLaw",
     "SizeGuardError",
-    "WindowGap",
     "inverse_square_pack",
     "k_step_laws",
     "law_after_k",
@@ -54,7 +53,6 @@ __all__ = [
     "product_power",
     "tail_set_gap",
     "tv_to_uniform",
-    "window_set_gap",
 ]
 
 #: Size guard: :func:`product_laws` refuses a step of more products than this.
@@ -447,29 +445,6 @@ def tail_set_gap(n: int, m: int, r: int) -> Fraction:
     counts = eulerian_row(n).counts[r - 1 :]
     total = sum(c * (law.den - x * nfact) for c, x in zip(counts, law.nums[r - 1 :]))
     return Fraction(total, law.den * nfact)
-
-
-class WindowGap(NamedTuple):
-    gap: Fraction
-    empty: bool
-
-
-def window_set_gap(n: int, m: int, k: int) -> WindowGap:
-    """Uniform-minus-k-shuffle mass of the high-r window defined by (n, m).
-
-    The window collects classes with r in ``[n/2 - sqrt(n)/(24c) + n**(1/4), n]``
-    where ``c = m * n**(-3/2)``; the law evaluated on it is the k-shuffle law,
-    which lets callers scan the infimum over k <= m. An empty window (lower
-    bound beyond n) yields gap 0 with the ``empty`` flag set.
-    """
-    if m < 1 or k < 1:
-        raise ValueError("pack counts must be >= 1")
-    c = m * n ** (-1.5)
-    lower = n / 2 - math.sqrt(n) / (24 * c) + n**0.25
-    r_min = max(1, math.ceil(lower))
-    if r_min > n:
-        return WindowGap(Fraction(0), True)
-    return WindowGap(tail_set_gap(n, k, r_min), False)
 
 
 def law_to_json(law: ClassNumerators) -> str:

@@ -47,9 +47,10 @@ __all__ = [
 _CHUNK = 16384
 
 #: Largest pack count times chunk rows a sampler allocates state for. At the
-#: guard (m = 1024, one full chunk) the kernels peak near 9.5 bytes a cell
-#: for decks under 2^7 cards and 11.3 with int16 counts, mostly bincount's
-#: int64 pack sizes: about 150 to 180 MiB.
+#: guard (m = 1024, one full chunk) the kernels peak near 6 to 6.5 bytes a
+#: cell for decks under 2^7 cards and 8.3 to 10.3 with int16 counts, mostly
+#: per-pack state (chain_step's int32 pointers, the first and last drops of
+#: shuffled_rising_counts): about 96 to 165 MiB.
 MAX_CHUNK_CELLS = 2**24
 
 

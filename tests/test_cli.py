@@ -1,10 +1,14 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +19,7 @@ import riffle
 from riffle import laws
 from riffle.cli import (
     MAX_GRID_POINTS,
+    _plain,
     main,
     parse_a_n,
     parse_float_grid,
@@ -23,6 +28,7 @@ from riffle.cli import (
     parse_pack_spec,
 )
 from riffle.combinatorics import decimal_to_int
+from riffle.continuous_time import continuous_cutoff_report
 from riffle.cutoff import second_eigenvalue
 
 
@@ -156,6 +162,16 @@ class TestCutoff:
         payload = json.loads(result.output)
         assert "truncation" in payload
         assert float(payload["truncation"]["a_n"]) == math.log(52)
+
+    def test_continuous_section(self, runner):
+        result = runner.invoke(main, ["cutoff", "--n", "52", "--p", "2:1/2,3:1/2"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        report = continuous_cutoff_report(parse_pack_spec("2:1/2,3:1/2"), 52)
+        assert payload["continuous"] == _plain(asdict(report))
+        # Both clocks share the critical time t_n = 3 log n / (2 mu).
+        assert payload["continuous"]["t_n"] == payload["report"]["t_n"]
+        assert payload["continuous"]["single_atom"] is False
 
     def test_n_grid_rows(self, runner):
         result = runner.invoke(
@@ -736,10 +752,21 @@ def test_sampling_names_still_import_from_the_package():
     from riffle.sampling import sample_chains as direct
 
     assert sample_chains is direct
-    # A name left in the lazy list after its deletion fails here, not on import.
-    assert riffle._SAMPLING_NAMES <= set(sampling.__all__)
+    # A name left in an export list after its deletion fails here, not on import.
+    exports = {}
+    for info in pkgutil.iter_modules(riffle.__path__):
+        module = importlib.import_module(f"riffle.{info.name}")
+        if hasattr(module, "__all__"):
+            exports[info.name] = set(module.__all__)
+            assert [n for n in module.__all__ if not hasattr(module, n)] == [], info.name
+    assert riffle._SAMPLING_NAMES <= exports["sampling"]
     for name in riffle._SAMPLING_NAMES:
         assert getattr(riffle, name) is getattr(sampling, name)
+    # Every name the package re-exports is public in its own module.
+    tree = ast.parse(Path(riffle.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            assert {alias.name for alias in node.names} <= exports[node.module], node.module
     assert riffle.EmpiricalHistogram.__module__ == "riffle.sampling"
     with pytest.raises(AttributeError):
         riffle.no_such_name
@@ -779,7 +806,8 @@ def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
 
 
 # sha256 of stdout as printed when each report rendered its own JSON; one
-# encoder in the CLI must print the same bytes. No --cache, so no temporary
+# encoder in the CLI must print the same bytes. The two cutoff --n pins also
+# cover the continuous-time block next to the report. No --cache, so no temporary
 # path enters the config echo: these decks are below the disk-cache size and
 # cutoff reads no Eulerian row.
 @pytest.mark.parametrize(
@@ -787,11 +815,11 @@ def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
     [
         (
             ["cutoff", "--n", "52", "--p", "2:1"],
-            "4054ce77f84387867df6aff5bde710e3179c793b8c478c9d4995b5da67e851e4",
+            "a145ae87b9048914f7b1d6721277abce6b60d010202d0160482714793424d2b7",
         ),
         (
             ["cutoff", "--n", "52", "--p", "2:1/2,3:1/2", "--a-n", "logn"],
-            "b5788f138a3836d04b9fee1ef61d740a73ee92cbd643d9537853f46bc9b2eae6",
+            "dc5645ef8a289e71aa49c1be2b8649906489afe41b39277f87bbcba45f613731",
         ),
         (
             ["cutoff", "--n-grid", "1000:5000:1000", "--p", "invsq", "--a-n", "logn",

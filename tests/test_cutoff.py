@@ -11,17 +11,14 @@ from riffle.cli import _plain
 from riffle.cutoff import (
     cutoff_report,
     cutoff_shape,
-    exact_log_scaled_class_prob,
     gaussian_row_deviation,
     hyp_check,
     lindeberg_value,
     log_moments,
-    log_scaled_class_prob_expansion,
     nearest_step,
     second_eigenvalue,
     step_gap,
     truncation_report,
-    tv_normal_approximation,
     uniform_crossing_asymptotic,
     uniform_crossing_exact,
 )
@@ -202,25 +199,6 @@ class TestNearestStep:
         assert -0.5 <= d < 0.5
 
 
-class TestNormalApproximation:
-    def test_c_equals_one(self):
-        n = 100
-        m = round(n**1.5)
-        assert abs(tv_normal_approximation(n, m) - cutoff_shape(1.0)) < 1e-12
-
-    def test_nonincreasing_in_m(self):
-        vals = [tv_normal_approximation(64, m) for m in range(1, 4000, 37)]
-        assert all(b <= a for a, b in zip(vals, vals[1:]))
-
-    def test_nine_gsr_steps_of_52_cards(self):
-        # m = 2^9 gives 1/c = 52^(3/2)/512 ~ 0.7324.
-        assert tv_normal_approximation(52, 512) == cutoff_shape(52**1.5 / 512)
-        assert abs(52**1.5 / 512 - 0.7324) < 1e-4
-
-    def test_large_m_vanishes(self):
-        assert tv_normal_approximation(32, 10**9) < 1e-6
-
-
 class TestUniformCrossing:
     def test_small_case_direct_comparison(self):
         n, m = 6, 2
@@ -247,33 +225,6 @@ class TestUniformCrossing:
     def test_half_integer_for_odd_deck(self):
         h = uniform_crossing_exact(7, 3)
         assert h.denominator == 2
-
-
-class TestExpansion:
-    def test_floor_enforced(self):
-        with pytest.raises(ValueError):
-            log_scaled_class_prob_expansion(100, 10, 0.0, a=0.25)
-
-    def test_matches_exact_at_center(self):
-        n, m = 100, 2**11
-        approx = log_scaled_class_prob_expansion(n, m, 0.0, a=0.25)
-        exact = exact_log_scaled_class_prob(n, m, n // 2)
-        assert abs(approx - exact) < 1e-5
-
-    def test_residual_shrinks_with_n_at_fixed_c(self):
-        devs = []
-        for n in (52, 104, 208):
-            m = math.ceil(1.0 * n**1.5)
-            worst = max(
-                abs(
-                    log_scaled_class_prob_expansion(n, m, h, a=0.25)
-                    - exact_log_scaled_class_prob(n, m, n // 2 + h)
-                )
-                for h in range(-5, 6)
-            )
-            devs.append(worst)
-        assert devs[0] >= devs[1] >= devs[2]
-        assert devs[0] < 1e-3
 
 
 class TestGaussianRowDeviation:
@@ -328,4 +279,27 @@ def test_discrete_cutoff_window_profile_is_pinned(n, ks, expected):
     rep = cutoff_report(MIX23, n)
     assert [k for k in range(40) if abs(k - rep.t_n) <= 2 * rep.b_n] == list(ks)
     tvs = [float(tv_to_uniform(law)) for _, law in zip(ks, k_step_laws(n, MIX23, ks.start))]
+    assert tvs == pytest.approx(expected, abs=5e-5)
+
+
+MIX2_16 = PackDistribution.from_pairs({2: Fraction(1, 2), 16: Fraction(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "n, ks, c_k, expected",
+    [
+        (52, range(2, 6), [-1.5676, -0.4639, 0.6399, 1.7436], [0.7151, 0.3572, 0.1422, 0.0540]),
+        (200, range(3, 7), [-1.5120, -0.5588, 0.3943, 1.3475], [0.6515, 0.3677, 0.1962, 0.0841]),
+    ],
+)
+def test_sigma_branch_window_profile_is_pinned(n, ks, c_k, expected):
+    # For p = 2:1/2,16:1/2 the window is b_n = sqrt(sigma^2 log n / mu) / mu,
+    # above the 1/mu that the {2, 3} table above never leaves.
+    rep = cutoff_report(MIX2_16, n)
+    mu, sigma = log_moments(MIX2_16)
+    branch = math.sqrt(sigma**2 * math.log(n) / mu)
+    assert branch > 1 and rep.b_n == pytest.approx(branch / mu, rel=1e-12)
+    assert [k for k in range(40) if abs(k - rep.t_n) <= 2 * rep.b_n] == list(ks)
+    assert [(k - rep.t_n) / rep.b_n for k in ks] == pytest.approx(c_k, abs=5e-5)
+    tvs = [float(tv_to_uniform(law)) for _, law in zip(ks, k_step_laws(n, MIX2_16, ks.start))]
     assert tvs == pytest.approx(expected, abs=5e-5)

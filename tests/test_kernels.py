@@ -80,10 +80,11 @@ def _edge_batch(rows, n, m_low, m_high, seed=5):
         (50, 9, _kernels._COMPARE_PACKS, _kernels._COMPARE_PACKS),
         (50, 9, _kernels._COMPARE_PACKS + 1, _kernels._COMPARE_PACKS + 1),
         (300, 9, 1, _kernels._COMPARE_PACKS + 1),
+        (1000, 5, 1, 600),
     ],
     ids=[
         "n1", "all_m1", "m_max_above_n", "one_row",
-        "all_m_compare", "all_m_bincount", "m_across_cut_sides",
+        "all_m_compare", "all_m_bincount", "m_across_cut_sides", "rows_across_bincount_slices",
     ],
 )
 def test_numpy_path_matches_reference_on_edge_batches(rows, n, m_low, m_high):
@@ -91,6 +92,24 @@ def test_numpy_path_matches_reference_on_edge_batches(rows, n, m_low, m_high):
     out = _kernels.chain_step(*batch)
     assert out.dtype == np.int32 and out.flags.c_contiguous
     _assert_matches_reference(*batch, out)
+
+
+def test_bincount_cut_holds_int64_counts_for_one_slice_of_rows():
+    # Past _COMPARE_PACKS the cut counts packs with bincount, whose counts are
+    # int64; one count per (pack, row) cell at once would take m * rows * 8 bytes.
+    import tracemalloc
+
+    rows, n, m = 16384, 6, 64
+    digit_u = np.random.default_rng(3).random((rows, n))
+    tracemalloc.start()
+    try:
+        cum = _kernels._cut(digit_u.T, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cum.dtype == np.int8 and np.all(cum[-1] == n)
+    assert peak < m * rows * 8
+    assert peak < cum.nbytes + 2 * 8 * _kernels._BINCOUNT_CELLS
 
 
 @settings(deadline=None)

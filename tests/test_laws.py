@@ -26,7 +26,6 @@ from riffle.laws import (
     product_power,
     tail_set_gap,
     tv_to_uniform,
-    window_set_gap,
 )
 from riffle import laws
 from riffle.laws import (
@@ -425,35 +424,22 @@ class TestTailSetGap:
         assert tail_set_gap(4, 1, 2) == Fraction(23, 24)
 
 
-class TestWindowSetGap:
-    def test_k_equals_m_matches_direct_sum(self):
-        n, m = 10, 40
-        gap = window_set_gap(n, m, m)
-        assert not gap.empty
-        assert gap.gap >= 0
-
-    def test_empty_window_flagged(self):
-        gap = window_set_gap(2, 100, 1)
-        assert gap.empty and gap.gap == 0
-
-    def test_matches_normal_shape_at_calibrated_tolerance(self):
-        # Recorded calibration: for n = 52, m = 2^9 the window gap sits within
-        # 0.1 of the limiting shape value (observed gap ~0.035, on the scale
-        # of n^(-1/4) ~ 0.37).
-        from riffle.cutoff import cutoff_shape
-
-        n, m = 52, 2**9
-        gap = window_set_gap(n, m, m)
-        assert not gap.empty
-        c = m * n**-1.5
-        assert abs(float(gap.gap) - cutoff_shape(1 / c)) <= 0.1
-
-    def test_scan_minimized_at_k_equals_m_for_small_deck(self):
-        # Recorded behaviour for n = 6 and every m <= 20: the infimum over
-        # k <= m of the window gap is attained at k = m.
-        for m in range(1, 21):
-            gaps = {k: window_set_gap(6, m, k).gap for k in range(1, m + 1)}
-            assert min(gaps.values()) == gaps[m], f"m={m}"
+def test_end_classes_match_their_closed_forms():
+    # An M-shuffle gives class r = n the probability C(M, n)/M^n and class
+    # r = 1 C(M + n - 1, n)/M^n, so a k-step law's end classes are their means
+    # over the product pack count M_k, with no Eulerian row. From k = 26 on
+    # (27 product atoms) the moment evaluator builds the law.
+    n = 52
+    assert not laws._moments_pay(n, 26) and laws._moments_pay(n, 27)
+    nfact = math.factorial(n)
+    for k in range(41):
+        atoms = [(2**a * 3 ** (k - a), Fraction(math.comb(k, a), 2**k)) for a in range(k + 1)]
+        last = sum(w * Fraction(math.comb(m, n), m**n) for m, w in atoms)
+        first = sum(w * Fraction(math.comb(m + n - 1, n), m**n) for m, w in atoms)
+        law = law_after_k(n, MIX23, k)
+        assert (law.prob(n), law.prob(1)) == (last, first), k
+        # Separation 1 - n! min P bounds TV, and the least likely class is r = n.
+        assert tv_to_uniform(law) <= 1 - nfact * last, k
 
 
 class TestPackDistribution:
