@@ -158,15 +158,23 @@ def _next_half(prev: list[int], n: int) -> list[int]:
     ]
 
 
+def _mirror(half: list[int], n: int) -> tuple[int, ...]:
+    """Row n from its first ceil(n/2) counts; each mirrored pair shares one int."""
+    return (*half, *reversed(half[: n // 2]))
+
+
 class EulerianCache:
     """On-disk store of Eulerian rows, one row per file.
 
     File format: ``eulerian_<n>.txt``, one integer per line: n in decimal,
     then the counts for r = 1..n as ``hex()`` text, linear to convert where
     decimal is quadratic. Older decimal files still read; a decimal line past
-    ``int``'s str-digit limit reads as corrupt. Writes go through a per-writer
-    temp file and an atomic rename, so concurrent readers always see a
-    complete row and concurrent writers of one row all succeed.
+    ``int``'s str-digit limit reads as corrupt. Files are written and read one
+    line at a time, so a row's text is never held whole; a read row keeps the
+    first ceil(n/2) counts and mirrors them, one int per mirrored pair, as a
+    computed row does. Writes go through a per-writer temp file and an atomic
+    rename, so concurrent readers always see a complete row and concurrent
+    writers of one row all succeed; a failed write removes its temp file.
     """
 
     def __init__(self, directory: str | os.PathLike[str]):
@@ -176,18 +184,21 @@ class EulerianCache:
         return self.directory / f"eulerian_{n}.txt"
 
     def read(self, n: int) -> EulerianRow | None:
-        path = self.path_for(n)
         try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            lines = data.decode("ascii").split()
-            if int(lines[0]) != n or len(lines) != n + 1:
-                return None
-            return EulerianRow(n, tuple(int(s, 0) for s in lines[1:]))
-        except (ValueError, IndexError):
-            # Corrupt cache entry; caller recomputes and overwrites.
+            with self.path_for(n).open("rb") as f:
+                # next() gives b"" past the end, which int() rejects as it
+                # does a blank line.
+                if int(next(f, b"")) != n:
+                    return None
+                half = [int(next(f, b""), 0) for _ in range((n + 1) // 2)]
+                for mirror in reversed(half[: n // 2]):
+                    if int(next(f, b""), 0) != mirror:
+                        return None
+                if next(f, None) is not None:
+                    return None
+            return EulerianRow(n, _mirror(half, n))
+        except (OSError, ValueError):
+            # Missing or corrupt cache entry; caller recomputes and overwrites.
             return None
 
     def write(self, row: EulerianRow) -> None:
@@ -196,9 +207,15 @@ class EulerianCache:
         # One temp file per writing thread, so concurrent writers never rename
         # each other's file away.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        body = "\n".join([str(row.n), *map(hex, row.counts)]) + "\n"
-        tmp.write_text(body)
-        os.replace(tmp, path)
+        try:
+            with tmp.open("w", encoding="ascii") as f:
+                f.write(f"{row.n}\n")
+                for c in row.counts:
+                    f.write(f"{c:#x}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def default_cache() -> EulerianCache:
@@ -241,7 +258,7 @@ def eulerian_row(n: int, cache: EulerianCache | None = None) -> EulerianRow:
         half = list(_memo[start].counts[: (start + 1) // 2]) if start in _memo else [1]
     for k in range(start + 1, n + 1):
         half = _next_half(half, k)
-    row = EulerianRow(n, (*half, *half[n // 2 - 1 :: -1]) if n > 1 else (1,))
+    row = EulerianRow(n, _mirror(half, n))
     with _memo_lock:
         _memo[n] = row
     if n >= DISK_CACHE_MIN_N:

@@ -567,6 +567,20 @@ def test_unusable_path_exits_2_without_traceback(args, tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_failed_cache_write_exits_2_and_leaves_no_temp_file(runner, tmp_path, monkeypatch):
+    import riffle.combinatorics as comb
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(comb, "_memo", {})
+    monkeypatch.setattr(comb.os, "replace", no_space)
+    result = runner.invoke(main, ["profile", "--n", "40", "--p", "2:1", "--k", "1..2", "--cache", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.stderr.strip() == "Error: [Errno 28] No space left on device"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_undecodable_cache_file_is_recomputed(tmp_path):
     path = tmp_path / "eulerian_40.txt"
     path.write_bytes(b"\xff" + random.Random(0).randbytes(2999))

@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 from unittest import mock
@@ -262,6 +263,104 @@ class TestCache:
         assert errors == []
         assert len(results) == 8
         assert all(r == results[0] for r in results)
+
+    @pytest.mark.parametrize("n", [33, 40])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: ["%d" % (int(lines[0]) + 1), *lines[1:]],
+            lambda lines: [],
+            lambda lines: lines[:-1],
+            lambda lines: [*lines, "0x1"],
+            lambda lines: [*lines[:10], "", *lines[10:]],
+            lambda lines: [*lines, ""],
+            lambda lines: [*lines[:10], "not a number", *lines[11:]],
+        ],
+        ids=["header", "empty", "short", "long", "blank", "trailing-blank", "non-numeric"],
+    )
+    def test_malformed_file_reads_as_none(self, tmp_path, n, edit):
+        cache = EulerianCache(tmp_path)
+        cache.write(eulerian_row(n))
+        path = tmp_path / f"eulerian_{n}.txt"
+        lines = edit(path.read_text().splitlines())
+        path.write_text("".join(line + "\n" for line in lines))
+        assert cache.read(n) is None
+
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_unmirrored_second_half_is_recomputed(self, tmp_path, monkeypatch, n):
+        # Moving one unit between two second-half counts keeps the sum n! but
+        # breaks the symmetry; the reader rejects it, and eulerian_row
+        # recomputes the row and rewrites the file as hex.
+        row = eulerian_row(n)
+        counts = list(row.counts)
+        counts[n - 3] += 1
+        counts[n - 2] -= 1
+        path = tmp_path / f"eulerian_{n}.txt"
+        path.write_text("\n".join([str(n), *map(hex, counts)]) + "\n")
+        cache = EulerianCache(tmp_path)
+        assert cache.read(n) is None
+        monkeypatch.setattr(comb, "_memo", {})
+        assert eulerian_row(n, cache) == row
+        assert path.read_text().splitlines()[1:] == [hex(c) for c in row.counts]
+
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_read_row_shares_mirrored_ints(self, tmp_path, n):
+        cache = EulerianCache(tmp_path)
+        cache.write(eulerian_row(n))
+        row = cache.read(n)
+        assert row == eulerian_row(n)
+        assert all(row.counts[i] is row.counts[n - 1 - i] for i in range(n))
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        row = eulerian_row(40)
+        monkeypatch.setattr(comb.os, "replace", no_space)
+        with pytest.raises(OSError, match="No space left"):
+            EulerianCache(tmp_path).write(row)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_body_leaves_no_temp_file(self, tmp_path):
+        row = eulerian_row(40)
+
+        def counts():
+            yield from row.counts[:5]
+            raise RuntimeError("counts failed")
+
+        with pytest.raises(RuntimeError, match="counts failed"):
+            EulerianCache(tmp_path).write(mock.Mock(n=40, counts=counts()))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCacheMemory:
+    # Rows go to and from disk one line at a time: a write holds one line, a
+    # read the first ceil(n/2) counts it keeps plus one line.
+    N = 1000
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_holds_one_line(self, tmp_path):
+        row = eulerian_row(self.N)
+        cache = EulerianCache(tmp_path)
+        _, peak = self.traced_peak(lambda: cache.write(row))
+        assert peak < 0.1 * 2**20
+
+    def test_read_holds_one_int_per_mirrored_pair(self, tmp_path):
+        n = self.N
+        cache = EulerianCache(tmp_path)
+        cache.write(eulerian_row(n))
+        read, peak = self.traced_peak(lambda: cache.read(n))
+        assert read == eulerian_row(n)
+        ints = sum(map(sys.getsizeof, read.counts[: (n + 1) // 2]))
+        assert peak < 1.25 * ints
 
 
 def brute_force_row_free(n):
