@@ -182,7 +182,10 @@ def parse_a_n(expr: str, n: int) -> float:
 
 
 def _apply_cache_dir(cache_dir: str | None) -> None:
+    # Made here, so that an unusable path is an error before any work; a
+    # cache write that fails later is skipped.
     if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
         os.environ[CACHE_ENV_VAR] = cache_dir
 
 

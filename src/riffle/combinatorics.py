@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -233,7 +234,8 @@ def eulerian_row(n: int, cache: EulerianCache | None = None) -> EulerianRow:
     Rows are memoized in memory for the process lifetime. Rows with
     ``n >= DISK_CACHE_MIN_N`` are also persisted to the on-disk cache, since
     recomputation dominates runtime once n reaches the hundreds and distance
-    profiles reuse the same row across many shuffle counts.
+    profiles reuse the same row across many shuffle counts. A write that
+    fails, as on a full disk, is skipped: the row is returned all the same.
     """
     if n < 1:
         raise ValueError(f"deck size must be >= 1, got {n}")
@@ -262,7 +264,8 @@ def eulerian_row(n: int, cache: EulerianCache | None = None) -> EulerianRow:
     with _memo_lock:
         _memo[n] = row
     if n >= DISK_CACHE_MIN_N:
-        cache.write(row)
+        with suppress(OSError):
+            cache.write(row)
     return row
 
 

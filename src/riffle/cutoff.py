@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import EulerianRow
-from .laws import PackDistribution
+from .laws import PackDistribution, m_shuffle_law
 
 __all__ = [
     "CutoffReport",
@@ -221,22 +221,15 @@ def step_gap(t: float) -> float:
 def uniform_crossing_exact(n: int, m: int) -> Fraction:
     """Largest class offset h = r - n/2 whose arrangements beat uniform.
 
-    Scans r and returns the largest ``h`` with per-arrangement probability at
-    least 1/n!, as an exact (possibly half-integral) rational. The scan is a
-    single crossing because the class probability is nonincreasing in r; the
+    Counts the classes of :func:`~riffle.laws.m_shuffle_law` with
+    per-arrangement probability at least 1/n! and returns the largest ``h``
+    among them, as an exact (possibly half-integral) rational. They form a
+    prefix because the class probability is nonincreasing in r, and the
     r = 1 class always qualifies.
     """
-    if m < 1:
-        raise ValueError(f"pack count must be >= 1, got {m}")
+    law = m_shuffle_law(n, m)
     nfact = math.factorial(n)
-    mn = m**n
-    r_star = 0
-    for r in range(1, n + 1):
-        if math.comb(n + m - r, n) * nfact >= mn:
-            r_star = r
-        else:
-            break
-    assert r_star >= 1, "the r = 1 class can never fall below uniform"
+    r_star = sum(num * nfact >= law.den for num in law.nums)
     return Fraction(2 * r_star - n, 2)
 
 

@@ -166,17 +166,19 @@ def m_shuffle_law(n: int, m: int) -> RisingSeqLaw:
     return RisingSeqLaw(n, tuple(_shuffle_numerators(n, m)), m**n)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class PackDistribution:
     """Finite-support distribution of the random number of packs m.
 
     Probabilities are exact, sum to exactly 1, and the support values are
-    distinct integers >= 1.
+    distinct integers >= 1. ``atoms`` takes (m, probability) pairs in any
+    order and keeps those of positive probability, sorted by m, as a tuple.
     """
 
-    __slots__ = ("atoms",)
+    atoms: tuple[tuple[int, Fraction], ...]
 
-    def __init__(self, atoms: Iterable[tuple[int, Fraction]]):
-        pairs = sorted(((int(m), Fraction(p)) for m, p in atoms))
+    def __post_init__(self) -> None:
+        pairs = sorted(((int(m), Fraction(p)) for m, p in self.atoms))
         if not pairs:
             raise ValueError("pack distribution needs at least one atom")
         seen: set[int] = set()
@@ -192,9 +194,7 @@ class PackDistribution:
             total += p
         if total != 1:
             raise ValueError(f"pack probabilities sum to {total}, not 1")
-        self.atoms: tuple[tuple[int, Fraction], ...] = tuple(
-            (m, p) for m, p in pairs if p > 0
-        )
+        object.__setattr__(self, "atoms", tuple((m, p) for m, p in pairs if p > 0))
 
     @classmethod
     def delta(cls, m: int) -> "PackDistribution":
@@ -220,14 +220,6 @@ class PackDistribution:
     def __repr__(self) -> str:
         inner = ", ".join(f"{m}: {p}" for m, p in self.atoms)
         return f"PackDistribution({{{inner}}})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackDistribution):
-            return NotImplemented
-        return self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
 
 
 def inverse_square_pack(n: int) -> PackDistribution:

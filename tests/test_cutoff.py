@@ -217,6 +217,27 @@ class TestUniformCrossing:
                 assert above[0]
                 assert all(a or not b for a, b in zip(above, above[1:]))
 
+    def test_matches_the_closed_form_scan(self):
+        # Reference: the scan of C(n + m - r, n) * n! >= m**n that the law's
+        # numerators replaced.
+        def scan(n, m):
+            r_star = 0
+            for r in range(1, n + 1):
+                if math.comb(n + m - r, n) * math.factorial(n) < m**n:
+                    break
+                r_star = r
+            return Fraction(2 * r_star - n, 2)
+
+        for n in range(1, 31):
+            for m in range(1, 41):
+                assert uniform_crossing_exact(n, m) == scan(n, m), (n, m)
+
+    def test_rejects_an_empty_deck_or_no_packs(self):
+        with pytest.raises(ValueError, match="deck size"):
+            uniform_crossing_exact(0, 2)
+        with pytest.raises(ValueError, match="pack count"):
+            uniform_crossing_exact(5, 0)
+
     def test_large_m_crossing_near_middle(self):
         h = uniform_crossing_exact(10, 10**6)
         assert abs(float(h)) <= 1.0

@@ -442,6 +442,38 @@ def test_end_classes_match_their_closed_forms():
         assert tv_to_uniform(law) <= 1 - nfact * last, k
 
 
+@pytest.mark.parametrize(
+    ("p", "rows"),
+    [
+        (
+            PackDistribution.delta(2),
+            {5: (0.9237, 1.0), 6: (0.6135, 1.0), 7: (0.3341, 1.0), 8: (0.1672, 0.9962),
+             9: (0.0854, 0.9315), 10: (0.0429, 0.7321), 11: (0.0215, 0.4795),
+             12: (0.0108, 0.2775), 13: (0.0054, 0.1497), 14: (0.0027, 0.0778),
+             15: (0.0013, 0.0397), 16: (0.0007, 0.0200), 17: (0.0003, 0.0101)},
+        ),
+        (
+            MIX23,
+            {3: (0.9882, 1.0), 4: (0.8090, 1.0), 5: (0.4652, 0.9999), 6: (0.2202, 0.9886),
+             7: (0.0942, 0.8873), 8: (0.0399, 0.6410), 9: (0.0167, 0.3689),
+             10: (0.0069, 0.1815), 11: (0.0029, 0.0818), 12: (0.0012, 0.0353),
+             13: (0.0005, 0.0149)},
+        ),
+    ],
+    ids=["gsr", "mix23"],
+)
+def test_tv_and_separation_table_at_52_is_pinned(p, rows):
+    # The README's n = 52 columns of TV next to sep = 1 - E[prod(1 - i/M_k)],
+    # at exactly the k where either lies in [0.01, 0.99].
+    n, shown = 52, {}
+    for k, law, (weights, den) in zip(range(25), k_step_laws(n, p), product_laws(p)):
+        sep = 1 - sum(Fraction(w * math.perm(m, n), den * m**n) for m, w in weights.items())
+        tv = tv_to_uniform(law)
+        if any(Fraction(1, 100) <= x <= Fraction(99, 100) for x in (tv, sep)):
+            shown[k] = (round(float(tv), 4), round(float(sep), 4))
+    assert shown == rows
+
+
 class TestPackDistribution:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -450,6 +482,35 @@ class TestPackDistribution:
             PackDistribution([(2, Fraction(1, 2)), (2, Fraction(1, 2))])
         with pytest.raises(ValueError):
             PackDistribution.from_pairs({0: Fraction(1)})
+
+    def test_equal_and_hash_equal_whatever_the_order_or_zero_atoms(self):
+        half = Fraction(1, 2)
+        p = PackDistribution([(2, half), (3, half)])
+        for q in (
+            PackDistribution([(3, half), (2, half)]),
+            PackDistribution([(5, 0), (3, half), (1, Fraction(0)), (2, half)]),
+            PackDistribution.from_pairs({3: half, 2: half, 7: 0}),
+        ):
+            assert q == p and hash(q) == hash(p)
+            assert q.atoms == ((2, half), (3, half))
+        assert PackDistribution([(2, 1), (3, 0)]) == PackDistribution.delta(2)
+        assert p != PackDistribution.delta(2)
+        assert repr(p) == "PackDistribution({2: 1/2, 3: 1/2})"
+
+    @pytest.mark.parametrize(
+        ("atoms", "message"),
+        [
+            ([], "pack distribution needs at least one atom"),
+            ([(0, 1)], "pack count must be >= 1, got 0"),
+            ([(2, Fraction(1, 2)), (2, Fraction(1, 2))], "duplicate pack count 2"),
+            ([(2, Fraction(3, 2)), (3, Fraction(-1, 2))], "probability out of [0,1] for m=2"),
+            ([(2, Fraction(1, 2))], "pack probabilities sum to 1/2, not 1"),
+        ],
+    )
+    def test_constructor_error_messages(self, atoms, message):
+        with pytest.raises(ValueError) as info:
+            PackDistribution(atoms)
+        assert str(info.value) == message
 
     def test_inverse_square_family(self):
         p = inverse_square_pack(1000)
