@@ -9,7 +9,9 @@ top to bottom.
 
 ``chain_step`` moves the cards of (rows, n) decks. ``shuffled_rising_counts``
 runs the same cut and drops on the ordered deck but moves no card: it reads
-each row's rising-sequence count off every pack's first and last drop. All
+each row's rising-sequence count off every pack's first and last drop, one
+pack count at a time, and takes the drops as integer thresholds (below),
+which its caller may make from the drop uniforms a slice at a time. All
 kernels work card-major inside: every per-card or per-pack array is (n,
 rows) or (m, rows), so each numpy operation runs along the long row axis
 rather than the short deck axis; the (rows, n) uniforms are read through
@@ -23,11 +25,13 @@ which at many packs costs less than one comparison per pack, on at most
 ``_BINCOUNT_CELLS`` (pack, row) cells at a time. A drop
 compares integer pack counts c with u*(n - s) for the s-th drop, and for an
 integer c, c <= x iff c <= floor(x); so all n thresholds floor(u*(n - s))
-of a step are taken at once, as integers, from the very floats the
-comparison would use.
+of a step are taken as integers from the very floats the comparison would
+use.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -91,10 +95,11 @@ def _cut(digit_t: np.ndarray, m) -> np.ndarray:
     return cum
 
 
-def _thresholds(drop_u: np.ndarray) -> np.ndarray:
-    """(n, rows) threshold[s] = floor(u * cards left) for drop s."""
+def _thresholds(drop_u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(n, rows) threshold[s] = floor(u * cards left) for drop s, into ``out`` if given."""
     rows, n = drop_u.shape
-    out = np.empty((n, rows), _count_type(n))
+    if out is None:
+        out = np.empty((n, rows), _count_type(n))
     return np.multiply(drop_u.T, np.arange(n, 0, -1)[:, None], out=out, casting="unsafe")
 
 
@@ -147,21 +152,19 @@ def chain_step(
     return np.ascontiguousarray(out.T)
 
 
-def shuffled_rising_counts(ms, digit_u: np.ndarray, drop_u: np.ndarray) -> np.ndarray:
-    """(len(ms), rows) int32 rising-sequence counts of the ordered deck m-shuffled on the uniforms.
+def shuffled_rising_counts(ms, digit_u: np.ndarray, threshold: np.ndarray) -> Iterator[np.ndarray]:
+    """(rows,) int32 rising-sequence counts of the ordered deck m-shuffled, for each m in ``ms``.
 
-    No card moves: each pack keeps its first drop f and its last drop l.
-    Drop s lands at position n-1-s and a pack keeps its order, so a new
-    rising sequence starts between consecutive nonempty packs j < j' exactly
-    when l_j' > f_j.
+    ``digit_u`` is the (rows, n) cut uniforms and ``threshold`` the (n,
+    rows) :func:`_thresholds` of the drop uniforms. Each m's counts are
+    handed back before the next m is cut, so one pack count's state is live
+    at a time. No card moves: each pack keeps its first drop f and its last
+    drop l. Drop s lands at position n-1-s and a pack keeps its order, so a
+    new rising sequence starts between consecutive nonempty packs j < j'
+    exactly when l_j' > f_j.
     """
-    rows, n = digit_u.shape
-    threshold = _thresholds(drop_u)
-    out = np.empty((len(ms), rows), np.int32)
-    for i, m in enumerate(ms):
-        # One pack count's arrays live only in the call, so the next cut does not add to them.
-        out[i] = _cut_rising_counts(_cut(digit_u.T, m), threshold)
-    return out
+    for m in ms:
+        yield _cut_rising_counts(_cut(digit_u.T, m), threshold)
 
 
 def _cut_rising_counts(cum: np.ndarray, threshold: np.ndarray) -> np.ndarray:

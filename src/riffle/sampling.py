@@ -6,9 +6,13 @@ equivalence, which lives in :mod:`riffle.oracles` as part of the exact
 machinery. Disagreement between the two would localize a bug to one side.
 :func:`sample_rising_counts` runs the same cut and drops but builds no deck:
 it reads each draw's rising-sequence count off every pack's first and last
-drop. :func:`rising_count_histograms`, which the sampler suite uses, folds
-those counts into per-m class histograms chunk by chunk, so its memory does
-not grow with the sample count.
+drop. Its drop uniforms are drawn a slice at a time and turned into the
+kernel's integer thresholds as they are drawn, and the kernel hands back one
+pack count's counts at a time. :func:`rising_count_histograms`, which the
+sampler suite uses, folds each pack count's counts into its class histogram
+as they come, so its memory grows neither with the sample count nor with
+the number of pack counts: a chunk's cut uniforms, its drop thresholds and
+one pack count's state are all it holds.
 
 Streams are reproducible: the same ``(seed, split)`` pair always yields the
 same samples, via a counter-based Philox generator.
@@ -47,11 +51,17 @@ __all__ = [
 _CHUNK = 16384
 
 #: Largest pack count times chunk rows a sampler allocates state for. At the
-#: guard (m = 1024, one full chunk) the kernels peak near 6 to 6.5 bytes a
-#: cell for decks under 2^7 cards and 8.3 to 10.3 with int16 counts, mostly
-#: per-pack state (chain_step's int32 pointers, the first and last drops of
-#: shuffled_rising_counts): about 96 to 165 MiB.
+#: guard (m = 1024, one full chunk) a sampler call, kernel and its own state
+#: together, peaks near 6.1 to 7.1 bytes a cell for decks under 2^7 cards
+#: and 11.3 with int16 counts (traced): about 98 to 180 MiB, whatever other
+#: pack counts the call runs. Most of it is per-pack state (chain_step's
+#: int32 pointers, the first and last drops of shuffled_rising_counts); the
+#: (rows, n) float64 cut uniforms add 16 MiB at 127 cards.
 MAX_CHUNK_CELLS = 2**24
+
+#: Drop uniforms drawn at a time for the rising counts, in whole rows: 64
+#: KiB of float64, thresholded before the next slice is drawn.
+_DROP_CELLS = 2**13
 
 
 def make_generator(seed: int, split: int = 0) -> np.random.Generator:
@@ -62,17 +72,37 @@ def make_generator(seed: int, split: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _chunks(size: int, m_max: int) -> list[tuple[int, int]]:
-    """(first row, rows) of each chunk, once the pack state is known to fit."""
+def _chunks(size: int, m_max: int) -> range:
+    """First row of each chunk, once the pack state is known to fit.
+
+    The chunk at row lo has ``min(_CHUNK, size - lo)`` rows. The plan is a
+    ``range``, so it takes the same few bytes whatever ``size`` is.
+    """
     cells = m_max * min(size, _CHUNK)
     if cells > MAX_CHUNK_CELLS:
         raise SizeGuardError(f"pack count {m_max} needs {cells} cells, over {MAX_CHUNK_CELLS}")
-    return [(lo, min(_CHUNK, size - lo)) for lo in range(0, size, _CHUNK)]
+    return range(0, size, _CHUNK)
 
 
 def _uniforms(rng: np.random.Generator, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One step's (rows, n) uniforms: the cut's, then the drops'."""
     return rng.random((rows, n)), rng.random((rows, n))
+
+
+def _threshold_draws(rng: np.random.Generator, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of :func:`_uniforms`, the drops' as (n, rows) integer thresholds.
+
+    The drop uniforms are drawn ``_DROP_CELLS`` at a time, in whole rows, and
+    each slice is thresholded as it is drawn. Consecutive draws continue one
+    stream in C order, so the thresholds equal those of one whole draw.
+    """
+    digit_u = rng.random((rows, n))
+    threshold = np.empty((n, rows), _kernels._count_type(n))
+    step = max(1, _DROP_CELLS // n)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        _kernels._thresholds(rng.random((hi - lo, n)), out=threshold[:, lo:hi])
+    return digit_u, threshold
 
 
 def _sample(
@@ -87,7 +117,8 @@ def _sample(
     """
     chunks = _chunks(size, m_max)
     out = np.empty((size, n), np.int32)
-    for lo, rows in chunks:
+    for lo in chunks:
+        rows = min(_CHUNK, size - lo)
         decks = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
         for _ in range(k):
             pack_m = packs(rows)
@@ -108,18 +139,27 @@ def sample_m_shuffles(n: int, m: int, rng: np.random.Generator, size: int) -> np
 
 def _rising_count_chunks(
     n: int, ms: Sequence[int], rng: np.random.Generator, size: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, (len(ms), rows) int32 counts) of each chunk, drawn as it is consumed.
+) -> Iterator[tuple[int, Iterator[np.ndarray]]]:
+    """(first row, each m's (rows,) int32 counts in turn) of each chunk, drawn as it is consumed.
 
-    The arguments and the chunk size guard are checked on the call, before
+    A chunk's counts must be run to their end (first in a ``zip``) before
+    the next chunk is drawn: only then does the kernel let go of the
+    chunk's draws. The
+    arguments and the chunk size guard are checked on the call, before
     anything is drawn.
     """
     ms = [int(m) for m in ms]
     if n < 1 or not ms or min(ms) < 1:
         raise ValueError("need n >= 1 and at least one m, every m >= 1")
     chunks = _chunks(size, max(ms))
-    return ((lo, _kernels.shuffled_rising_counts(ms, *_uniforms(rng, rows, n)))
-            for lo, rows in chunks)
+
+    # A function, not a generator expression's variable, holds each chunk's
+    # draws, so they go when the kernel is done with them.
+    def draw(lo: int) -> Iterator[np.ndarray]:
+        rows = min(_CHUNK, size - lo)
+        return _kernels.shuffled_rising_counts(ms, *_threshold_draws(rng, rows, n))
+
+    return ((lo, draw(lo)) for lo in chunks)
 
 
 def sample_rising_counts(
@@ -137,27 +177,28 @@ def sample_rising_counts(
     chunks = _rising_count_chunks(n, ms, rng, size)
     out = np.empty((len(ms), size), np.int32)
     for lo, counts in chunks:
-        out[:, lo : lo + counts.shape[1]] = counts
+        for r_values, row in zip(counts, out):
+            row[lo : lo + len(r_values)] = r_values
     return out
 
 
 def rising_count_histograms(
     n: int, ms: Sequence[int], rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Class counts of :func:`sample_rising_counts`, one chunk held at a time.
+    """Class counts of :func:`sample_rising_counts`, one pack count's chunk held at a time.
 
     Entry (i, r - 1) of the (len(ms), n) int64 result is the number of the
     ``size`` m-shuffles, m = ``ms[i]``, with r rising sequences: the
     ``bincount`` of row i of ``sample_rising_counts(n, ms, rng, size)`` for
-    ``rng`` in the same state. Memory does not grow with ``size``.
+    ``rng`` in the same state. Memory does not grow with ``size`` or with
+    the number of pack counts.
     """
     chunks = _rising_count_chunks(n, ms, rng, size)
-    # Class r of row i is bin i*n + r - 1, so one bincount serves every m.
-    offsets = (np.arange(len(ms), dtype=np.intp) * n - 1)[:, None]
-    out = np.zeros(len(ms) * n, np.int64)
+    out = np.zeros((len(ms), n), np.int64)
     for _, counts in chunks:
-        out += np.bincount(np.add(counts, offsets).ravel(), minlength=len(out))
-    return out.reshape(len(ms), n)
+        for r_values, row in zip(counts, out):
+            row += np.bincount(r_values, minlength=n + 1)[1:]
+    return out
 
 
 def sample_chains(

@@ -481,6 +481,7 @@ class TestSizeGuardExit:
 
         monkeypatch.setattr(_kernels, "shuffled_rising_counts", refuse)
         monkeypatch.setattr(sampling, "_uniforms", refuse)
+        monkeypatch.setattr(sampling, "_threshold_draws", refuse)
         m = sampling.MAX_CHUNK_CELLS // sampling._CHUNK + 1
         result = runner.invoke(main, ["verify", "--suite", "sampler", "--n", "2", "--m", str(m)])
         assert result.exit_code == 3

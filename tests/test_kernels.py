@@ -158,7 +158,7 @@ def test_kernels_widen_count_type_at_two_to_the_seven_and_fifteen(n):
     assert _kernels.rising_counts(out).tolist() == exact
     # First and last drops reach n without wrapping the count type.
     ms = [1, 2, 3]
-    counts = _kernels.shuffled_rising_counts(ms, digit_u, drop_u)
+    counts = _counts_off_the_drops(ms, digit_u, drop_u)
     assert np.array_equal(counts, _rising_counts_of_moved_decks(ms, digit_u, drop_u))
     assert counts.diagonal().tolist() == exact
 
@@ -185,6 +185,13 @@ def test_sampler_chunks_match_reference_across_a_chunk_boundary():
         )
 
 
+def _counts_off_the_drops(ms, digit_u, drop_u):
+    # The kernel hands back one (rows,) int32 row per m, in the order of ms.
+    counts = list(_kernels.shuffled_rising_counts(ms, digit_u, _kernels._thresholds(drop_u)))
+    assert [(c.dtype, c.shape) for c in counts] == [(np.int32, (len(digit_u),))] * len(ms)
+    return np.array(counts)
+
+
 def _rising_counts_of_moved_decks(ms, digit_u, drop_u):
     rows, n = digit_u.shape
     identity = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
@@ -201,10 +208,10 @@ def test_counts_off_the_drops_equal_counts_of_moved_decks(n):
 
     ms = [1, 2, n, n + 3, _kernels._COMPARE_PACKS, _kernels._COMPARE_PACKS + 1, 300]
     rng = sampling.make_generator(n)
-    for _, rows in sampling._chunks(sampling._CHUNK + 7, max(ms)):
-        digit_u, drop_u = sampling._uniforms(rng, rows, n)
-        counts = _kernels.shuffled_rising_counts(ms, digit_u, drop_u)
-        assert counts.dtype == np.int32 and counts.shape == (len(ms), rows)
+    size = sampling._CHUNK + 7
+    for lo in sampling._chunks(size, max(ms)):
+        digit_u, drop_u = sampling._uniforms(rng, min(sampling._CHUNK, size - lo), n)
+        counts = _counts_off_the_drops(ms, digit_u, drop_u)
         assert np.array_equal(counts, _rising_counts_of_moved_decks(ms, digit_u, drop_u))
 
 
@@ -223,7 +230,7 @@ def test_counts_off_the_drops_match_on_any_uniforms(rows, n, ms, seed, edge_unif
         for u in (digit_u, drop_u):
             pick = rng.random(u.shape) < 1 / 3
             u[pick] = rng.choice([0.0, np.nextafter(1.0, 0.0)], int(pick.sum()))
-    counts = _kernels.shuffled_rising_counts(ms, digit_u, drop_u)
+    counts = _counts_off_the_drops(ms, digit_u, drop_u)
     assert np.array_equal(counts, _rising_counts_of_moved_decks(ms, digit_u, drop_u))
 
 

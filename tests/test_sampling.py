@@ -177,7 +177,9 @@ class TestSharedDraws:
     def test_suite_memory_at_its_defaults(self):
         # n <= 6, m <= 5, N = 100000. With int16 counts, intp cut digits and
         # a transposed float64 copy of the cut uniforms the suite peaked at
-        # 4.6 MiB traced; int8 digits and counts and no copy give 2.8 MiB.
+        # 4.6 MiB traced; int8 digits and counts and no copy gave 2.8 MiB.
+        # Drop uniforms thresholded as they are drawn, and each pack count
+        # folded as it is counted, give 1.5 MiB.
         import tracemalloc
 
         from riffle.verify import suite_sampler
@@ -189,7 +191,26 @@ class TestSharedDraws:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 2**20, peak
+        assert peak < 2.0 * 2**20, peak
+
+    def test_memory_does_not_grow_with_the_pack_counts(self):
+        # One 16384-row chunk: 64 pack counts may peak under 1 MiB above the
+        # largest of them alone. Holding every m's counts, and an int64
+        # offset copy of them, took the gap to 4.3 MiB.
+        import tracemalloc
+
+        from riffle import sampling
+
+        peaks = []
+        for ms in (range(1, 65), [64]):
+            rising_count_histograms(6, ms, make_generator(0), 100)
+            tracemalloc.start()
+            try:
+                rising_count_histograms(6, ms, make_generator(0), sampling._CHUNK)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] < 2**20, peaks
 
     def test_dump_text_is_freed_when_the_suite_returns(self):
         # The trial column's text lives for one suite call. Cached across
@@ -209,6 +230,33 @@ class TestSharedDraws:
             finally:
                 tracemalloc.stop()
         assert left < 2**20, left
+
+
+class TestChunkPlan:
+    def test_plan_is_lazy_whatever_the_sample_count(self):
+        # A list of every chunk grows with the sample count: 6.1 million
+        # tuples at 10^11 rows, built before the first draw.
+        from riffle import sampling
+
+        size = 10**15
+        plan = sampling._chunks(size, 2)
+        assert isinstance(plan, range) and len(plan) == -(-size // sampling._CHUNK)
+        assert plan[0] == 0 and plan[-1] == size - sampling._CHUNK
+        assert sampling._chunks(sampling._CHUNK + 7, 2)[-1] == sampling._CHUNK
+
+    @pytest.mark.parametrize("n", [6, 130])
+    def test_sliced_drop_thresholds_equal_one_whole_draw(self, n):
+        # Rows past a whole number of slices; n = 130 takes int16 thresholds.
+        from riffle import _kernels, sampling
+
+        rows = 3 * (sampling._DROP_CELLS // n) + 5
+        rng, whole = make_generator(n), make_generator(n)
+        digit_u, threshold = sampling._threshold_draws(rng, rows, n)
+        whole_digit_u, whole_drop_u = sampling._uniforms(whole, rows, n)
+        assert np.array_equal(digit_u, whole_digit_u)
+        assert threshold.dtype == _kernels._count_type(n) == (np.int8 if n < 128 else np.int16)
+        assert np.array_equal(threshold, _kernels._thresholds(whole_drop_u))
+        assert rng.random() == whole.random()
 
 
 class TestChunkSizeGuard:
