@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cutoff import _critical_time
 from .laws import (
@@ -128,11 +128,10 @@ def poissonized_laws(
         if mass > 1:
             # Float weights can overshoot 1 by rounding; rescale exactly so
             # the mass certificate stays valid.
-            acc = [x * mass.denominator for x in acc]
+            for i, x in enumerate(acc):
+                acc[i] = x * mass.denominator
             den, mass = den * mass.numerator, Fraction(1)
-        out.append(
-            PoissonizedLaw(n, t, float(tol), len(weights) - 1, tuple(acc), den, mass, tuple(weights))
-        )
+        out.append(PoissonizedLaw(n, t, float(tol), len(weights) - 1, acc, den, mass, tuple(weights)))
     return out
 
 
@@ -142,22 +141,26 @@ def _per_k_sums(
     """Numerators and denominator per time: each k-step law is built once and
     added into the integer accumulator of every time whose K is at least k."""
     accs = [([0] * n, 1) for _ in weight_lists]
-    steps = max(map(len, weight_lists), default=0)
-    for k, law in zip(range(steps), k_step_laws(n, p)):
+    laws = k_step_laws(n, p)
+    for k in range(max(map(len, weight_lists), default=0)):
+        law = next(laws)
         for i, weights in enumerate(weight_lists):
             if k < len(weights):
                 a, b = weights[k].as_integer_ratio()
                 acc, acc_den = accs[i]
                 den = math.lcm(acc_den, b * law.den)
                 up, scale = den // acc_den, den // (b * law.den) * a
-                accs[i] = [x * up + y * scale for x, y in zip(acc, law.nums)], den
+                for j, y in enumerate(law.nums):
+                    acc[j] = acc[j] * up + y * scale
+                accs[i] = acc, den
+        del law  # a zip would hold it while the next law is built
     return accs
 
 
 def _moment_sums(
     n: int, p: PackDistribution, weight_lists: list[list[float]]
-) -> list[tuple[list[int], int]]:
-    """Numerators and denominator per time, from the moments of p alone.
+) -> Iterator[tuple[list[int], int]]:
+    """Numerators and denominator of each time in turn, from the moments of p alone.
 
     With the weights at their exact dyadic values pi_k = c_k / B and
     E[m**(i - n)] = x[i] / d (:func:`~riffle.laws._pack_moments`), the
@@ -166,15 +169,13 @@ def _moment_sums(
     evaluated by Horner for every i.
     """
     x, d = _pack_moments(n, p)
-    out = []
     for weights in weight_lists:
         ratios = [w.as_integer_ratio() for w in weights]
         big = max(b for _, b in ratios)
         last = len(ratios) - 1
         coeffs = [a * (big // b) * d ** (last - k) for k, (a, b) in enumerate(ratios)]
         v = [reduce(lambda acc, c: acc * xi + c, reversed(coeffs)) for xi in x]
-        out.append(_moment_numerators(n, v, big * d**last))
-    return out
+        yield _moment_numerators(n, v, big * d**last)
 
 
 def poissonized_law(

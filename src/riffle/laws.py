@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from operator import mul
 from typing import ClassVar, Iterable, Iterator
 
@@ -68,6 +68,9 @@ class ClassNumerators:
 
     ``nums[i] / den`` is the probability of each arrangement with r = i + 1
     rising sequences; construction reduces it to lowest terms with one gcd.
+    A list passed as ``nums`` is taken over and reduced in place, so that the
+    numerators exist once (the caller must not use it again); any other
+    sequence is copied first and never changed. ``nums`` is kept as a tuple.
     Subclasses also give ``mass``, the exact total ``sum(count * num) / den``.
 
     Construction raises ValueError unless n >= 1, there are n numerators over
@@ -81,10 +84,14 @@ class ClassNumerators:
         n, mass = self.n, self.mass
         if n < 1:
             raise ValueError(f"deck size must be >= 1, got {n}")
-        if len(self.nums) != n or self.den < 1:
+        nums = self.nums if type(self.nums) is list else list(self.nums)
+        if len(nums) != n or self.den < 1:
             raise ValueError(f"law for n={n} needs {n} class entries over a positive den")
-        g = math.gcd(self.den, *self.nums)
-        nums, den = tuple(x // g for x in self.nums), self.den // g
+        g = math.gcd(self.den, *nums)
+        if g > 1:
+            for i, x in enumerate(nums):
+                nums[i] = x // g
+        nums, den = tuple(nums), self.den // g
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
         for r in range(2, n + 1):
@@ -132,28 +139,27 @@ class RisingSeqLaw(ClassNumerators):
         """Law from exact per-arrangement probabilities, class r = 1..n in order."""
         probs = [Fraction(q) for q in probs]
         den = math.lcm(*(q.denominator for q in probs))
-        return cls(n, tuple(q.numerator * (den // q.denominator) for q in probs), den)
+        return cls(n, [q.numerator * (den // q.denominator) for q in probs], den)
 
     def class_mass(self, r: int) -> Fraction:
         """Total probability of the class of arrangements with r rising seqs."""
         return eulerian_row(self.n).count(r) * self.prob(r)
 
 
-def _shuffle_numerators(n: int, m: int, scale: int = 1) -> list[int]:
+def _shuffle_numerators(n: int, m: int, scale: int = 1) -> Iterator[int]:
     """``scale * C(n + m - r, n)`` for r = 1..n: m-shuffle numerators over m**n.
 
     Each entry comes from the one before by the exact ratio
     ``(m - r) / (n + m - r)``, a small multiply and divide, so only the first
-    is a binomial; the entries vanish from r = m + 1 on.
+    is a binomial; the entries vanish from r = m + 1 on. They come one at a
+    time, each made as it is taken.
     """
     if n < 1:
         raise ValueError(f"deck size must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"pack count must be >= 1, got {m}")
-    out = [scale * math.comb(n + m - 1, n)]
-    for r in range(1, n):
-        out.append(out[-1] * (m - r) // (n + m - r))
-    return out
+    first = scale * math.comb(n + m - 1, n)
+    return accumulate(range(1, n), lambda x, r: x * (m - r) // (n + m - r), initial=first)
 
 
 def m_shuffle_law(n: int, m: int) -> RisingSeqLaw:
@@ -163,7 +169,7 @@ def m_shuffle_law(n: int, m: int) -> RisingSeqLaw:
     ``C(n + m - r, n) / m**n``; it vanishes for r > m. ``m`` may be a huge
     integer (compositions of many shuffles are a single ``prod(m_i)``-shuffle).
     """
-    return RisingSeqLaw(n, tuple(_shuffle_numerators(n, m)), m**n)
+    return RisingSeqLaw(n, list(_shuffle_numerators(n, m)), m**n)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -361,7 +367,7 @@ def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingS
     k = max(k, start)
     v, den = [pow(a, k) for a in x], d**k
     while True:
-        yield RisingSeqLaw(n, *_moment_numerators(n, v, den))
+        yield RisingSeqLaw(n, *_moment_numerators(n, list(v), den))  # v is kept for k + 1
         v, den = list(map(mul, v, x)), den * d
 
 
@@ -374,13 +380,14 @@ def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSe
     """Mixture sum(w / den * m_shuffle_law(n, m)) for integer weights w summing to den.
 
     The m-shuffle numerators of each atom are scaled to ``den * lcm(m)**n``
-    and added; the law's one gcd is the only reduction.
+    and added in place as they come; the law's one gcd is the only reduction.
     """
-    atoms, scale = _scaled_atoms(n, [(m, w) for m, w in weights.items() if w])
-    nums = [0] * n
-    for m, w in atoms:
-        nums = [a + c for a, c in zip(nums, _shuffle_numerators(n, m, w))]
-    return RisingSeqLaw(n, tuple(nums), den * scale)
+    ((m, w), *rest), scale = _scaled_atoms(n, [(m, w) for m, w in weights.items() if w])
+    nums = list(_shuffle_numerators(n, m, w))
+    for m, w in rest:
+        for i, c in enumerate(_shuffle_numerators(n, m, w)):
+            nums[i] += c
+    return RisingSeqLaw(n, nums, den * scale)
 
 
 def _moment_numerators(n: int, v: list[int], den: int) -> tuple[list[int], int]:
@@ -396,17 +403,22 @@ def _moment_numerators(n: int, v: list[int], den: int) -> tuple[list[int], int]:
     is the integer (-1)**d * u[n - d] / (n - d)!, and summing that
     difference table gives N(0..n-1) / n!, the chain's own numerators.
     Apart from those n + 1 exact divisions, every step adds big integers or
-    multiplies one by a small integer.
+    multiplies one by a small integer. Both tables are built in place, E_j
+    in the list v, which is taken over, so they hold n + 2 integers at most.
     """
-    u, e = [], v
+    diffs = []
     for j in range(n + 1):
-        u.append(e[0])
-        e = [b + j * a for a, b in zip(e, e[1:])]
-    diffs = [(-1) ** d * (u[n - d] // math.factorial(n - d)) for d in range(n + 1)]
+        diffs.append((-1) ** (n - j) * (v[0] // math.factorial(j)))
+        for a in range(n - j):
+            v[a] = v[a + 1] + j * v[a]
+        v.pop()
+    diffs.reverse()
     nums = []
     for _ in range(n):
         nums.append(diffs[0])
-        diffs = [a + b for a, b in zip(diffs, diffs[1:])]
+        for a in range(len(diffs) - 1):
+            diffs[a] += diffs[a + 1]
+        diffs.pop()
     return nums, den
 
 

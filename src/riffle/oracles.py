@@ -61,7 +61,7 @@ def _fold(n: int, table: Mapping[Perm, int], den: int) -> RisingSeqLaw:
     for i, (seen, count) in enumerate(zip(hits, eulerian_row(n).counts)):
         if seen and seen != count:
             raise AssertionError(f"law not constant on class r={i + 1} for n={n}")
-    return RisingSeqLaw(n, tuple(nums), den)
+    return RisingSeqLaw(n, nums, den)
 
 
 def _walk(n: int, steps: Iterable[RisingSeqLaw]) -> RisingSeqLaw:

@@ -50,13 +50,13 @@ __all__ = [
 #: random stream identically on every run.
 _CHUNK = 16384
 
-#: Largest pack count times chunk rows a sampler allocates state for. At the
-#: guard (m = 1024, one full chunk) a sampler call, kernel and its own state
-#: together, peaks near 6.1 to 7.1 bytes a cell for decks under 2^7 cards
-#: and 11.3 with int16 counts (traced): about 98 to 180 MiB, whatever other
-#: pack counts the call runs. Most of it is per-pack state (chain_step's
-#: int32 pointers, the first and last drops of shuffled_rising_counts); the
-#: (rows, n) float64 cut uniforms add 16 MiB at 127 cards.
+#: Largest max(pack count, deck size) times chunk rows a sampler allocates
+#: for. At the guard with m = 1024 (one full chunk) a sampler call, kernel and
+#: its own state together, peaks near 6.1 to 7.1 bytes a cell for decks under
+#: 2^7 cards and 11.3 with int16 counts (traced): 98 to 180 MiB, whatever other
+#: pack counts it runs, mostly per-pack state. With n = 1024 it is per-card
+#: draws: 12.0 bytes a cell (192 MiB) for rising counts, 8 of them float64 cut
+#: uniforms, and 34.1 (545 MiB) for the deck samplers (traced at n <= 512).
 MAX_CHUNK_CELLS = 2**24
 
 #: Drop uniforms drawn at a time for the rising counts, in whole rows: 64
@@ -72,15 +72,17 @@ def make_generator(seed: int, split: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _chunks(size: int, m_max: int) -> range:
-    """First row of each chunk, once the pack state is known to fit.
+def _chunks(size: int, m_max: int, n: int) -> range:
+    """First row of each chunk, once its state per pack and draws per card fit.
 
     The chunk at row lo has ``min(_CHUNK, size - lo)`` rows. The plan is a
     ``range``, so it takes the same few bytes whatever ``size`` is.
     """
-    cells = m_max * min(size, _CHUNK)
+    cells = max(m_max, n) * min(size, _CHUNK)
     if cells > MAX_CHUNK_CELLS:
-        raise SizeGuardError(f"pack count {m_max} needs {cells} cells, over {MAX_CHUNK_CELLS}")
+        raise SizeGuardError(
+            f"pack count {m_max} at deck size {n} needs {cells} cells, over {MAX_CHUNK_CELLS}"
+        )
     return range(0, size, _CHUNK)
 
 
@@ -115,7 +117,7 @@ def _sample(
     Per chunk and per step the stream layout is: whatever ``packs`` draws,
     then :func:`_uniforms`.
     """
-    chunks = _chunks(size, m_max)
+    chunks = _chunks(size, m_max, n)
     out = np.empty((size, n), np.int32)
     for lo in chunks:
         rows = min(_CHUNK, size - lo)
@@ -143,15 +145,14 @@ def _rising_count_chunks(
     """(first row, each m's (rows,) int32 counts in turn) of each chunk, drawn as it is consumed.
 
     A chunk's counts must be run to their end (first in a ``zip``) before
-    the next chunk is drawn: only then does the kernel let go of the
-    chunk's draws. The
-    arguments and the chunk size guard are checked on the call, before
-    anything is drawn.
+    the next chunk is drawn: only then does the kernel let go of the chunk's
+    draws. The arguments and the chunk size guard are checked on the call,
+    before anything is drawn.
     """
     ms = [int(m) for m in ms]
     if n < 1 or not ms or min(ms) < 1:
         raise ValueError("need n >= 1 and at least one m, every m >= 1")
-    chunks = _chunks(size, max(ms))
+    chunks = _chunks(size, max(ms), n)
 
     # A function, not a generator expression's variable, holds each chunk's
     # draws, so they go when the kernel is done with them.

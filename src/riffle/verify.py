@@ -132,8 +132,9 @@ def suite_sampler(
     """
     from .sampling import SAMPLE_CSV_HEADER, EmpiricalHistogram, chi_square_against_law
     from .sampling import make_generator, rising_count_histograms, sample_rising_counts
-    from .sampling import _trial_column, write_sample_csv
+    from .sampling import _chunks, _trial_column, write_sample_csv
 
+    _chunks(n_samples, m_max, n_max)  # the size guard, before any draw
     ms = range(1, m_max + 1)
     # Every dumped cell has n_samples rows: their trial text is built once per call.
     trials = _trial_column(n_samples) if dump is not None else ()

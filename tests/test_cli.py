@@ -487,6 +487,28 @@ class TestSizeGuardExit:
         assert result.exit_code == 3
         assert result.output.startswith("size guard: pack count") and result.output.count("\n") == 1
 
+    def test_sampler_exits_3_before_a_huge_deck_draws(self, runner, monkeypatch, tmp_path):
+        # n * 16384 cells of cut uniforms would not fit at the largest deck
+        # size: the guard fires before deck size 2 is drawn or the dump opens
+        # its header, not once the suite reaches n = 1025.
+        from riffle import _kernels, sampling
+
+        def refuse(*args):
+            raise AssertionError("the sampler ran past its size guard")
+
+        monkeypatch.setattr(_kernels, "shuffled_rising_counts", refuse)
+        monkeypatch.setattr(sampling, "_uniforms", refuse)
+        monkeypatch.setattr(sampling, "_threshold_draws", refuse)
+        dump = tmp_path / "draws.csv"
+        result = runner.invoke(
+            main, ["verify", "--suite", "sampler", "--n", "5000", "--m", "2", "--dump-csv", str(dump)]
+        )
+        assert result.exit_code == 3
+        assert result.output == (
+            "size guard: pack count 2 at deck size 5000 needs 81920000 cells, over 16777216\n"
+        )
+        assert dump.read_text() == ""
+
 
 class TestLibraryValueErrorExit:
     # Values the parsers accept but the library rejects, and click's own
@@ -648,6 +670,17 @@ def test_profile_atoms_stdout_pinned(runner, tmp_path):
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
         "6b99adde710ec8692818353d4748496f8386047a0d698575b268b2f45a468e4b"
+    )
+
+
+def test_profile_wide_stdout_pinned(runner, tmp_path):
+    # One atom per k over 600 cards, the row computed into an empty cache.
+    result = runner.invoke(
+        main, ["profile", "--n", "600", "--p", "2:1", "--k", "1..12", "--cache", str(tmp_path)]
+    )
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "a13e4c96fc0c4a20fbca68db296ad5fac1288125581541d024fa777716f10c3a"
     )
 
 

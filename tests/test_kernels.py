@@ -209,7 +209,7 @@ def test_counts_off_the_drops_equal_counts_of_moved_decks(n):
     ms = [1, 2, n, n + 3, _kernels._COMPARE_PACKS, _kernels._COMPARE_PACKS + 1, 300]
     rng = sampling.make_generator(n)
     size = sampling._CHUNK + 7
-    for lo in sampling._chunks(size, max(ms)):
+    for lo in sampling._chunks(size, max(ms), n):
         digit_u, drop_u = sampling._uniforms(rng, min(sampling._CHUNK, size - lo), n)
         counts = _counts_off_the_drops(ms, digit_u, drop_u)
         assert np.array_equal(counts, _rising_counts_of_moved_decks(ms, digit_u, drop_u))

@@ -239,10 +239,27 @@ class TestChunkPlan:
         from riffle import sampling
 
         size = 10**15
-        plan = sampling._chunks(size, 2)
+        plan = sampling._chunks(size, 2, 2)
         assert isinstance(plan, range) and len(plan) == -(-size // sampling._CHUNK)
         assert plan[0] == 0 and plan[-1] == size - sampling._CHUNK
-        assert sampling._chunks(sampling._CHUNK + 7, 2)[-1] == sampling._CHUNK
+        assert sampling._chunks(sampling._CHUNK + 7, 2, 2)[-1] == sampling._CHUNK
+
+    def test_guard_counts_the_deck_size_as_well_as_the_pack_count(self):
+        # A chunk's cut uniforms and drop thresholds are (rows, n): at n =
+        # 5000 one chunk of float64 cut uniforms alone would take 625 MiB.
+        from riffle import sampling
+        from riffle.laws import SizeGuardError
+
+        width = sampling.MAX_CHUNK_CELLS // sampling._CHUNK
+        for m, n in [(width, 2), (2, width), (width, width)]:
+            assert len(sampling._chunks(sampling._CHUNK, m, n)) == 1
+        for m, n in [(width + 1, 2), (2, width + 1)]:
+            with pytest.raises(SizeGuardError, match=f"pack count {m} at deck size {n} "):
+                sampling._chunks(sampling._CHUNK, m, n)
+        # Fewer rows than a chunk count as they are.
+        assert len(sampling._chunks(sampling._CHUNK // 2, 2, 2 * width)) == 1
+        with pytest.raises(SizeGuardError):
+            sampling._chunks(sampling._CHUNK // 2 + 1, 2, 2 * width)
 
     @pytest.mark.parametrize("n", [6, 130])
     def test_sliced_drop_thresholds_equal_one_whole_draw(self, n):
