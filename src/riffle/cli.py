@@ -26,6 +26,7 @@ import click
 from .combinatorics import CACHE_ENV_VAR, int_to_decimal
 from .cutoff import (
     _critical_time,
+    continuous_cutoff_report,
     cutoff_report,
     cutoff_shape,
     hyp_check,
@@ -33,7 +34,7 @@ from .cutoff import (
     log_moments,
     truncation_report,
 )
-from .continuous_time import continuous_cutoff_report, poissonized_laws
+from .continuous_time import poissonized_laws
 from .laws import (
     PackDistribution,
     SizeGuardError,
@@ -379,10 +380,11 @@ def poisson(
     _apply_cache_dir(cache_dir)
     pack = _require_fixed_pack(parse_pack_spec(p_spec), p_spec)
     ts = parse_float_grid(t_grid)
-    rows = [
-        {"t": t, "tv": float(law.tv_to_uniform()), "certificate": law.tol, "truncation_k": law.truncation_k}
-        for t, law in zip(ts, poissonized_laws(n, pack, ts, tol))
-    ]
+    # map holds no law past its row, as a loop variable would while the next is built.
+    rows = list(map(
+        lambda t, law: {"t": t, "tv": float(law.tv_to_uniform()), "certificate": tol, "truncation_k": law.truncation_k},
+        ts, poissonized_laws(n, pack, ts, tol),
+    ))
     _emit_rows(rows, ["t", "tv", "certificate", "truncation_k"], fmt)
 
 

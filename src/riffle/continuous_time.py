@@ -1,4 +1,4 @@
-"""Continuous-time shuffling: Poisson-clock deck laws and their parameters.
+"""Continuous-time shuffling: Poisson-clock deck laws and the unit-time pack law.
 
 The continuous chain performs p-shuffles at the arrival times of a unit-rate
 Poisson process. Its deck law at time t is the Poisson-weighted mixture of
@@ -17,16 +17,15 @@ with no k-step law built, or adds the k-step laws up one by one, as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
-from .cutoff import _critical_time
 from .laws import (
-    ClassNumerators,
     PackDistribution,
+    RisingSeqLaw,
     SizeGuardError,
     _moment_numerators,
     _moments_pay,
@@ -37,40 +36,33 @@ from .laws import (
 )
 
 __all__ = [
-    "ContinuousCutoffReport",
     "PoissonizedLaw",
     "UnitTimePackLaw",
-    "continuous_cutoff_report",
     "poissonized_law",
     "poissonized_laws",
     "unit_time_pack_law",
 ]
 
 @dataclass(frozen=True)
-class PoissonizedLaw(ClassNumerators):
+class PoissonizedLaw(RisingSeqLaw):
     """Deck law of the continuous-time chain at time t, tail-truncated.
 
-    Each float Poisson weight enters at its exact dyadic value, so the law
-    (class masses summing to ``mass``) is exact and byte-reproducible; its
-    only gap to the true time-t law is the discarded tail, below ``tol``.
-    Construction checks, in integers, the same properties as
+    The Poisson(t) mixture of k-step laws for k <= ``truncation_k``. Each
+    float Poisson weight enters at its exact dyadic value, so the law (class
+    masses summing to ``mass``) is exact and byte-reproducible; its only gap
+    to the true time-t law is the discarded tail, below the ``tol`` it was
+    built with, its certificate. Construction checks it as a
     :class:`~riffle.laws.RisingSeqLaw` with total ``mass`` in place of 1.
     """
 
-    n: int
-    t: float
-    tol: float
+    mass: Fraction = field()
     truncation_k: int
-    nums: tuple[int, ...]
-    den: int
-    mass: Fraction
-    weights: tuple[float, ...]
 
     def tv_to_uniform(self) -> Fraction:
         """Exact TV distance to uniform of the truncated law.
 
         The true time-t distance differs from it by at most the discarded
-        tail mass, hence by less than ``tol``, the law's certificate.
+        tail mass, hence by less than the ``tol`` the law was built with.
         """
         return tv_to_uniform(self)
 
@@ -98,16 +90,18 @@ def _poisson_weights(t: float, tol: Fraction) -> tuple[list[float], Fraction]:
 
 def poissonized_laws(
     n: int, p: PackDistribution, ts: Iterable[float], tol: float
-) -> list[PoissonizedLaw]:
+) -> Iterator[PoissonizedLaw]:
     """Truncated deck laws of the continuous-time p-shuffle chain at times ts.
 
-    Each time's truncation K comes from its float weights alone
-    (:func:`_poisson_weights`), before any law is built. Then one of two
-    paths gives every time's class numerators and denominator:
-    :func:`_moment_sums` when the product laws of k = 0..K hold enough atoms
-    in all for ``len(ts)`` moment evaluations to pay
-    (:func:`~riffle.laws._moments_pay`; the product laws are built only until
-    they do), and :func:`_per_k_sums` otherwise. Both give the same laws.
+    The call checks its inputs, fixes each time's truncation K from its float
+    weights alone (:func:`_poisson_weights`) and picks one of two paths for
+    the class numerators and denominators: :func:`_moment_sums` when the
+    product laws of k = 0..K hold enough atoms in all for ``len(ts)`` moment
+    evaluations to pay (:func:`~riffle.laws._moments_pay`; the product laws
+    are built only until they do), and :func:`_per_k_sums` otherwise. Both
+    give the same laws. The laws come in input order, each built as the
+    iterator reaches it and held nowhere else, so a caller that takes one
+    time at a time holds one law at a time.
     """
     ts = [float(t) for t in ts]
     if n < 1:
@@ -123,38 +117,53 @@ def poissonized_laws(
     steps = max(map(len, weight_lists), default=0)
     atoms = accumulate(len(weights) for weights, _ in islice(product_laws(p), steps))
     sums = _moment_sums if any(_moments_pay(n, a, len(ts)) for a in atoms) else _per_k_sums
-    out = []
-    for t, (weights, mass), (acc, den) in zip(ts, plans, sums(n, p, weight_lists)):
-        if mass > 1:
-            # Float weights can overshoot 1 by rounding; rescale exactly so
-            # the mass certificate stays valid.
-            for i, x in enumerate(acc):
-                acc[i] = x * mass.denominator
-            den, mass = den * mass.numerator, Fraction(1)
-        out.append(PoissonizedLaw(n, t, float(tol), len(weights) - 1, acc, den, mass, tuple(weights)))
-    return out
+    # map, unlike a generator, keeps no numerators once a law is handed out.
+    return map(partial(_truncated_law, n), plans, sums(n, p, weight_lists))
+
+
+def _truncated_law(
+    n: int, plan: tuple[list[float], Fraction], sums: tuple[list[int], int]
+) -> PoissonizedLaw:
+    """The law of one time from its weights, their exact mass and its sums."""
+    (weights, mass), (acc, den) = plan, sums
+    if mass > 1:
+        # Float weights can overshoot 1 by rounding; rescale exactly so
+        # the mass certificate stays valid.
+        for i, x in enumerate(acc):
+            acc[i] = x * mass.denominator
+        den, mass = den * mass.numerator, Fraction(1)
+    return PoissonizedLaw(n, acc, den, mass, len(weights) - 1)
 
 
 def _per_k_sums(
     n: int, p: PackDistribution, weight_lists: list[list[float]]
-) -> list[tuple[list[int], int]]:
-    """Numerators and denominator per time: each k-step law is built once and
-    added into the integer accumulator of every time whose K is at least k."""
+) -> Iterator[tuple[list[int], int]]:
+    """Numerators and denominator of each time in turn, from the k-step laws.
+
+    Each k-step law is built once and added into the integer accumulator of
+    every time not yet yielded whose K is at least k. A time is yielded as
+    soon as its last law is in, and its accumulator let go when the next
+    time is asked for.
+    """
     accs = [([0] * n, 1) for _ in weight_lists]
     laws = k_step_laws(n, p)
-    for k in range(max(map(len, weight_lists), default=0)):
-        law = next(laws)
-        for i, weights in enumerate(weight_lists):
-            if k < len(weights):
-                a, b = weights[k].as_integer_ratio()
-                acc, acc_den = accs[i]
-                den = math.lcm(acc_den, b * law.den)
-                up, scale = den // acc_den, den // (b * law.den) * a
-                for j, y in enumerate(law.nums):
-                    acc[j] = acc[j] * up + y * scale
-                accs[i] = acc, den
-        del law  # a zip would hold it while the next law is built
-    return accs
+    k = 0
+    for i, weights in enumerate(weight_lists):
+        while k < len(weights):
+            law = next(laws)
+            for j in range(i, len(weight_lists)):
+                if k < len(weight_lists[j]):
+                    a, b = weight_lists[j][k].as_integer_ratio()
+                    acc, acc_den = accs[j]
+                    den = math.lcm(acc_den, b * law.den)
+                    up, scale = den // acc_den, den // (b * law.den) * a
+                    for c, y in enumerate(law.nums):
+                        acc[c] = acc[c] * up + y * scale
+                    accs[j] = acc, den
+            del law, acc  # neither may live on while the next law is built
+            k += 1
+        yield accs[i]
+        accs[i] = None
 
 
 def _moment_sums(
@@ -182,7 +191,7 @@ def poissonized_law(
     n: int, p: PackDistribution, t: float, tol: float
 ) -> PoissonizedLaw:
     """Truncated deck law at time t: the one-time :func:`poissonized_laws`."""
-    return poissonized_laws(n, p, [t], tol)[0]
+    return next(poissonized_laws(n, p, [t], tol))
 
 
 @dataclass(frozen=True)
@@ -259,41 +268,3 @@ def unit_time_pack_law(p: PackDistribution, tol: float) -> UnitTimePackLaw:
     assert atoms[1] >= e_inv
     discarded = max(0.0, 1.0 - math.fsum(atoms.values()))
     return UnitTimePackLaw(atoms=atoms, j_truncation=j_trunc, discarded_mass=discarded)
-
-
-@dataclass(frozen=True)
-class ContinuousCutoffReport:
-    """Cutoff parameters of the continuous-time chain at one deck size.
-
-    ``criterion_value`` is ``log n / mu``; the continuous family has a cutoff
-    exactly when this diverges along the deck-size sequence, which a single n
-    cannot decide, so the value is reported for trend inspection. For a
-    single-atom pack the window also takes the ``sqrt(t_n)`` form, exposed
-    separately.
-    """
-
-    n: int
-    mu: float
-    sigma: float
-    t_n: float
-    b_n: float
-    criterion_value: float
-    single_atom: bool
-    window_sqrt_tn: float | None
-
-
-def continuous_cutoff_report(p: PackDistribution, n: int) -> ContinuousCutoffReport:
-    """Continuous-time cutoff parameters for the p-shuffle chain at size n."""
-    mu, sigma, log_n, t_n = _critical_time(p, n)
-    b_n = (1.0 / mu) * max((mu + sigma) * math.sqrt(log_n / mu), 1.0)
-    single = p.is_single_atom()
-    return ContinuousCutoffReport(
-        n=n,
-        mu=mu,
-        sigma=sigma,
-        t_n=t_n,
-        b_n=b_n,
-        criterion_value=log_n / mu,
-        single_atom=single,
-        window_sqrt_tn=math.sqrt(t_n) if single else None,
-    )

@@ -1,4 +1,5 @@
-"""Scalar cutoff machinery: critical times, windows, and condition checkers.
+"""Scalar cutoff machinery: critical times, windows and condition checkers,
+in discrete and continuous time.
 
 All logarithms are natural; the CLI converts to base 2 for display where that
 reads better. Condition checkers return plain numbers for caller-chosen deck
@@ -17,9 +18,11 @@ from .combinatorics import EulerianRow
 from .laws import PackDistribution, m_shuffle_law
 
 __all__ = [
+    "ContinuousCutoffReport",
     "CutoffReport",
     "LogMoments",
     "TruncationReport",
+    "continuous_cutoff_report",
     "cutoff_report",
     "cutoff_shape",
     "gaussian_row_deviation",
@@ -314,4 +317,42 @@ def cutoff_report(p: PackDistribution, n: int) -> CutoffReport:
         relaxation=relaxation,
         step_gap_times_mu=step_gap(t_n) * mu,
         xi=xi,
+    )
+
+
+@dataclass(frozen=True)
+class ContinuousCutoffReport:
+    """Cutoff parameters of the continuous-time chain at one deck size.
+
+    ``criterion_value`` is ``log n / mu``; the continuous family has a cutoff
+    exactly when this diverges along the deck-size sequence, which a single n
+    cannot decide, so the value is reported for trend inspection. For a
+    single-atom pack the window also takes the ``sqrt(t_n)`` form, exposed
+    separately.
+    """
+
+    n: int
+    mu: float
+    sigma: float
+    t_n: float
+    b_n: float
+    criterion_value: float
+    single_atom: bool
+    window_sqrt_tn: float | None
+
+
+def continuous_cutoff_report(p: PackDistribution, n: int) -> ContinuousCutoffReport:
+    """Continuous-time cutoff parameters for the p-shuffle chain at size n."""
+    mu, sigma, log_n, t_n = _critical_time(p, n)
+    b_n = (1.0 / mu) * max((mu + sigma) * math.sqrt(log_n / mu), 1.0)
+    single = p.is_single_atom()
+    return ContinuousCutoffReport(
+        n=n,
+        mu=mu,
+        sigma=sigma,
+        t_n=t_n,
+        b_n=b_n,
+        criterion_value=log_n / mu,
+        single_atom=single,
+        window_sqrt_tn=math.sqrt(t_n) if single else None,
     )

@@ -37,7 +37,6 @@ from typing import ClassVar, Iterable, Iterator
 from .combinatorics import decimal_to_int, eulerian_row, int_to_decimal
 
 __all__ = [
-    "ClassNumerators",
     "PackDistribution",
     "ProductLaw",
     "RisingSeqLaw",
@@ -63,22 +62,30 @@ class SizeGuardError(RuntimeError):
     """Raised when an exact computation would exceed its configured size."""
 
 
-class ClassNumerators:
-    """Base of frozen dataclasses with fields ``n``, ``nums`` and ``den``.
+@dataclass(frozen=True)
+class RisingSeqLaw:
+    """Probability law on deck arrangements, constant on rising-seq classes.
 
     ``nums[i] / den`` is the probability of each arrangement with r = i + 1
     rising sequences; construction reduces it to lowest terms with one gcd.
     A list passed as ``nums`` is taken over and reduced in place, so that the
     numerators exist once (the caller must not use it again); any other
     sequence is copied first and never changed. ``nums`` is kept as a tuple.
-    Subclasses also give ``mass``, the exact total ``sum(count * num) / den``.
+    ``mass`` is the exact total ``sum(count * num) / den``: 1 here, less for
+    a subclass that declares it as a field.
 
     Construction raises ValueError unless n >= 1, there are n numerators over
-    a positive den, the law is nonincreasing in r, lies in [0, 1] and has
-    total ``mass``, all checked in integers. The classes above uniform,
-    ``num > den // n!``, are a prefix; their sum and count are kept as
-    ``_above`` for :func:`tv_to_uniform`.
+    a positive den, the law is nonincreasing in r (as every m-shuffle law and
+    every mixture of them is), lies in [0, 1] and has total ``mass``, all
+    checked in integers. The classes above uniform, ``num > den // n!``, are
+    a prefix; their sum and count are kept as ``_above`` for
+    :func:`tv_to_uniform`.
     """
+
+    n: int
+    nums: tuple[int, ...]
+    den: int
+    mass: ClassVar[Fraction] = Fraction(1)
 
     def __post_init__(self) -> None:
         n, mass = self.n, self.mass
@@ -117,22 +124,6 @@ class ClassNumerators:
         if not 1 <= r <= self.n:
             raise ValueError(f"r must be in 1..{self.n}, got {r}")
         return Fraction(self.nums[r - 1], self.den)
-
-
-@dataclass(frozen=True)
-class RisingSeqLaw(ClassNumerators):
-    """Probability law on deck arrangements, constant on rising-seq classes.
-
-    Construction also verifies, in integers, exact normalization (sum over
-    classes of count * num equals den) and that the per-arrangement
-    probability is nonincreasing in r, which holds for every m-shuffle law
-    and every mixture of them.
-    """
-
-    n: int
-    nums: tuple[int, ...]
-    den: int
-    mass: ClassVar[Fraction] = Fraction(1)  # checked on construction
 
     @classmethod
     def from_probs(cls, n: int, probs: Iterable[Fraction]) -> "RisingSeqLaw":
@@ -422,7 +413,7 @@ def _moment_numerators(n: int, v: list[int], den: int) -> tuple[list[int], int]:
     return nums, den
 
 
-def tv_to_uniform(law: ClassNumerators) -> Fraction:
+def tv_to_uniform(law: RisingSeqLaw) -> Fraction:
     """Exact total variation distance between a class law and the uniform deck.
 
     TV is the mass the law puts above uniform less uniform's mass there, plus
@@ -451,7 +442,7 @@ def tail_set_gap(n: int, m: int, r: int) -> Fraction:
     return Fraction(total, law.den * nfact)
 
 
-def law_to_json(law: ClassNumerators) -> str:
+def law_to_json(law: RisingSeqLaw) -> str:
     """Serialize a class law with exact decimal-string fields (never floats)."""
     counts = eulerian_row(law.n).counts
     entries = [

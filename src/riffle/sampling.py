@@ -321,39 +321,27 @@ def chi_square_against_law(hist: EmpiricalHistogram, law: RisingSeqLaw) -> tuple
     N = hist.sample_count
     if N == 0:
         raise ValueError("empty histogram")
-    expected = []
-    observed = []
+    pairs: list[list] = []  # [expected, observed] per merged bin
     for r in range(1, law.n + 1):
         mass = law.class_mass(r)
-        obs = int(hist.counts[r - 1])
         if mass == 0:
-            if obs:
-                return math.inf, max(1, len(expected)), 0.0
-            continue
-        expected.append(N * float(mass))
-        observed.append(obs)
+            # The law is nonincreasing in r, so the zero-mass classes are the rest.
+            if hist.counts[r - 1 :].any():
+                return math.inf, max(1, r - 1), 0.0
+            break
+        if not pairs or pairs[-1][0] >= MIN_EXPECTED:
+            pairs.append([0.0, 0])
+        pairs[-1][0] += N * float(mass)
+        pairs[-1][1] += int(hist.counts[r - 1])
+    if len(pairs) > 1 and pairs[-1][0] < MIN_EXPECTED:
+        e, o = pairs.pop()
+        pairs[-1][0] += e
+        pairs[-1][1] += o
 
-    merged_e: list[float] = []
-    merged_o: list[int] = []
-    acc_e, acc_o = 0.0, 0
-    for e, o in zip(expected, observed):
-        acc_e += e
-        acc_o += o
-        if acc_e >= MIN_EXPECTED:
-            merged_e.append(acc_e)
-            merged_o.append(acc_o)
-            acc_e, acc_o = 0.0, 0
-    if acc_e > 0 and merged_e:
-        merged_e[-1] += acc_e
-        merged_o[-1] += acc_o
-    elif acc_e > 0:
-        merged_e.append(acc_e)
-        merged_o.append(acc_o)
-
-    dof = len(merged_e) - 1
+    dof = len(pairs) - 1
     if dof == 0:
         return 0.0, 0, 1.0
-    stat = sum((o - e) ** 2 / e for o, e in zip(merged_o, merged_e))
+    stat = sum((o - e) ** 2 / e for e, o in pairs)
     return stat, dof, chi2_sf(stat, dof)
 
 

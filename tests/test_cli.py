@@ -29,8 +29,7 @@ from riffle.cli import (
     parse_pack_spec,
 )
 from riffle.combinatorics import decimal_to_int
-from riffle.continuous_time import continuous_cutoff_report
-from riffle.cutoff import second_eigenvalue
+from riffle.cutoff import continuous_cutoff_report, second_eigenvalue
 
 
 @pytest.fixture
@@ -880,10 +879,11 @@ def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
     # The sampler suite imports the names the tracer wraps from riffle.sampling.
     spans = traced_spans("verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "2000")
     assert {"cli", "sampling.chi_square_against_law"} <= spans
-    # The tracer patches PoissonizedLaw.tv_to_uniform, which poisson calls per time.
+    # The tracer patches PoissonizedLaw.tv_to_uniform, which poisson calls per
+    # time, and a Poisson law is validated as the RisingSeqLaw it is.
     spans = traced_spans("poisson", "--n", "6", "--p", "2:1", "--t", "1:2:1",
                          "--cache", str(tmp_path / "cache"))
-    assert {"cli", "continuous_time.tv_to_uniform"} <= spans
+    assert {"cli", "continuous_time.tv_to_uniform", "laws.validate"} <= spans
 
 
 # sha256 of stdout as printed when each report rendered its own JSON; one

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -12,14 +13,14 @@ from riffle.combinatorics import eulerian_row
 from riffle.continuous_time import (
     PoissonizedLaw,
     _poisson_weights,
-    continuous_cutoff_report,
     poissonized_law,
     poissonized_laws,
     unit_time_pack_law,
 )
-from riffle.cutoff import log_moments
+from riffle.cutoff import continuous_cutoff_report, log_moments
 from riffle.laws import (
     PackDistribution,
+    RisingSeqLaw,
     k_step_laws,
     law_to_json,
     m_shuffle_law,
@@ -51,11 +52,12 @@ class TestPoissonizedLaw:
         # m**k-shuffle, so the whole law is checkable term by term.
         t, tol, n, m = 2.5, 1e-8, 5, 2
         law = poissonized_law(n, PackDistribution.delta(m), t, tol)
+        weights = _poisson_weights(t, Fraction(tol))[0]
         for r in range(1, n + 1):
             expected = sum(
                 (
                     Fraction(w) * m_shuffle_law(n, m**k).prob(r)
-                    for k, w in enumerate(law.weights)
+                    for k, w in enumerate(weights)
                 ),
                 Fraction(0),
             )
@@ -63,10 +65,10 @@ class TestPoissonizedLaw:
 
     def test_weights_follow_poisson_recursion(self):
         t = 3.25
-        law = poissonized_law(4, DELTA2, t, 1e-10)
-        assert law.weights[0] == math.exp(-t)
-        for k in range(1, len(law.weights)):
-            assert law.weights[k] == pytest.approx(law.weights[k - 1] * t / k, rel=1e-15)
+        weights = _poisson_weights(t, Fraction(1e-10))[0]
+        assert weights[0] == math.exp(-t)
+        for k in range(1, len(weights)):
+            assert weights[k] == pytest.approx(weights[k - 1] * t / k, rel=1e-15)
 
     def test_two_tolerances_agree(self):
         a = poissonized_law(8, DELTA2, 3.0, 1e-9)
@@ -118,14 +120,14 @@ class TestPoissonizedLaw:
     )
     def test_grid_equals_per_time_calls(self, ts):
         # Any order, repeated times: each entry is the one-time law.
-        laws = poissonized_laws(6, MIX23, ts, 1e-8)
+        laws = list(poissonized_laws(6, MIX23, ts, 1e-8))
         assert laws == [poissonized_law(6, MIX23, t, 1e-8) for t in ts]
 
 
 def _laws_by_path(moments, n, p, ts, tol):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(continuous_time, "_moments_pay", lambda *args: moments)
-        return poissonized_laws(n, p, ts, tol)
+        return list(poissonized_laws(n, p, ts, tol))
 
 
 class TestPoissonPaths:
@@ -208,6 +210,33 @@ class TestPoissonPaths:
         assert law.truncation_k >= 50
         assert built == [1, 2, 3, 4]
 
+    def test_per_k_path_hands_out_each_time_when_done(self, monkeypatch):
+        # Each time's law comes once its own last k-step law is added, in
+        # input order, and not after the whole grid's.
+        tol = 1e-9
+        drawn = []
+        k_step = continuous_time.k_step_laws
+
+        def counted(*args):
+            for law in k_step(*args):
+                drawn.append(law.n)
+                yield law
+
+        monkeypatch.setattr(continuous_time, "_moments_pay", lambda *args: False)
+        monkeypatch.setattr(continuous_time, "k_step_laws", counted)
+        short, long = (len(_poisson_weights(t, Fraction(tol))[0]) for t in (1.0, 4.0))
+        assert short < long
+        laws = poissonized_laws(8, MIX23, [1.0, 4.0], tol)
+        assert drawn == []
+        first = next(laws)
+        assert len(drawn) == short
+        second = next(laws)
+        assert len(drawn) == long
+        assert next(laws, None) is None
+        drawn.clear()
+        assert [first, second] == list(poissonized_laws(8, MIX23, [1.0, 4.0], tol))
+        assert len(drawn) == long
+
     @pytest.mark.parametrize(
         "n, p, ts, moments",
         [
@@ -233,8 +262,7 @@ class TestPoissonizedLawChecks:
     def _fields(self, **changes):
         law = poissonized_law(4, MIX23, 1.0, 1e-6)
         fields = dict(
-            n=law.n, t=law.t, tol=law.tol, truncation_k=law.truncation_k, nums=law.nums,
-            den=law.den, mass=law.mass, weights=law.weights,
+            n=law.n, nums=law.nums, den=law.den, mass=law.mass, truncation_k=law.truncation_k,
         )
         return {**fields, **changes}
 
@@ -254,6 +282,13 @@ class TestPoissonizedLawChecks:
     def test_wrong_mass_rejected(self):
         with pytest.raises(ValueError, match="total mass"):
             PoissonizedLaw(**self._fields(mass=Fraction(1)))
+
+    def test_is_a_class_law_with_a_mass_and_a_truncation(self):
+        law = poissonized_law(4, MIX23, 1.0, 1e-6)
+        assert isinstance(law, RisingSeqLaw)
+        assert [f.name for f in dataclasses.fields(PoissonizedLaw)] == [
+            "n", "nums", "den", "mass", "truncation_k",
+        ]
 
     def test_zero_deck_rejected(self):
         with pytest.raises(ValueError):
