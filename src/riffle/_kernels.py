@@ -7,15 +7,16 @@ cards one at a time from the bottom of a pack chosen with probability
 proportional to the current pack sizes. The new deck is the drop pile read
 top to bottom.
 
-``chain_step`` moves the cards of (rows, n) decks. ``shuffled_rising_counts``
-runs the same cut and drops on the ordered deck but moves no card: it reads
-each row's rising-sequence count off every pack's first and last drop, one
-pack count at a time, and takes the drops as integer thresholds (below),
-which its caller may make from the drop uniforms a slice at a time. All
-kernels work card-major inside: every per-card or per-pack array is (n,
-rows) or (m, rows), so each numpy operation runs along the long row axis
-rather than the short deck axis; the (rows, n) uniforms are read through
-their transposed view, never copied. Card counts and positions are int8
+``_step`` moves the cards of (rows, n) decks; ``chain_step`` is the same
+step on drop uniforms. ``shuffled_rising_counts`` runs the same cut and drops
+on the ordered deck but moves no card: it reads each row's rising-sequence
+count off every pack's first and last drop, one pack count at a time. Both
+take the drops as integer thresholds (below), which their caller may make
+from the drop uniforms a slice at a time. All kernels work card-major
+inside: every per-card or per-pack array is (n, rows) or (m, rows), so each
+numpy operation runs along the long row axis rather than the short deck
+axis; the (rows, n) uniforms are read through their transposed view, never
+copied. Card counts and positions are int8
 below 2^7 cards, int16 below 2^15 and int64 from there; flat indices are
 int32, and int64 once rows*n or m*rows reaches 2^31. Up to
 ``_COMPARE_PACKS`` packs the cut takes each card's pack digit trunc(u*m) as
@@ -125,6 +126,13 @@ def chain_step(
     ``decks`` is (rows, n) int32, ``pack_m`` the per-row pack count,
     ``digit_u``/``drop_u`` are (rows, n) uniforms for the cut and the drops.
     """
+    return _step(decks, pack_m, digit_u, _thresholds(drop_u))
+
+
+def _step(
+    decks: np.ndarray, pack_m: np.ndarray, digit_u: np.ndarray, threshold: np.ndarray
+) -> np.ndarray:
+    """:func:`chain_step` with the drops as the (n, rows) :func:`_thresholds` of their uniforms."""
     rows, n = decks.shape
     # cum is updated in place as cards drop, never recomputed.
     cum = _cut(digit_u.T, pack_m)
@@ -135,7 +143,6 @@ def chain_step(
     ptr = cum.astype(index_t)
     ptr += row_idx * n - 1
     ptr = ptr.ravel()
-    threshold = _thresholds(drop_u)
     flat = decks.ravel()
     packs = np.arange(m_max, dtype=index_t)[:, None]
     mask = np.empty((m_max, rows), bool)

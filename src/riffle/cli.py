@@ -190,10 +190,9 @@ def _apply_cache_dir(cache_dir: str | None) -> None:
         os.environ[CACHE_ENV_VAR] = cache_dir
 
 
-def _require_fixed_pack(parsed, spec: str) -> PackDistribution:
-    if callable(parsed):
-        raise click.UsageError(f"pack family {spec!r} needs --n-grid")
-    return parsed
+def _pack_at(parsed, n: int) -> PackDistribution:
+    """The pack law at deck size n: a parsed law as it is, a family evaluated at n."""
+    return parsed(n) if callable(parsed) else parsed
 
 
 @contextmanager
@@ -239,7 +238,7 @@ def main(ctx: click.Context) -> None:
 
 @main.command()
 @click.option("--n", type=int, required=True, help="Deck size.")
-@click.option("--p", "p_spec", required=True, help="Pack distribution, m:prob[,m:prob...].")
+@click.option("--p", "p_spec", required=True, help="Pack distribution, m:prob[,m:prob...], or 'invsq'.")
 @click.option("--k", "k_range", required=True, help="Shuffle counts, a..b.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--cache", "cache_dir", default=None, help="Eulerian cache directory.")
@@ -252,7 +251,7 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
     with n (0.058, 0.097, 0.110 at n = 52, 200, 600 for p = 2:1/2,3:1/2).
     """
     _apply_cache_dir(cache_dir)
-    pack = _require_fixed_pack(parse_pack_spec(p_spec), p_spec)
+    pack = _pack_at(parse_pack_spec(p_spec), n)
     ks = parse_k_range(k_range)
     mu, _ = log_moments(pack)
     rows = []
@@ -287,7 +286,7 @@ def cutoff(
     if n is not None:
         if fmt == "csv":
             raise click.UsageError("the --n report is JSON only; --format csv needs --n-grid")
-        pack = _require_fixed_pack(parsed, p_spec)
+        pack = _pack_at(parsed, n)
         payload = {"report": asdict(cutoff_report(pack, n))}
         payload["continuous"] = asdict(continuous_cutoff_report(pack, n))
         if a_n_expr is not None:
@@ -297,7 +296,7 @@ def cutoff(
 
     rows = []
     for size in parse_int_grid(n_grid):
-        pack = parsed(size) if callable(parsed) else parsed
+        pack = _pack_at(parsed, size)
         mu, sigma, _, t_n = _critical_time(pack, size)
         row = {
             "n": size,
@@ -368,7 +367,7 @@ def verify(
 
 @main.command()
 @click.option("--n", type=int, required=True, help="Deck size.")
-@click.option("--p", "p_spec", required=True, help="Pack distribution, m:prob[,m:prob...].")
+@click.option("--p", "p_spec", required=True, help="Pack distribution, m:prob[,m:prob...], or 'invsq'.")
 @click.option("--t", "t_grid", required=True, help="Times, a:b:step.")
 @click.option("--tol", type=float, default=1e-9, help="Poisson tail tolerance.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
@@ -378,7 +377,7 @@ def poisson(
 ) -> None:
     """TV distance of the continuous-time chain on a time grid."""
     _apply_cache_dir(cache_dir)
-    pack = _require_fixed_pack(parse_pack_spec(p_spec), p_spec)
+    pack = _pack_at(parse_pack_spec(p_spec), n)
     ts = parse_float_grid(t_grid)
     # map holds no law past its row, as a loop variable would while the next is built.
     rows = list(map(

@@ -125,12 +125,12 @@ class RisingSeqLaw:
             raise ValueError(f"r must be in 1..{self.n}, got {r}")
         return Fraction(self.nums[r - 1], self.den)
 
-    @classmethod
-    def from_probs(cls, n: int, probs: Iterable[Fraction]) -> "RisingSeqLaw":
-        """Law from exact per-arrangement probabilities, class r = 1..n in order."""
+    @staticmethod
+    def from_probs(n: int, probs: Iterable[Fraction]) -> "RisingSeqLaw":
+        """Law of total mass 1 from exact per-arrangement probabilities, class r = 1..n in order."""
         probs = [Fraction(q) for q in probs]
         den = math.lcm(*(q.denominator for q in probs))
-        return cls(n, [q.numerator * (den // q.denominator) for q in probs], den)
+        return RisingSeqLaw(n, [q.numerator * (den // q.denominator) for q in probs], den)
 
     def class_mass(self, r: int) -> Fraction:
         """Total probability of the class of arrangements with r rising seqs."""
@@ -227,9 +227,9 @@ def inverse_square_pack(n: int) -> PackDistribution:
     variance, which makes it the standard stress case for the condition
     checkers in :mod:`riffle.cutoff`.
     """
-    top = int(math.floor(math.log(n)))
-    if top < 1:
+    if n < 3:
         raise ValueError(f"deck size {n} too small for this family")
+    top = int(math.floor(math.log(n)))
     weights = {_floor_exp(i): Fraction(1, i * i) for i in range(1, top + 1)}
     norm = sum(weights.values())
     return PackDistribution([(m, w / norm) for m, w in weights.items()])
@@ -458,17 +458,43 @@ def law_to_json(law: RisingSeqLaw) -> str:
 
 
 def law_from_json(text: str) -> RisingSeqLaw:
-    """Parse :func:`law_to_json` text: n a JSON integer >= 1, each class r = 1..n exactly once."""
+    """Parse :func:`law_to_json` text; a malformed document raises ValueError.
+
+    The document is an object: n a JSON integer >= 1, and a list of entries
+    holding each class r = 1..n exactly once, each with decimal digit strings
+    for ``count`` (the class's Eulerian count), ``prob_num`` and a positive
+    ``prob_den``.
+    """
     data = json.loads(text)
-    n = data["n"]
+    n = data.get("n") if isinstance(data, dict) else None
     if type(n) is not int or n < 1:
         raise ValueError(f"law needs a deck size n that is a JSON integer >= 1, got n={n!r}")
-    probs: dict[int, Fraction] = {}
-    for entry in data["entries"]:
-        r = entry["r"]
-        if type(r) is not int or not 1 <= r <= n or r in probs:
+    entries = data.get("entries")
+    if not isinstance(entries, list):
+        raise ValueError(f"law for n={n} needs a list of entries, got {entries!r}")
+    fields: dict[int, tuple[int, int, int]] = {}
+    for entry in entries:
+        r = entry.get("r") if isinstance(entry, dict) else None
+        if type(r) is not int or not 1 <= r <= n or r in fields:
             raise ValueError(f"law for n={n} has a bad or repeated class r={r!r}")
-        probs[r] = Fraction(decimal_to_int(entry["prob_num"]), decimal_to_int(entry["prob_den"]))
-    if len(probs) != n:
+        fields[r] = tuple(_decimal_field(entry, key, r) for key in ("count", "prob_num", "prob_den"))
+    if len(fields) != n:
         raise ValueError(f"law for n={n} needs an entry for each class r = 1..{n}")
-    return RisingSeqLaw.from_probs(n, [probs[r] for r in range(1, n + 1)])
+    probs = []
+    for r, count in enumerate(eulerian_row(n).counts, 1):
+        written, num, den = fields[r]
+        if written != count:
+            raise ValueError(f"class r={r} of n={n} has count {written}, not {count}")
+        if den < 1:
+            raise ValueError(f"class r={r} needs a positive prob_den, got {den}")
+        probs.append(Fraction(num, den))
+    return RisingSeqLaw.from_probs(n, probs)
+
+
+def _decimal_field(entry: dict, key: str, r: int) -> int:
+    """The decimal-string field ``key`` of class r's entry, plain digits, as an int."""
+    text = entry.get(key)
+    # int() alone would also take " +16", "1_6" and a JSON number.
+    if type(text) is not str or not (text.isascii() and text.isdigit()):
+        raise ValueError(f"class r={r} needs {key} as a decimal string, got {text!r}")
+    return decimal_to_int(text)

@@ -4,15 +4,15 @@ The sampler implements the cut-and-drop process literally (multinomial cut,
 then drops proportional to current pack sizes) rather than the digit-word
 equivalence, which lives in :mod:`riffle.oracles` as part of the exact
 machinery. Disagreement between the two would localize a bug to one side.
+Every sampler draws a step through :func:`_threshold_draws`, which turns the
+drop uniforms into the kernels' integer thresholds a slice at a time.
 :func:`sample_rising_counts` runs the same cut and drops but builds no deck:
 it reads each draw's rising-sequence count off every pack's first and last
-drop. Its drop uniforms are drawn a slice at a time and turned into the
-kernel's integer thresholds as they are drawn, and the kernel hands back one
-pack count's counts at a time. :func:`rising_count_histograms`, which the
+drop, one pack count at a time. :func:`rising_count_histograms`, which the
 sampler suite uses, folds each pack count's counts into its class histogram
-as they come, so its memory grows neither with the sample count nor with
-the number of pack counts: a chunk's cut uniforms, its drop thresholds and
-one pack count's state are all it holds.
+as they come, so its memory grows neither with the sample count nor with the
+number of pack counts: a chunk's cut uniforms, its drop thresholds and one
+pack count's state are all it holds.
 
 Streams are reproducible: the same ``(seed, split)`` pair always yields the
 same samples, via a counter-based Philox generator.
@@ -56,10 +56,10 @@ _CHUNK = 16384
 #: 2^7 cards and 11.3 with int16 counts (traced): 98 to 180 MiB, whatever other
 #: pack counts it runs, mostly per-pack state. With n = 1024 it is per-card
 #: draws: 12.0 bytes a cell (192 MiB) for rising counts, 8 of them float64 cut
-#: uniforms, and 34.1 (545 MiB) for the deck samplers (traced at n <= 512).
+#: uniforms, and 26.1 (417 MiB) for the deck samplers (traced at n <= 512).
 MAX_CHUNK_CELLS = 2**24
 
-#: Drop uniforms drawn at a time for the rising counts, in whole rows: 64
+#: Drop uniforms drawn at a time by every sampler, in whole rows: 64
 #: KiB of float64, thresholded before the next slice is drawn.
 _DROP_CELLS = 2**13
 
@@ -86,13 +86,8 @@ def _chunks(size: int, m_max: int, n: int) -> range:
     return range(0, size, _CHUNK)
 
 
-def _uniforms(rng: np.random.Generator, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One step's (rows, n) uniforms: the cut's, then the drops'."""
-    return rng.random((rows, n)), rng.random((rows, n))
-
-
 def _threshold_draws(rng: np.random.Generator, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of :func:`_uniforms`, the drops' as (n, rows) integer thresholds.
+    """One step's draws: (rows, n) cut uniforms, then the drops' as (n, rows) thresholds.
 
     The drop uniforms are drawn ``_DROP_CELLS`` at a time, in whole rows, and
     each slice is thresholded as it is drawn. Consecutive draws continue one
@@ -115,7 +110,7 @@ def _sample(
 
     ``packs(rows)`` gives one step's pack count, at most ``m_max``, per row.
     Per chunk and per step the stream layout is: whatever ``packs`` draws,
-    then :func:`_uniforms`.
+    then :func:`_threshold_draws`.
     """
     chunks = _chunks(size, m_max, n)
     out = np.empty((size, n), np.int32)
@@ -124,7 +119,7 @@ def _sample(
         decks = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
         for _ in range(k):
             pack_m = packs(rows)
-            decks = _kernels.chain_step(decks, pack_m, *_uniforms(rng, rows, n))
+            decks = _kernels._step(decks, pack_m, *_threshold_draws(rng, rows, n))
         out[lo : lo + rows] = decks
     return out
 
@@ -141,26 +136,23 @@ def sample_m_shuffles(n: int, m: int, rng: np.random.Generator, size: int) -> np
 
 def _rising_count_chunks(
     n: int, ms: Sequence[int], rng: np.random.Generator, size: int
-) -> Iterator[tuple[int, Iterator[np.ndarray]]]:
-    """(first row, each m's (rows,) int32 counts in turn) of each chunk, drawn as it is consumed.
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(first row, index into ms, (rows,) int32 counts), chunk by chunk and m by m.
 
-    A chunk's counts must be run to their end (first in a ``zip``) before
-    the next chunk is drawn: only then does the kernel let go of the chunk's
-    draws. The arguments and the chunk size guard are checked on the call,
-    before anything is drawn.
+    The arguments and the chunk size guard are checked on the call, before
+    anything is drawn. A chunk is drawn when its first count is asked for,
+    into the kernel's generator, which drops it after its last count.
     """
     ms = [int(m) for m in ms]
     if n < 1 or not ms or min(ms) < 1:
         raise ValueError("need n >= 1 and at least one m, every m >= 1")
-    chunks = _chunks(size, max(ms), n)
-
-    # A function, not a generator expression's variable, holds each chunk's
-    # draws, so they go when the kernel is done with them.
-    def draw(lo: int) -> Iterator[np.ndarray]:
-        rows = min(_CHUNK, size - lo)
-        return _kernels.shuffled_rising_counts(ms, *_threshold_draws(rng, rows, n))
-
-    return ((lo, draw(lo)) for lo in chunks)
+    return (
+        (lo, i, r_values)
+        for lo in _chunks(size, max(ms), n)
+        for i, r_values in enumerate(
+            _kernels.shuffled_rising_counts(ms, *_threshold_draws(rng, min(_CHUNK, size - lo), n))
+        )
+    )
 
 
 def sample_rising_counts(
@@ -175,11 +167,10 @@ def sample_rising_counts(
     :func:`riffle._kernels.shuffled_rising_counts` runs the same cut and
     drops and reads the counts off each pack's first and last drop.
     """
-    chunks = _rising_count_chunks(n, ms, rng, size)
+    stream = _rising_count_chunks(n, ms, rng, size)
     out = np.empty((len(ms), size), np.int32)
-    for lo, counts in chunks:
-        for r_values, row in zip(counts, out):
-            row[lo : lo + len(r_values)] = r_values
+    for lo, i, r_values in stream:
+        out[i, lo : lo + len(r_values)] = r_values
     return out
 
 
@@ -194,11 +185,10 @@ def rising_count_histograms(
     ``rng`` in the same state. Memory does not grow with ``size`` or with
     the number of pack counts.
     """
-    chunks = _rising_count_chunks(n, ms, rng, size)
+    stream = _rising_count_chunks(n, ms, rng, size)
     out = np.zeros((len(ms), n), np.int64)
-    for _, counts in chunks:
-        for r_values, row in zip(counts, out):
-            row += np.bincount(r_values, minlength=n + 1)[1:]
+    for _, i, r_values in stream:
+        out[i] += np.bincount(r_values, minlength=n + 1)[1:]
     return out
 
 

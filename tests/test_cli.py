@@ -191,6 +191,26 @@ class TestCutoff:
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["profile", "--n", "52", "--k", "2..8"],
+            ["poisson", "--n", "52", "--t", "2:6:2"],
+            ["cutoff", "--n", "52", "--a-n", "logn"],
+        ],
+        ids=["profile", "poisson", "cutoff"],
+    )
+    def test_invsq_family_at_one_deck_size(self, runner, args):
+        # The family is evaluated at --n, as the grid evaluates it at each n:
+        # at n = 52 it is m = 2, 7, 20 with weights 1, 1/4, 1/9, normalized.
+        family = runner.invoke(main, [*args, "--p", "invsq"])
+        spelled = runner.invoke(main, [*args, "--p", "2:36/49,7:9/49,20:4/49"])
+        assert family.exit_code == spelled.exit_code == 0
+        assert family.output.replace('"invsq"', '"2:36/49,7:9/49,20:4/49"') == spelled.output
+        if args[0] == "profile":
+            tvs = [round(float(line.split(",")[2]), 4) for line in family.output.splitlines()[1:]]
+            assert tvs == [0.9041, 0.7224, 0.4961, 0.2957, 0.1544, 0.0659, 0.0271]
+
     def test_single_atom_lindeberg_is_empty(self, runner):
         # Undefined for one atom: null in JSON, an empty cell in CSV.
         args = ["cutoff", "--n-grid", "10:20:10", "--p", "2:1"]
@@ -479,7 +499,6 @@ class TestSizeGuardExit:
             raise AssertionError("the sampler ran past its size guard")
 
         monkeypatch.setattr(_kernels, "shuffled_rising_counts", refuse)
-        monkeypatch.setattr(sampling, "_uniforms", refuse)
         monkeypatch.setattr(sampling, "_threshold_draws", refuse)
         m = sampling.MAX_CHUNK_CELLS // sampling._CHUNK + 1
         result = runner.invoke(main, ["verify", "--suite", "sampler", "--n", "2", "--m", str(m)])
@@ -496,7 +515,6 @@ class TestSizeGuardExit:
             raise AssertionError("the sampler ran past its size guard")
 
         monkeypatch.setattr(_kernels, "shuffled_rising_counts", refuse)
-        monkeypatch.setattr(sampling, "_uniforms", refuse)
         monkeypatch.setattr(sampling, "_threshold_draws", refuse)
         dump = tmp_path / "draws.csv"
         result = runner.invoke(
@@ -519,6 +537,7 @@ class TestLibraryValueErrorExit:
             (["profile", "--n", "0", "--p", "2:1", "--k", "1..2"], "deck size must be >= 1, got 0"),
             (["poisson", "--n", "0", "--p", "2:1", "--t", "1:2:1"], "deck size must be >= 1, got 0"),
             (["cutoff", "--n-grid", "1:3:1", "--p", "invsq"], "deck size 1 too small"),
+            (["profile", "--n", "2", "--p", "invsq", "--k", "1..2"], "deck size 2 too small"),
             (
                 ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "100", "--seed", "-1"],
                 "seed and split must be nonnegative",
@@ -539,7 +558,7 @@ class TestLibraryValueErrorExit:
             (["cutoff", "--n", "52", "--p", "2:1", "--cache", "cache"], "Error: No such option '--cache'"),
         ],
         ids=[
-            "profile", "poisson", "cutoff", "verify", "cutoff-n0", "cutoff-n1",
+            "profile", "poisson", "cutoff", "profile-invsq", "verify", "cutoff-n0", "cutoff-n1",
             "click-range", "click-type", "click-pack-spec", "click-missing", "click-command",
             "click-group-option", "cutoff-grid-n0", "cutoff-cache",
         ],

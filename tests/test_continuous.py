@@ -294,6 +294,12 @@ class TestPoissonizedLawChecks:
         with pytest.raises(ValueError):
             poissonized_laws(0, MIX23, [1.0], 1e-6)
 
+    def test_from_probs_through_the_subclass_builds_a_class_law(self):
+        # Built as cls(n, nums, den), it missed the subclass's mass and truncation_k.
+        probs = [Fraction(1, 2), Fraction(1, 2)]
+        law = PoissonizedLaw.from_probs(2, probs)
+        assert type(law) is RisingSeqLaw and law == RisingSeqLaw.from_probs(2, probs)
+
     @pytest.mark.parametrize(
         "changes, message",
         [

@@ -210,7 +210,8 @@ def test_counts_off_the_drops_equal_counts_of_moved_decks(n):
     rng = sampling.make_generator(n)
     size = sampling._CHUNK + 7
     for lo in sampling._chunks(size, max(ms), n):
-        digit_u, drop_u = sampling._uniforms(rng, min(sampling._CHUNK, size - lo), n)
+        rows = min(sampling._CHUNK, size - lo)
+        digit_u, drop_u = rng.random((rows, n)), rng.random((rows, n))
         counts = _counts_off_the_drops(ms, digit_u, drop_u)
         assert np.array_equal(counts, _rising_counts_of_moved_decks(ms, digit_u, drop_u))
 

@@ -596,21 +596,43 @@ class TestJsonExport:
         "edit, message",
         [
             # As a list index, r = 0 would write class n, here with its own value.
-            (lambda entries: entries[-1].update(r=0), "bad or repeated class r=0"),
+            (lambda data: data["entries"][-1].update(r=0), "bad or repeated class r=0"),
             # A repeated class with its own value would pass the mass check.
-            (lambda entries: entries.append(dict(entries[-1])), "bad or repeated class r=5"),
-            (lambda entries: entries[-1].update(r=6), "bad or repeated class r=6"),
+            (lambda data: data["entries"].append(dict(data["entries"][-1])), "bad or repeated class r=5"),
+            (lambda data: data["entries"][-1].update(r=6), "bad or repeated class r=6"),
             # As a list index, r = -2 would move class 1 to class 3 ("increases").
-            (lambda entries: entries[0].update(r=-2), "bad or repeated class r=-2"),
-            (lambda entries: entries.pop(), "needs an entry for each class"),
+            (lambda data: data["entries"][0].update(r=-2), "bad or repeated class r=-2"),
+            (lambda data: data["entries"].pop(), "needs an entry for each class"),
+            # Each of these once escaped as ZeroDivisionError, KeyError or TypeError.
+            (lambda data: data["entries"][0].update(prob_den="0"), "positive prob_den, got 0"),
+            (lambda data: data["entries"][0].pop("r"), "bad or repeated class r=None"),
+            (lambda data: data["entries"][0].pop("prob_num"), "needs prob_num as a decimal string"),
+            (lambda data: data["entries"][0].pop("prob_den"), "needs prob_den as a decimal string"),
+            (lambda data: data["entries"][0].update(prob_num=1), "needs prob_num as a decimal string, got 1"),
+            (lambda data: data["entries"][0].update(count=1), "needs count as a decimal string, got 1"),
+            (lambda data: data["entries"][0].update(prob_den="1_6"), "needs prob_den as a decimal string"),
+            (lambda data: data["entries"][1].update(count="12"), "class r=2 of n=5 has count 12, not 26"),
+            (lambda data: data.update(entries=None), "needs a list of entries, got None"),
+            (lambda data: data["entries"].append(7), "bad or repeated class r=None"),
+            (lambda data: data.pop("n"), "JSON integer >= 1, got n=None"),
+            # A top level that is not an object replaces the document.
+            (lambda data: [data], "JSON integer >= 1, got n=None"),
         ],
-        ids=["r-zero", "r-repeated", "r-past-n", "r-negative", "r-missing"],
+        ids=[
+            "r-zero", "r-repeated", "r-past-n", "r-negative", "r-missing",
+            "den-zero", "r-absent", "num-absent", "den-absent", "num-number", "count-number",
+            "den-not-digits", "count-wrong", "entries-null", "entry-not-object", "n-absent",
+            "not-object",
+        ],
     )
     def test_class_entries_are_checked(self, edit, message):
+        # An edit changes the document in place; one that returns a list has replaced it.
         data = json.loads(law_to_json(law_after_k(5, MIX23, 2)))
-        edit(data["entries"])
+        document = edit(data)
+        if not isinstance(document, list):
+            document = data
         with pytest.raises(ValueError, match=message):
-            law_from_json(json.dumps(data))
+            law_from_json(json.dumps(document))
 
     # int() would take 5.9, "5" and true as a deck size; JSON true is a bool.
     @pytest.mark.parametrize("n", [5.9, "5", True, 0], ids=["float", "string", "true", "zero"])
