@@ -39,8 +39,7 @@ from .laws import (
     PackDistribution,
     SizeGuardError,
     inverse_square_pack,
-    k_step_laws,
-    tv_to_uniform,
+    k_step_tvs,
 )
 from .verify import SUITES, suite_names
 
@@ -255,8 +254,8 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
     ks = parse_k_range(k_range)
     mu, _ = log_moments(pack)
     rows = []
-    # One pass; each law goes once its TV is taken, and zip stops before law b + 1.
-    for k, tv in zip(ks, map(tv_to_uniform, k_step_laws(n, pack, ks.start))):
+    # zip stops before the TV of k = b + 1 is taken.
+    for k, tv in zip(ks, k_step_tvs(n, pack, ks.start)):
         estimate = cutoff_shape(math.exp(1.5 * math.log(n) - k * mu)) if mu > 0 else 1.0
         rows.append(
             {

@@ -144,21 +144,6 @@ class EulerianRow:
         return range(1, self.n + 1)
 
 
-def _next_half(prev: list[int], n: int) -> list[int]:
-    """First ceil(n/2) counts of row n from the first ceil((n-1)/2) of row n - 1.
-
-    counts_n[r] = r * counts_{n-1}[r] + (n - r + 1) * counts_{n-1}[r - 1]. For
-    odd n the last entry needs counts_{n-1}[(n+1)/2], one past the stored
-    half, which equals the half's last entry by the symmetry of row n - 1.
-    """
-    if n % 2:
-        prev = [*prev, prev[-1]]
-    return [1] + [
-        r * below + (n - r + 1) * left
-        for r, below, left in zip(range(2, (n + 1) // 2 + 1), prev[1:], prev)
-    ]
-
-
 def _mirror(half: list[int], n: int) -> tuple[int, ...]:
     """Row n from its first ceil(n/2) counts; each mirrored pair shares one int."""
     return (*half, *reversed(half[: n // 2]))
@@ -253,13 +238,20 @@ def eulerian_row(n: int, cache: EulerianCache | None = None) -> EulerianRow:
                 _memo[n] = row
             return row
 
-    # The recurrence runs on half rows only; the row is symmetric, so the
-    # rest is the mirror of the first floor(n/2) counts.
+    # The recurrence runs on the first ceil(k/2) counts only, since the row
+    # is symmetric, and in place: counts_k[r] = r * counts_(k-1)[r] +
+    # (k - r + 1) * counts_(k-1)[r - 1] reads entries r and r - 1 of row
+    # k - 1, so from the top class down each entry is overwritten once no
+    # class below needs it. For odd k the top entry reads one class past
+    # row k - 1's half, which equals its last entry by symmetry.
     with _memo_lock:
         start = max((k for k in _memo if k < n), default=1)
         half = list(_memo[start].counts[: (start + 1) // 2]) if start in _memo else [1]
     for k in range(start + 1, n + 1):
-        half = _next_half(half, k)
+        if k % 2:
+            half.append(half[-1])
+        for r in range(len(half), 1, -1):
+            half[r - 1] = r * half[r - 1] + (k - r + 1) * half[r - 2]
     row = EulerianRow(n, _mirror(half, n))
     with _memo_lock:
         _memo[n] = row

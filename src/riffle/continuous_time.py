@@ -184,7 +184,7 @@ def _moment_sums(
         last = len(ratios) - 1
         coeffs = [a * (big // b) * d ** (last - k) for k, (a, b) in enumerate(ratios)]
         v = [reduce(lambda acc, c: acc * xi + c, reversed(coeffs)) for xi in x]
-        yield _moment_numerators(n, v, big * d**last)
+        yield list(_moment_numerators(n, v)), big * d**last
 
 
 def poissonized_law(

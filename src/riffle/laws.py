@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import mul
 from typing import ClassVar, Iterable, Iterator
 
@@ -43,6 +43,7 @@ __all__ = [
     "SizeGuardError",
     "inverse_square_pack",
     "k_step_laws",
+    "k_step_tvs",
     "law_after_k",
     "law_from_json",
     "law_to_json",
@@ -74,12 +75,9 @@ class RisingSeqLaw:
     ``mass`` is the exact total ``sum(count * num) / den``: 1 here, less for
     a subclass that declares it as a field.
 
-    Construction raises ValueError unless n >= 1, there are n numerators over
-    a positive den, the law is nonincreasing in r (as every m-shuffle law and
-    every mixture of them is), lies in [0, 1] and has total ``mass``, all
-    checked in integers. The classes above uniform, ``num > den // n!``, are
-    a prefix; their sum and count are kept as ``_above`` for
-    :func:`tv_to_uniform`.
+    Construction checks the reduced numerators with :func:`_fold`, which
+    raises ValueError for a law that is not one, and keeps its sum and count
+    of the classes above uniform as ``_above`` for :func:`tv_to_uniform`.
     """
 
     n: int
@@ -88,31 +86,15 @@ class RisingSeqLaw:
     mass: ClassVar[Fraction] = Fraction(1)
 
     def __post_init__(self) -> None:
-        n, mass = self.n, self.mass
-        if n < 1:
-            raise ValueError(f"deck size must be >= 1, got {n}")
         nums = self.nums if type(self.nums) is list else list(self.nums)
-        if len(nums) != n or self.den < 1:
-            raise ValueError(f"law for n={n} needs {n} class entries over a positive den")
+        # A den below 1 (g 0 or 1) is left for the fold to report.
         g = math.gcd(self.den, *nums)
         if g > 1:
             for i, x in enumerate(nums):
                 nums[i] = x // g
-        nums, den = tuple(nums), self.den // g
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        for r in range(2, n + 1):
-            if nums[r - 1] > nums[r - 2]:
-                raise ValueError(f"class probability increases at r={r}")
-        if nums[0] > den or nums[-1] < 0:
-            raise ValueError("class probability out of [0,1]")
-        counts, floor = eulerian_row(n).counts, den // math.factorial(n)
-        cut = next((i for i, x in enumerate(nums) if x <= floor), n)
-        above = sum(map(mul, counts[:cut], nums[:cut]))
-        total = above + sum(map(mul, counts[cut:], nums[cut:]))
-        if total * mass.denominator != den * mass.numerator:
-            raise ValueError(f"law for n={n} has total mass {Fraction(total, den)}, not {mass}")
-        object.__setattr__(self, "_above", (above, sum(counts[:cut])))
+            object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "_above", _fold(self.n, self.nums, self.den, self.mass))
 
     @property
     def class_prob(self) -> tuple[Fraction, ...]:
@@ -135,6 +117,50 @@ class RisingSeqLaw:
     def class_mass(self, r: int) -> Fraction:
         """Total probability of the class of arrangements with r rising seqs."""
         return eulerian_row(self.n).count(r) * self.prob(r)
+
+
+def _fold(n: int, nums: Iterable[int], den: int, mass: Fraction = Fraction(1)) -> tuple[int, int]:
+    """Check class numerators over ``den`` as a law of total ``mass``, in one pass.
+
+    Returns ``(sum(count * num), sum(count))`` over the classes above
+    uniform, ``num > den // n!``, which the checks make a prefix; a common
+    factor of nums and den does not move it. ``nums`` may be any iterable:
+    each numerator is used once as it comes, and none is kept. Raises
+    ValueError unless n >= 1, there are n numerators over a positive den,
+    the law is nonincreasing in r (as every m-shuffle law and every mixture
+    of them is), lies in [0, 1] and has total ``mass``, all checked in
+    integers. The first failing check in that order is the one reported,
+    so a stream gives the message its list would.
+    """
+    if n < 1:
+        raise ValueError(f"deck size must be >= 1, got {n}")
+    shape = f"law for n={n} needs {n} class entries over a positive den"
+    if den < 1:
+        raise ValueError(shape)
+    counts, floor = eulerian_row(n).counts, den // math.factorial(n)
+    nums = iter(nums)
+    first = last = next(nums, None)
+    if first is None:
+        raise ValueError(shape)
+    total, rise, cut = 0, None, None
+    for r, (c, x) in enumerate(zip(counts, chain((first,), nums)), 1):
+        if x > last and rise is None:
+            rise = r
+        if cut is None and x <= floor:
+            cut, above = r - 1, total
+        total += c * x
+        last = x
+    if cut is None:
+        cut, above = n, total
+    if r < n or next(nums, None) is not None:
+        raise ValueError(shape)
+    if rise is not None:
+        raise ValueError(f"class probability increases at r={rise}")
+    if first > den or last < 0:
+        raise ValueError("class probability out of [0,1]")
+    if total * mass.denominator != den * mass.numerator:
+        raise ValueError(f"law for n={n} has total mass {Fraction(total, den)}, not {mass}")
+    return above, sum(counts[:cut])
 
 
 def _shuffle_numerators(n: int, m: int, scale: int = 1) -> Iterator[int]:
@@ -332,18 +358,22 @@ def _moments_pay(n: int, atoms: int, laws: int = 1) -> bool:
     return 2 * atoms > laws * n
 
 
-def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingSeqLaw]:
-    """Deck laws after k = start, start + 1, ... successive p-shuffles.
+def _k_step_numerators(
+    n: int, p: PackDistribution, start: int
+) -> Iterator[tuple[Iterator[int], int]]:
+    """Class numerators and denominator of the law after k = start, start + 1, ... p-shuffles.
 
     k independent p-shuffles compose into a single shuffle with the product
     pack count M_k, so law k is the product-law mixture of m-shuffle laws.
-    Steps are built and mixed (:func:`mixture_of_m_shuffles`) until the
+    Steps are built and mixed (:func:`_mixture_numerators`) until the
     first whose atoms make :func:`_moments_pay` hold; the atom count never
     falls as k grows, so from that step on no product law is built:
     E[M_k**(i - n)] = E[m**(i - n)]**k, so law k is evaluated from
     ``x[i]**k`` over ``d**k`` (:func:`_pack_moments`), with ``pow`` for the
     first k and one multiply per moment after it.
-    The product-law size guard bounds the atoms actually built.
+    The product-law size guard bounds the atoms actually built. Each law's
+    numerators come one class at a time, unreduced, and must be taken
+    before the next law is asked for.
     """
     if n < 1:
         raise ValueError(f"deck size must be >= 1, got {n}")
@@ -353,13 +383,30 @@ def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingS
         if _moments_pay(n, len(weights)):
             break
         if k >= start:
-            yield mixture_of_m_shuffles(n, weights, den)
+            yield _mixture_numerators(n, weights, den)
     x, d = _pack_moments(n, p)
     k = max(k, start)
     v, den = [pow(a, k) for a in x], d**k
     while True:
-        yield RisingSeqLaw(n, *_moment_numerators(n, list(v), den))  # v is kept for k + 1
+        yield _moment_numerators(n, list(v)), den  # v is kept for k + 1
         v, den = list(map(mul, v, x)), den * d
+
+
+def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingSeqLaw]:
+    """Deck laws after k = start, start + 1, ... successive p-shuffles."""
+    for nums, den in _k_step_numerators(n, p, start):
+        yield RisingSeqLaw(n, list(nums), den)
+
+
+def k_step_tvs(n: int, p: PackDistribution, start: int = 0) -> Iterator[Fraction]:
+    """TV distances to uniform after k = start, start + 1, ... successive p-shuffles.
+
+    Each is ``tv_to_uniform`` of the :func:`k_step_laws` law, taken by
+    :func:`_fold` from the numerators as they come, with every check of the
+    law's constructor; no law is held.
+    """
+    for nums, den in _k_step_numerators(n, p, start):
+        yield _tv(n, den, _fold(n, nums, den), Fraction(1))
 
 
 def law_after_k(n: int, p: PackDistribution, k: int) -> RisingSeqLaw:
@@ -367,22 +414,27 @@ def law_after_k(n: int, p: PackDistribution, k: int) -> RisingSeqLaw:
     return next(k_step_laws(n, p, k))
 
 
-def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSeqLaw:
-    """Mixture sum(w / den * m_shuffle_law(n, m)) for integer weights w summing to den.
+def _mixture_numerators(n: int, weights: dict[int, int], den: int) -> tuple[Iterator[int], int]:
+    """Numerators of sum(w / den * m_shuffle_law(n, m)) class by class, and their denominator.
 
-    The m-shuffle numerators of each atom are scaled to ``den * lcm(m)**n``
-    and added in place as they come; the law's one gcd is the only reduction.
+    The m-shuffle numerators of each atom are scaled to ``den * lcm(m)**n``;
+    every atom's ratio chain advances one class at a time, and the class
+    numerator is their sum.
     """
-    ((m, w), *rest), scale = _scaled_atoms(n, [(m, w) for m, w in weights.items() if w])
-    nums = list(_shuffle_numerators(n, m, w))
-    for m, w in rest:
-        for i, c in enumerate(_shuffle_numerators(n, m, w)):
-            nums[i] += c
-    return RisingSeqLaw(n, nums, den * scale)
+    atoms, scale = _scaled_atoms(n, [(m, w) for m, w in weights.items() if w])
+    return map(sum, zip(*(_shuffle_numerators(n, m, w) for m, w in atoms))), den * scale
 
 
-def _moment_numerators(n: int, v: list[int], den: int) -> tuple[list[int], int]:
-    """Class numerators of the law with E[M**(i - n)] = v[i] / den, over ``den``.
+def mixture_of_m_shuffles(n: int, weights: dict[int, int], den: int) -> RisingSeqLaw:
+    """Mixture sum(w / den * m_shuffle_law(n, m)) for integer weights w summing to den."""
+    nums, den = _mixture_numerators(n, weights, den)
+    return RisingSeqLaw(n, list(nums), den)
+
+
+def _moment_numerators(n: int, v: list[int]) -> Iterator[int]:
+    """Class numerators over den, one class at a time, of the law with E[M**(i - n)] = v[i] / den.
+
+    The den is the caller's own: it does not enter the numerators.
 
     With L the linear map x**i -> v[i] and y^(j) = y(y + 1)...(y + j - 1),
     class s + 1 has probability N(s) / (den * n!), N(s) = L((x - s)^(n)). As
@@ -395,7 +447,8 @@ def _moment_numerators(n: int, v: list[int], den: int) -> tuple[list[int], int]:
     difference table gives N(0..n-1) / n!, the chain's own numerators.
     Apart from those n + 1 exact divisions, every step adds big integers or
     multiplies one by a small integer. Both tables are built in place, E_j
-    in the list v, which is taken over, so they hold n + 2 integers at most.
+    in the list v, which is taken over, so they hold n + 2 integers at most;
+    each class is yielded as soon as its sum is final.
     """
     diffs = []
     for j in range(n + 1):
@@ -404,27 +457,30 @@ def _moment_numerators(n: int, v: list[int], den: int) -> tuple[list[int], int]:
             v[a] = v[a + 1] + j * v[a]
         v.pop()
     diffs.reverse()
-    nums = []
     for _ in range(n):
-        nums.append(diffs[0])
+        yield diffs[0]
         for a in range(len(diffs) - 1):
             diffs[a] += diffs[a + 1]
         diffs.pop()
-    return nums, den
 
 
 def tv_to_uniform(law: RisingSeqLaw) -> Fraction:
-    """Exact total variation distance between a class law and the uniform deck.
+    """Exact total variation distance between a class law and the uniform deck."""
+    return _tv(law.n, law.den, law._above, law.mass)
+
+
+def _tv(n: int, den: int, fold: tuple[int, int], mass: Fraction) -> Fraction:
+    """TV to uniform of a law of total ``mass`` over ``den`` from its :func:`_fold`.
 
     TV is the mass the law puts above uniform less uniform's mass there, plus
-    half of any mass the law lacks (Bayer & Diaconis 1992). The mass check
-    keeps ``law._above = (sum(count * num), sum(count))`` over the classes
-    above uniform, so TV is ``(above * n! - den * count) / (den * n!) + (1 - mass) / 2``.
+    half of any mass the law lacks (Bayer & Diaconis 1992). With ``fold =
+    (above, count) = (sum(count * num), sum(count))`` over the classes above
+    uniform, TV is ``(above * n! - den * count) / (den * n!) + (1 - mass) / 2``.
     """
-    above, count = law._above
-    nfact = math.factorial(law.n)
-    tv = Fraction(above * nfact - law.den * count, law.den * nfact)
-    return tv if law.mass == 1 else tv + (1 - law.mass) / 2
+    above, count = fold
+    nfact = math.factorial(n)
+    tv = Fraction(above * nfact - den * count, den * nfact)
+    return tv if mass == 1 else tv + (1 - mass) / 2
 
 
 def tail_set_gap(n: int, m: int, r: int) -> Fraction:

@@ -211,6 +211,32 @@ class TestCutoff:
             tvs = [round(float(line.split(",")[2]), 4) for line in family.output.splitlines()[1:]]
             assert tvs == [0.9041, 0.7224, 0.4961, 0.2957, 0.1544, 0.0659, 0.0271]
 
+    @pytest.mark.parametrize(
+        "args, tvs",
+        [
+            (
+                ["--n", "200", "--p", "invsq", "--k", "2..8"],
+                [0.9420, 0.8276, 0.6563, 0.4725, 0.3022, 0.1727, 0.0862],
+            ),
+            (
+                ["--n", "52", "--p", "2:19/20,2704:1/20", "--k", "5..9"],
+                [0.7148, 0.4511, 0.2333, 0.1109, 0.0539],
+            ),
+            (
+                ["--n", "200", "--p", "2:19/20,40000:1/20", "--k", "7..11"],
+                [0.6977, 0.5918, 0.3638, 0.1858, 0.0903],
+            ),
+        ],
+        ids=["invsq-200", "heavy-tail-52", "heavy-tail-200"],
+    )
+    def test_family_and_heavy_tail_profiles_are_pinned(self, runner, args, tvs):
+        # The README's "Families and heavy tails" rows; the heavy tails put
+        # 1/20 on m = n**2, so log m > log n on that atom.
+        result = runner.invoke(main, ["profile", *args])
+        assert result.exit_code == 0
+        printed = [round(float(line.split(",")[2]), 4) for line in result.output.splitlines()[1:]]
+        assert printed == tvs
+
     def test_single_atom_lindeberg_is_empty(self, runner):
         # Undefined for one atom: null in JSON, an empty cell in CSV.
         args = ["cutoff", "--n-grid", "10:20:10", "--p", "2:1"]
@@ -893,13 +919,15 @@ def test_benchmark_child_runs_and_traces_the_cli(tmp_path):
 
     spans = traced_spans("profile", "--n", "6", "--p", "2:1/2,3:1/2", "--k", "1..3",
                          "--cache", str(tmp_path / "cache"))
-    # laws.validate wraps RisingSeqLaw.__post_init__, inherited or not.
-    assert {"cli", "laws.validate"} <= spans
+    # profile folds each TV from its numerators and builds no RisingSeqLaw;
+    # the fold reads the Eulerian row through the name the tracer rebinds in laws.
+    assert {"cli", "combinatorics.eulerian_row"} <= spans and "laws.validate" not in spans
     # The sampler suite imports the names the tracer wraps from riffle.sampling.
     spans = traced_spans("verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "2000")
     assert {"cli", "sampling.chi_square_against_law"} <= spans
     # The tracer patches PoissonizedLaw.tv_to_uniform, which poisson calls per
-    # time, and a Poisson law is validated as the RisingSeqLaw it is.
+    # time, and a Poisson law is validated as the RisingSeqLaw it is
+    # (laws.validate wraps RisingSeqLaw.__post_init__, inherited or not).
     spans = traced_spans("poisson", "--n", "6", "--p", "2:1", "--t", "1:2:1",
                          "--cache", str(tmp_path / "cache"))
     assert {"cli", "continuous_time.tv_to_uniform", "laws.validate"} <= spans

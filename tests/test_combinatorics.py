@@ -362,6 +362,16 @@ class TestCacheMemory:
         ints = sum(map(sys.getsizeof, read.counts[: (n + 1) // 2]))
         assert peak < 1.25 * ints
 
+    def test_cold_row_holds_one_half_row(self):
+        # The recurrence overwrites one half row in place, from the top class
+        # down; a new half row per step peaked at 2.0 times these bytes.
+        n = 600
+        with mock.patch.object(comb, "_memo", {}):
+            row, peak = self.traced_peak(lambda: eulerian_row(n, _NoDisk()))
+        assert row.counts == brute_force_row_free(n)
+        ints = sum(map(sys.getsizeof, row.counts[: (n + 1) // 2]))
+        assert peak < 1.25 * ints
+
 
 def brute_force_row_free(n):
     # Recurrence re-derived locally so the cache round-trip test does not

@@ -19,6 +19,7 @@ from riffle.laws import (
     SizeGuardError,
     inverse_square_pack,
     k_step_laws,
+    k_step_tvs,
     law_after_k,
     law_from_json,
     law_to_json,
@@ -31,6 +32,7 @@ from riffle.laws import (
 )
 from riffle import continuous_time, laws
 from riffle.laws import (
+    _fold,
     _moment_numerators,
     _pack_moments,
     _scaled_atoms,
@@ -130,6 +132,21 @@ class TestOneCopy:
         assert bool(taken) == moments
         assert peak < bound * sum(sys.getsizeof(x) for x in law.nums)
 
+    def test_fold_holds_no_law(self):
+        # profile's TV-only path keeps no numerator once it is counted: the
+        # GSR case above, folded, peaks at 0.064 of the law's numerator bytes.
+        n, p, k = 600, PackDistribution.delta(2), 12
+        eulerian_row(n)
+        tracemalloc.start()
+        try:
+            tv = next(k_step_tvs(n, p, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        law = law_after_k(n, p, k)
+        assert tv == tv_to_uniform(law)
+        assert peak < 0.3 * sum(sys.getsizeof(x) for x in law.nums)
+
     def test_a_list_is_taken_over_and_a_tuple_is_left_alone(self):
         given_tuple, given_list = (6, 2), [6, 2]
         law = RisingSeqLaw(2, given_tuple, 8)
@@ -137,6 +154,62 @@ class TestOneCopy:
         assert RisingSeqLaw(2, given_list, 8) == law and given_list == [3, 1]
         reduced = (3, 1)
         assert RisingSeqLaw(2, reduced, 4).nums == reduced
+
+
+class TestFold:
+    """One pass over the numerators checks a law and gives its TV, stored or streamed."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 40),
+        st.dictionaries(st.integers(1, 7), st.integers(1, 9), min_size=1, max_size=3),
+        st.integers(0, 11),
+        st.integers(0, 3),
+    )
+    def test_streamed_tvs_equal_the_stored_laws(self, n, raw, start, extra):
+        p = _pack(list(raw), list(raw.values()))
+        ks = range(start, start + extra + 1)
+        tvs = list(islice(k_step_tvs(n, p, start), len(ks)))
+        assert tvs == [tv_to_uniform(law_after_k(n, p, k)) for k in ks]
+
+    @pytest.mark.parametrize(
+        "p, atoms, moments",
+        [
+            (PackDistribution.delta(2), [1] * 15, False),
+            (MIX23, list(range(1, 16)), False),
+            (TestOneCopy.THIRDS, [1, 3, 6, 10, 15], True),
+        ],
+        ids=["one_atom", "chain", "moments"],
+    )
+    def test_every_producer_streams_the_stored_tvs(self, p, atoms, moments, monkeypatch):
+        # At n = 40, k = 0..14: the one-atom chain, the chain of k + 1 atoms,
+        # and {2, 3, 5}, whose 21 atoms at k = 5 make the moments pay.
+        mixed = record_mixtures(monkeypatch)
+        taken, evaluate = [], laws._moment_numerators
+        monkeypatch.setattr(laws, "_moment_numerators", lambda *a: taken.append(1) or evaluate(*a))
+        tvs = list(islice(k_step_tvs(40, p), 15))
+        assert (mixed, bool(taken)) == (atoms, moments)
+        assert tvs == [tv_to_uniform(law_after_k(40, p, k)) for k in range(15)]
+
+    @pytest.mark.parametrize(
+        "n, nums, den, message",
+        [
+            (2, [1], 1, "needs 2 class entries"),
+            (2, [1, 0, 1], 1, "needs 2 class entries"),  # and increasing
+            (3, [1, 0, 1], 6, "increases at r=3"),
+            (3, [3, 1, 2], 2, "increases at r=3"),  # and above 1
+            (2, [3, 0], 2, "out of \\[0,1\\]"),  # and of mass 3/2
+            (2, [3, -1], 2, "out of \\[0,1\\]"),
+            (2, [1, 1], 4, "total mass 1/2, not 1"),
+        ],
+        ids=["short", "long", "increase", "increase_first", "range_first", "range", "mass"],
+    )
+    def test_stream_raises_the_constructors_message(self, n, nums, den, message):
+        with pytest.raises(ValueError, match=message) as stored:
+            RisingSeqLaw(n, nums, den)
+        with pytest.raises(ValueError) as streamed:
+            _fold(n, (x for x in nums), den)
+        assert str(streamed.value) == str(stored.value)
 
 
 class TestProductPower:
@@ -246,7 +319,8 @@ def _pack(support, raw):
 def _moment_law(n, weights, den):
     """The mixture of ``weights`` over ``den``, evaluated from its n + 1 moments."""
     p = PackDistribution.from_pairs({m: Fraction(w, den) for m, w in weights.items()})
-    return RisingSeqLaw(n, *_moment_numerators(n, *_pack_moments(n, p)))
+    v, d = _pack_moments(n, p)
+    return RisingSeqLaw(n, list(_moment_numerators(n, v)), d)
 
 
 class TestMixtureEvaluators:
@@ -290,7 +364,7 @@ class TestMixtureEvaluators:
     def test_smallest_decks_by_hand(self, n, v, nums):
         # n! times the class probability is P_1 = x and, for n = 2,
         # P_1 = x**2 + x and P_2 = x**2 - x; the n! is divided out.
-        assert _moment_numerators(n, v, 5) == (nums, 5)
+        assert list(_moment_numerators(n, v)) == nums
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 40), st.sampled_from(SUPPORTS), st.integers(0, 5), st.data())
@@ -302,7 +376,7 @@ class TestMixtureEvaluators:
         atoms, scale = _scaled_atoms(n, list(weights.items()))
         chain = [sum(col) for col in zip(*(_shuffle_numerators(n, m, w) for m, w in atoms))]
         v = [sum(w * m**i for m, w in atoms) for i in range(n + 1)]
-        assert _moment_numerators(n, v, den * scale) == (chain, den * scale)
+        assert list(_moment_numerators(n, v)) == chain
 
     def test_smallest_decks_on_both_k_step_paths(self):
         # E[1/m] = 5/12 for {2, 3}, so the n = 2 classes have probability
@@ -321,10 +395,10 @@ def _switch_step(n, p):
 
 
 def record_mixtures(monkeypatch):
-    """Make ``laws.mixture_of_m_shuffles`` append each mixture's atom count to the returned list."""
-    mixed, mixture = [], laws.mixture_of_m_shuffles
+    """Make ``laws._mixture_numerators`` append each mixture's atom count to the returned list."""
+    mixed, mixture = [], laws._mixture_numerators
     monkeypatch.setattr(
-        laws, "mixture_of_m_shuffles", lambda n, w, d: mixed.append(len(w)) or mixture(n, w, d)
+        laws, "_mixture_numerators", lambda n, w, d: mixed.append(len(w)) or mixture(n, w, d)
     )
     return mixed
 
@@ -350,7 +424,7 @@ class TestKStepLaws:
         k = max(0, _switch_step(n, p) + offset)
         weights, den = next(islice(product_laws(p), k, None))
         x, d = _pack_moments(n, p)
-        moment = RisingSeqLaw(n, *_moment_numerators(n, [a**k for a in x], d**k))
+        moment = RisingSeqLaw(n, list(_moment_numerators(n, [a**k for a in x])), d**k)
         assert moment == mixture_of_m_shuffles(n, weights, den)
 
     @settings(deadline=None, max_examples=40)
