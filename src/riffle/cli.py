@@ -80,6 +80,10 @@ def parse_pack_spec(spec: str) -> PackDistribution | Callable[[int], PackDistrib
         raise click.UsageError(str(exc)) from None
 
 
+#: Most points a grid may have; every point is a separate computation.
+MAX_GRID_POINTS = 100_000
+
+
 def parse_k_range(text: str) -> range:
     match = re.fullmatch(r"\s*(\d+)\.\.(\d+)\s*", text)
     if not match:
@@ -87,11 +91,9 @@ def parse_k_range(text: str) -> range:
     a, b = int(match.group(1)), int(match.group(2))
     if a > b:
         raise click.UsageError(f"empty k range {text!r}")
+    if b - a >= MAX_GRID_POINTS:
+        raise click.UsageError(f"k range {text!r} has more than {MAX_GRID_POINTS} values")
     return range(a, b + 1)
-
-
-#: Most points a grid may have; every point is a separate computation.
-MAX_GRID_POINTS = 100_000
 
 
 def _grid_bounds(text: str, kind: type) -> tuple:
@@ -371,9 +373,7 @@ def verify(
 @click.option("--tol", type=float, default=1e-9, help="Poisson tail tolerance.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--cache", "cache_dir", default=None)
-def poisson(
-    n: int, p_spec: str, t_grid: str, tol: float, fmt: str, cache_dir: str | None
-) -> None:
+def poisson(n: int, p_spec: str, t_grid: str, tol: float, fmt: str, cache_dir: str | None) -> None:
     """TV distance of the continuous-time chain on a time grid."""
     _apply_cache_dir(cache_dir)
     pack = _pack_at(parse_pack_spec(p_spec), n)

@@ -6,12 +6,12 @@ the discrete k-step laws; the mixture is truncated at a certified tail mass.
 The unit-time view of the same chain is an ordinary p-shuffle for a modified
 pack distribution, constructed here as well.
 
-Since E[M_k**(i - n)] = E[m**(i - n)]**k (see :mod:`riffle.laws`), the
-truncated mixture's moments are sum(pi_k * E[m**(i - n)]**k) over k <= K:
-one polynomial of degree K in each moment of p. :func:`poissonized_laws`
-evaluates it by Horner and turns it into class numerators once per time,
-with no k-step law built, or adds the k-step laws up one by one, as
-:func:`~riffle.laws._moments_pay` decides.
+Float weight k is exactly c_k / D (:func:`_exact_weights`) and the k-step
+law has numerators nums_k over d**k, d from p alone (:mod:`riffle.laws`),
+so a time's law is ``sum(c_k * d**(K - k) * nums_k)`` over ``D * d**K``. Both
+paths sum it by Horner, as :func:`~riffle.laws._moments_pay` decides: in k
+over the k-step numerators, or, as E[M_k**(i - n)] = E[m**(i - n)]**k, in
+each moment of p, with no k-step law built.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .laws import (
     PackDistribution,
     RisingSeqLaw,
     SizeGuardError,
+    _fold,
+    _k_step_numerators,
     _moment_numerators,
     _moments_pay,
     _pack_moments,
-    k_step_laws,
     product_laws,
     tv_to_uniform,
 )
@@ -67,8 +68,8 @@ class PoissonizedLaw(RisingSeqLaw):
         return tv_to_uniform(self)
 
 
-def _poisson_weights(t: float, tol: Fraction) -> tuple[list[float], Fraction]:
-    """Float Poisson(t) weights for k = 0..K and their exact total mass.
+def _poisson_weights(t: float, tol: Fraction) -> list[float]:
+    """Float Poisson(t) weights for k = 0..K.
 
     K is the smallest k whose retained mass, the sum of the exact values of
     the float weights, exceeds 1 - tol. Once a weight underflows to 0 the
@@ -85,7 +86,19 @@ def _poisson_weights(t: float, tol: Fraction) -> tuple[list[float], Fraction]:
             )
         weights.append(w)
         mass += Fraction(w)
-    return weights, mass
+    return weights
+
+
+def _exact_weights(weights: list[float]) -> tuple[list[int], int]:
+    """``(c, D)``: float weight k is exactly c[k] / D, and the law's mass sum(c) / D.
+
+    D is the largest dyadic denominator of the weights, or their exact total
+    sum(c) where rounding takes it above 1, so that the mass stays at most 1.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    big = max(b for _, b in ratios)
+    c = [a * (big // b) for a, b in ratios]
+    return c, max(big, sum(c))
 
 
 def poissonized_laws(
@@ -93,15 +106,15 @@ def poissonized_laws(
 ) -> Iterator[PoissonizedLaw]:
     """Truncated deck laws of the continuous-time p-shuffle chain at times ts.
 
-    The call checks its inputs, fixes each time's truncation K from its float
-    weights alone (:func:`_poisson_weights`) and picks one of two paths for
-    the class numerators and denominators: :func:`_moment_sums` when the
+    The call checks its inputs, fixes each time's truncation K and exact weights
+    (:func:`_exact_weights`) before any law is built, and picks one of two paths
+    for the class numerators and denominators: :func:`_moment_sums` when the
     product laws of k = 0..K hold enough atoms in all for ``len(ts)`` moment
-    evaluations to pay (:func:`~riffle.laws._moments_pay`; the product laws
-    are built only until they do), and :func:`_per_k_sums` otherwise. Both
-    give the same laws. The laws come in input order, each built as the
-    iterator reaches it and held nowhere else, so a caller that takes one
-    time at a time holds one law at a time.
+    evaluations to pay (:func:`~riffle.laws._moments_pay`; the product laws are
+    built only until they do), and :func:`_per_k_sums` otherwise. Both give the
+    same laws. The laws come in input order, each built as the iterator reaches
+    it and held nowhere else, so a caller that takes one time at a time holds
+    one law at a time.
     """
     ts = [float(t) for t in ts]
     if n < 1:
@@ -112,79 +125,65 @@ def poissonized_laws(
     if not 0 < tol < 1:
         raise ValueError(f"tolerance must be in (0, 1), got {tol}")
 
-    plans = [_poisson_weights(t, Fraction(tol)) for t in ts]
-    weight_lists = [weights for weights, _ in plans]
-    steps = max(map(len, weight_lists), default=0)
+    plans = [_exact_weights(_poisson_weights(t, Fraction(tol))) for t in ts]
+    steps = max((len(c) for c, _ in plans), default=0)
     atoms = accumulate(len(weights) for weights, _ in islice(product_laws(p), steps))
     sums = _moment_sums if any(_moments_pay(n, a, len(ts)) for a in atoms) else _per_k_sums
     # map, unlike a generator, keeps no numerators once a law is handed out.
-    return map(partial(_truncated_law, n), plans, sums(n, p, weight_lists))
+    return map(partial(_truncated_law, n), plans, sums(n, p, plans))
 
 
-def _truncated_law(
-    n: int, plan: tuple[list[float], Fraction], sums: tuple[list[int], int]
-) -> PoissonizedLaw:
-    """The law of one time from its weights, their exact mass and its sums."""
-    (weights, mass), (acc, den) = plan, sums
-    if mass > 1:
-        # Float weights can overshoot 1 by rounding; rescale exactly so
-        # the mass certificate stays valid.
-        for i, x in enumerate(acc):
-            acc[i] = x * mass.denominator
-        den, mass = den * mass.numerator, Fraction(1)
-    return PoissonizedLaw(n, acc, den, mass, len(weights) - 1)
+def _truncated_law(n: int, plan: tuple[list[int], int], sums: tuple[list[int], int]) -> PoissonizedLaw:
+    """The law of one time from its exact weights ``(c, D)`` and its sums."""
+    (c, denom), (nums, den) = plan, sums
+    return PoissonizedLaw(n, nums, den, Fraction(sum(c), denom), len(c) - 1)
 
 
 def _per_k_sums(
-    n: int, p: PackDistribution, weight_lists: list[list[float]]
+    n: int, p: PackDistribution, plans: list[tuple[list[int], int]]
 ) -> Iterator[tuple[list[int], int]]:
     """Numerators and denominator of each time in turn, from the k-step laws.
 
-    Each k-step law is built once and added into the integer accumulator of
-    every time not yet yielded whose K is at least k. A time is yielded as
-    soon as its last law is in, and its accumulator let go when the next
-    time is asked for.
+    Law k has numerators over d**k (:func:`~riffle.laws._k_step_numerators`),
+    so each is drawn once, checked by :func:`~riffle.laws._fold` and taken
+    into ``acc = acc * d + c_k * nums_k``, by Horner in k, for every time not
+    yet yielded whose K is at least k. A time is yielded as soon as its last
+    law is in, and its accumulator let go when the next time is asked for.
     """
-    accs = [([0] * n, 1) for _ in weight_lists]
-    laws = k_step_laws(n, p)
+    d = _pack_moments(n, p)[1]
+    accs = [[0] * n for _ in plans]
+    steps = _k_step_numerators(n, p, 0)
     k = 0
-    for i, weights in enumerate(weight_lists):
-        while k < len(weights):
-            law = next(laws)
-            for j in range(i, len(weight_lists)):
-                if k < len(weight_lists[j]):
-                    a, b = weight_lists[j][k].as_integer_ratio()
-                    acc, acc_den = accs[j]
-                    den = math.lcm(acc_den, b * law.den)
-                    up, scale = den // acc_den, den // (b * law.den) * a
-                    for c, y in enumerate(law.nums):
-                        acc[c] = acc[c] * up + y * scale
-                    accs[j] = acc, den
-            del law, acc  # neither may live on while the next law is built
+    for i, (c, denom) in enumerate(plans):
+        while k < len(c):
+            nums, den = next(steps)
+            nums = list(nums)
+            _fold(n, nums, den)
+            for (weights, _), acc in zip(plans[i:], accs[i:]):
+                if k < len(weights):
+                    for r, y in enumerate(nums):
+                        acc[r] = acc[r] * d + weights[k] * y
             k += 1
-        yield accs[i]
+        yield accs[i], denom * d ** (len(c) - 1)
         accs[i] = None
 
 
 def _moment_sums(
-    n: int, p: PackDistribution, weight_lists: list[list[float]]
+    n: int, p: PackDistribution, plans: list[tuple[list[int], int]]
 ) -> Iterator[tuple[list[int], int]]:
     """Numerators and denominator of each time in turn, from the moments of p alone.
 
-    With the weights at their exact dyadic values pi_k = c_k / B and
-    E[m**(i - n)] = x[i] / d (:func:`~riffle.laws._pack_moments`), the
-    time's E[M**(i - n)] is ``sum(c_k * d**(K - k) * x[i]**k) / (B * d**K)``:
+    With E[m**(i - n)] = x[i] / d (:func:`~riffle.laws._pack_moments`), the
+    time's E[M**(i - n)] is ``sum(c_k * d**(K - k) * x[i]**k) / (D * d**K)``:
     one polynomial in x[i], whose coefficients are built once per time and
     evaluated by Horner for every i.
     """
     x, d = _pack_moments(n, p)
-    for weights in weight_lists:
-        ratios = [w.as_integer_ratio() for w in weights]
-        big = max(b for _, b in ratios)
-        last = len(ratios) - 1
-        coeffs = [a * (big // b) * d ** (last - k) for k, (a, b) in enumerate(ratios)]
-        v = [reduce(lambda acc, c: acc * xi + c, reversed(coeffs)) for xi in x]
-        yield list(_moment_numerators(n, v)), big * d**last
+    for c, denom in plans:
+        last = len(c) - 1
+        coeffs = [ck * d ** (last - k) for k, ck in enumerate(c)]
+        v = [reduce(lambda acc, a: acc * xi + a, reversed(coeffs)) for xi in x]
+        yield list(_moment_numerators(n, v)), denom * d**last
 
 
 def poissonized_law(

@@ -66,6 +66,13 @@ class TestParsers:
     def test_k_range(self):
         assert parse_k_range("1..12") == range(1, 13)
 
+    def test_k_range_holds_at_most_max_grid_points(self):
+        import click
+
+        assert len(parse_k_range(f"1..{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+        with pytest.raises(click.UsageError, match="more than"):
+            parse_k_range(f"0..{MAX_GRID_POINTS}")
+
     def test_a_n_expressions(self):
         n = 52
         assert parse_a_n("logn", n) == math.log(n)
@@ -818,6 +825,21 @@ def test_poisson_inputs_that_cannot_finish_exit_2_at_once(args, tmp_path):
     assert proc.returncode == 2
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stderr.startswith("Error: ")
+    assert proc.stdout == ""
+
+
+def test_oversized_k_range_exits_2_at_once(tmp_path):
+    # Without a guard, --k 1..10000000000 took a TV for every k in turn.
+    env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "riffle.cli", "profile", "--n", "2", "--p", "2:1",
+         "--k", "1..10000000000", "--cache", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == [
+        f"Error: k range '1..10000000000' has more than {MAX_GRID_POINTS} values"
+    ]
     assert proc.stdout == ""
 
 

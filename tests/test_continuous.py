@@ -52,7 +52,7 @@ class TestPoissonizedLaw:
         # m**k-shuffle, so the whole law is checkable term by term.
         t, tol, n, m = 2.5, 1e-8, 5, 2
         law = poissonized_law(n, PackDistribution.delta(m), t, tol)
-        weights = _poisson_weights(t, Fraction(tol))[0]
+        weights = _poisson_weights(t, Fraction(tol))
         for r in range(1, n + 1):
             expected = sum(
                 (
@@ -65,7 +65,7 @@ class TestPoissonizedLaw:
 
     def test_weights_follow_poisson_recursion(self):
         t = 3.25
-        weights = _poisson_weights(t, Fraction(1e-10))[0]
+        weights = _poisson_weights(t, Fraction(1e-10))
         assert weights[0] == math.exp(-t)
         for k in range(1, len(weights)):
             assert weights[k] == pytest.approx(weights[k - 1] * t / k, rel=1e-15)
@@ -151,7 +151,7 @@ class TestPoissonPaths:
         by_moments = _laws_by_path(True, n, p, ts, tol)
         assert by_moments == _laws_by_path(False, n, p, ts, tol)
         assert [law.truncation_k for law in by_moments] == [
-            len(_poisson_weights(t, Fraction(tol))[0]) - 1 for t in ts
+            len(_poisson_weights(t, Fraction(tol))) - 1 for t in ts
         ]
 
     @settings(deadline=None, max_examples=40)
@@ -176,7 +176,7 @@ class TestPoissonPaths:
         # Poisson laws take the moment path exactly when the atoms of steps
         # k <= K, K the largest truncation, make len(ts) moment evaluations
         # pay. Both paths are stubbed out, so every n <= 40 is cheap to ask.
-        steps = max(len(_poisson_weights(t, Fraction(tol))[0]) for t in ts)
+        steps = max(len(_poisson_weights(t, Fraction(tol))) for t in ts)
         total = sum(len(w) for w, _ in islice(product_laws(p), steps))
         taken = []
         with pytest.MonkeyPatch.context() as patch:
@@ -193,7 +193,7 @@ class TestPoissonPaths:
     def test_rule_boundary(self, times, monkeypatch):
         # Steps k < s of {2, 3} hold s(s + 1)/2 atoms in all: the moment path
         # needs more than times * n / 2 of them.
-        s = len(_poisson_weights(1.0, Fraction(1e-3))[0])
+        s = len(_poisson_weights(1.0, Fraction(1e-3)))
         assert s >= 3
         edge = s * (s + 1) // times
         taken = []
@@ -215,16 +215,16 @@ class TestPoissonPaths:
         # input order, and not after the whole grid's.
         tol = 1e-9
         drawn = []
-        k_step = continuous_time.k_step_laws
+        k_step = continuous_time._k_step_numerators
 
         def counted(*args):
-            for law in k_step(*args):
-                drawn.append(law.n)
-                yield law
+            for step in k_step(*args):
+                drawn.append(step[1])
+                yield step
 
         monkeypatch.setattr(continuous_time, "_moments_pay", lambda *args: False)
-        monkeypatch.setattr(continuous_time, "k_step_laws", counted)
-        short, long = (len(_poisson_weights(t, Fraction(tol))[0]) for t in (1.0, 4.0))
+        monkeypatch.setattr(continuous_time, "_k_step_numerators", counted)
+        short, long = (len(_poisson_weights(t, Fraction(tol))) for t in (1.0, 4.0))
         assert short < long
         laws = poissonized_laws(8, MIX23, [1.0, 4.0], tol)
         assert drawn == []
@@ -236,6 +236,35 @@ class TestPoissonPaths:
         drawn.clear()
         assert [first, second] == list(poissonized_laws(8, MIX23, [1.0, 4.0], tol))
         assert len(drawn) == long
+
+    def test_per_k_path_builds_one_law_per_time(self, monkeypatch):
+        # The k-step laws are summed from their numerator streams, each
+        # checked by the fold; the only law constructed is each time's own.
+        built, folded = [], []
+        post_init, fold = RisingSeqLaw.__post_init__, continuous_time._fold
+        monkeypatch.setattr(
+            RisingSeqLaw, "__post_init__", lambda law: built.append(type(law)) or post_init(law)
+        )
+        monkeypatch.setattr(continuous_time, "_fold", lambda *a: folded.append(a[2]) or fold(*a))
+        monkeypatch.setattr(continuous_time, "_moments_pay", lambda *args: False)
+        ts, tol = [4.0, 1.0, 0.5], 1e-9
+        list(poissonized_laws(8, MIX23, ts, tol))
+        assert built == [PoissonizedLaw] * len(ts)
+        steps = max(len(_poisson_weights(t, Fraction(tol))) for t in ts)
+        d = laws._pack_moments(8, MIX23)[1]
+        assert folded == [d**k for k in range(steps)]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(SUPPORTS), st.integers(1, 40), st.integers(1, 3), st.data())
+    def test_k_step_denominators_are_powers_of_d(self, support, n, extra, data):
+        # The per-k Horner takes law k over d**k from both producers: the
+        # atom-by-atom chain before the moment switch and the moments after.
+        raw = data.draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+        p = _pack(support, raw)
+        d = laws._pack_moments(n, p)[1]
+        count = _switch_step(n, p) + extra
+        steps = islice(laws._k_step_numerators(n, p, 0), count)
+        assert [den for _, den in steps] == [d**k for k in range(count)]
 
     @pytest.mark.parametrize(
         "n, p, ts, moments",
@@ -314,8 +343,8 @@ class TestPoissonizedLawChecks:
 
     def test_float_weights_past_one_are_rescaled(self, monkeypatch):
         # The exact total of these 86 float weights is 1 + 8.1e-17.
-        weights, mass = _poisson_weights(31.25, Fraction(1e-15))
-        assert mass > 1
+        weights = _poisson_weights(31.25, Fraction(1e-15))
+        assert sum(map(Fraction, weights)) > 1
         built = []
         for pays in (True, False):
             monkeypatch.setattr(continuous_time, "_moments_pay", lambda *args, pays=pays: pays)

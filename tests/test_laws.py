@@ -96,9 +96,10 @@ class TestOneCopy:
     # Each law's numerators exist once while it is built: the traced peak of
     # building it, its Eulerian row warmed first, over the bytes of its
     # numerators. Measured 1.13 (GSR), 1.17 (chain), 2.20 (moments, which
-    # keep the k-th moment powers for step k + 1), 1.46 (Poisson) and 2.10
-    # (Poisson per k, the accumulator and one law); before the numerators
-    # were summed and reduced in place, 2.16, 3.14, 3.98, 4.69 and 4.98.
+    # keep the k-th moment powers for step k + 1), 1.46 (Poisson) and 2.13
+    # (Poisson per k, by Horner in k: the accumulator and one k-step law's
+    # numerators); before the numerators were summed and reduced in place,
+    # 2.16, 3.14, 3.98, 4.69 and 4.98.
     THIRDS = PackDistribution([(m, Fraction(1, 3)) for m in (2, 3, 5)])
 
     @pytest.mark.parametrize(
