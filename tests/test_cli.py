@@ -849,6 +849,30 @@ def test_float_grid_rejects_non_finite_and_oversized(text):
         parse_float_grid(text)
 
 
+@pytest.mark.parametrize(
+    "text, points",
+    [
+        ("4:12:4", [4.0, 8.0, 12.0]),
+        # The end slack is rounding, never a span that small steps fit in.
+        ("1:1:1e-10", [1.0]),
+        # 0.1 + 2*0.1 rounds one ulp past 0.3 and is still the last point.
+        ("0.1:0.3:0.1", [0.1, 0.2, 0.1 + 2 * 0.1]),
+        # A step of one ulp is finer than the rounding slack.
+        (f"1:1:{2**-52!r}", [1.0]),
+    ],
+)
+def test_float_grid_points(text, points):
+    assert parse_float_grid(text) == points
+
+
+def test_float_grid_rejects_a_step_that_repeats_a_point():
+    # The step moves a, but past 2 the points are spaced twice as wide, and
+    # 2 + step rounds back to 2.
+    a = 2 - 2**-52
+    with pytest.raises(ValueError, match="too small"):
+        parse_float_grid(f"{a!r}:{2 + 2**-51!r}:{2**-52!r}")
+
+
 def test_int_grid_rejects_oversized():
     assert len(parse_int_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
     with pytest.raises(ValueError):
@@ -885,6 +909,64 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}), file=sys.st
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert json.loads(proc.stderr.strip().splitlines()[-1]) == {"codes": [0] * 8, "numpy": False}
+
+
+def _run_script(script: str, tmp_path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]), RIFFLE_CACHE_DIR=str(tmp_path))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_a_call_freezes_the_heap_at_exit(tmp_path):
+    # atexit runs its handlers last in, first out: a probe registered before
+    # main runs after the gc.freeze that main registers.
+    script = """
+import atexit, gc, sys
+import riffle.cli
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+riffle.cli.main(args=["profile", "--n", "6", "--p", "2:1", "--k", "1..2"], prog_name="riffle")
+"""
+    proc = _run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["frozen True"]
+
+
+def test_the_exit_hook_is_registered_once_and_not_on_import(tmp_path):
+    script = """
+import atexit, gc, sys
+registered = []
+register = atexit.register
+atexit.register = lambda func, *args, **kwargs: registered.append(func) or register(func, *args, **kwargs)
+import riffle
+on_import = len(registered)
+import riffle.cli
+from click.testing import CliRunner
+freezes = [registered.count(gc.freeze)]
+for _ in range(3):
+    CliRunner().invoke(riffle.cli.main, ["profile", "--n", "6", "--p", "2:1", "--k", "1..2"])
+    freezes.append(registered.count(gc.freeze))
+print(on_import, freezes, file=sys.stderr)
+"""
+    proc = _run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["0 [0, 1, 1, 1]"]
+
+
+def test_sampler_dump_is_closed_before_the_frozen_exit(runner, tmp_path):
+    # The last collections at exit skip the frozen heap, so a file only they
+    # would close would lose its buffer; the command's with closes the dump.
+    dump = tmp_path / "samples.csv"
+    args = ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "2000",
+            "--seed", "3", "--dump-csv", str(dump)]
+    proc = _run_cli(*args, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    from_process = dump.read_bytes()
+    dump.unlink()
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert (proc.stdout, from_process) == (result.output, dump.read_bytes())
+    assert from_process.count(b"\n") == 1 + 4 * 2000
 
 
 def test_sampling_names_still_import_from_the_package():
