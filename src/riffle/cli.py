@@ -8,6 +8,16 @@ exact values are printed as ``num/den`` strings in profile rows and as
 ``config`` block: the command and every option that has a value, defaults
 included, under its parameter name.
 
+An error is one stderr line. A usage error that argparse finds (an unknown
+command or option, a missing or malformed value; ``_Parser.error``), a
+``ValueError`` from a parser or the library (as a deck size of 0) and an
+``OSError`` (as a ``--cache`` that is a file) print ``Error: ...`` and exit 2;
+a size guard prints ``size guard: ...`` and exits 3; a closed stdout exits 1
+silently. :func:`main` returns ``None`` on success and raises ``SystemExit``
+otherwise, so ``sys.exit(main())`` exits with the right code. Each command
+imports the riffle modules it uses as it runs: ``import riffle.cli`` loads
+none, and no exact command loads numpy.
+
 A call registers ``gc.freeze`` with ``atexit``, once per process. At exit the
 interpreter's last collections then skip every object that the imports and
 the command left behind, which is most of a short call's shutdown time.
@@ -19,6 +29,7 @@ Importing this module registers nothing.
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import functools
 import gc
@@ -27,32 +38,12 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-import click
-
-from .combinatorics import CACHE_ENV_VAR, int_to_decimal
-from .cutoff import (
-    _critical_time,
-    continuous_cutoff_report,
-    cutoff_report,
-    cutoff_shape,
-    hyp_check,
-    lindeberg_value,
-    log_moments,
-    truncation_report,
-)
-from .continuous_time import poissonized_laws
-from .laws import (
-    PackDistribution,
-    SizeGuardError,
-    inverse_square_pack,
-    k_step_tvs,
-)
-from .verify import SUITES, suite_names
+if TYPE_CHECKING:
+    from .laws import PackDistribution
 
 
 def parse_pack_spec(spec: str) -> PackDistribution | Callable[[int], PackDistribution]:
@@ -62,6 +53,8 @@ def parse_pack_spec(spec: str) -> PackDistribution | Callable[[int], PackDistrib
     names the built-in deck-size-dependent inverse-square family and returns
     a callable of n.
     """
+    from .laws import PackDistribution, inverse_square_pack
+
     spec = spec.strip()
     if spec == "invsq":
         return inverse_square_pack
@@ -69,26 +62,21 @@ def parse_pack_spec(spec: str) -> PackDistribution | Callable[[int], PackDistrib
     for item in spec.split(","):
         item = item.strip()
         if not item:
-            raise click.UsageError(f"empty entry in pack spec {spec!r}")
+            raise ValueError(f"empty entry in pack spec {spec!r}")
         try:
             m_text, prob_text = item.split(":")
         except ValueError:
-            raise click.UsageError(f"bad pack entry {item!r}, want m:prob") from None
+            raise ValueError(f"bad pack entry {item!r}, want m:prob") from None
         prob_text = prob_text.strip()
         if "." in prob_text or "e" in prob_text.lower():
-            raise click.UsageError(
-                f"probability {prob_text!r} looks like a float; use exact fractions"
-            )
+            raise ValueError(f"probability {prob_text!r} looks like a float; use exact fractions")
         try:
             m = int(m_text)
             prob = Fraction(prob_text)
         except (ValueError, ZeroDivisionError):
-            raise click.UsageError(f"bad pack entry {item!r}") from None
+            raise ValueError(f"bad pack entry {item!r}") from None
         pairs.append((m, prob))
-    try:
-        return PackDistribution(pairs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    return PackDistribution(pairs)
 
 
 #: Most points a grid may have; every point is a separate computation.
@@ -98,17 +86,16 @@ MAX_GRID_POINTS = 100_000
 def parse_k_range(text: str) -> range:
     match = re.fullmatch(r"\s*(\d+)\.\.(\d+)\s*", text)
     if not match:
-        raise click.UsageError(f"bad k range {text!r}, want a..b")
+        raise ValueError(f"bad k range {text!r}, want a..b")
     a, b = int(match.group(1)), int(match.group(2))
     if a > b:
-        raise click.UsageError(f"empty k range {text!r}")
+        raise ValueError(f"empty k range {text!r}")
     if b - a >= MAX_GRID_POINTS:
-        raise click.UsageError(f"k range {text!r} has more than {MAX_GRID_POINTS} values")
+        raise ValueError(f"k range {text!r} has more than {MAX_GRID_POINTS} values")
     return range(a, b + 1)
 
 
 def _grid_bounds(text: str, kind: type) -> tuple:
-    # ValueError, which the CLI prints as one line and exit 2, like parse_a_n.
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"bad grid {text!r}, want a:b:step")
@@ -203,6 +190,8 @@ def parse_a_n(expr: str, n: int) -> float:
 def _apply_cache_dir(cache_dir: str | None) -> None:
     # Made here, so that an unusable path is an error before any work; a
     # cache write that fails later is skipped.
+    from .combinatorics import CACHE_ENV_VAR
+
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         os.environ[CACHE_ENV_VAR] = cache_dir
@@ -213,60 +202,7 @@ def _pack_at(parsed, n: int) -> PackDistribution:
     return parsed(n) if callable(parsed) else parsed
 
 
-@contextmanager
-def _exit_codes():
-    try:
-        yield
-    except SizeGuardError as exc:
-        click.echo(f"size guard: {exc}", err=True)
-        sys.exit(3)
-    except BrokenPipeError:
-        raise
-    except (click.UsageError, ValueError, OSError) as exc:
-        message = exc.format_message() if isinstance(exc, click.UsageError) else exc
-        click.echo(f"Error: {message}", err=True)
-        sys.exit(2)
-
-
-class _Main(click.Group):
-    """Command group that maps errors onto the exit-code contract.
-
-    A size guard exits 3. A click usage error, a ``ValueError`` (an input
-    the parsers could not judge, as a deck size of 0) and an ``OSError`` (an
-    unusable path, as a ``--cache`` that is a file) exit 2. Either way stderr
-    gets one line. ``--help`` and a broken pipe are left to click.
-    """
-
-    def make_context(self, *args, **kwargs) -> click.Context:
-        with _exit_codes():
-            return super().make_context(*args, **kwargs)
-
-    def invoke(self, ctx: click.Context):
-        with _exit_codes():
-            return super().invoke(ctx)
-
-
-@functools.cache
-def _freeze_heap_at_exit() -> None:
-    atexit.register(gc.freeze)
-
-
-@click.group(cls=_Main, invoke_without_command=True)
-@click.pass_context
-def main(ctx: click.Context) -> None:
-    """Exact and Monte-Carlo mixing profiles for randomized riffle shuffles."""
-    _freeze_heap_at_exit()
-    if ctx.invoked_subcommand is None:
-        click.echo(ctx.get_help())
-
-
-@main.command()
-@click.option("--n", type=int, required=True, help="Deck size.")
-@click.option("--p", "p_spec", required=True, help="Pack distribution, m:prob[,m:prob...], or 'invsq'.")
-@click.option("--k", "k_range", required=True, help="Shuffle counts, a..b.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--cache", "cache_dir", default=None, help="Eulerian cache directory.")
-def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) -> None:
+def profile(opts: argparse.Namespace) -> None:
     """Exact TV profile over a range of shuffle counts.
 
     Emits one row per k with the exact rational distance, its float
@@ -274,52 +210,46 @@ def profile(n: int, p_spec: str, k_range: str, fmt: str, cache_dir: str | None) 
     geometric-mean pack count: for sigma > 0 its gap to the exact TV grows
     with n (0.058, 0.097, 0.110 at n = 52, 200, 600 for p = 2:1/2,3:1/2).
     """
-    _apply_cache_dir(cache_dir)
-    pack = _pack_at(parse_pack_spec(p_spec), n)
-    ks = parse_k_range(k_range)
+    from .combinatorics import int_to_decimal
+    from .cutoff import cutoff_shape, log_moments
+    from .laws import k_step_tvs
+
+    _apply_cache_dir(opts.cache_dir)
+    n = opts.n
+    pack = _pack_at(parse_pack_spec(opts.p_spec), n)
+    ks = parse_k_range(opts.k_range)
     mu, _ = log_moments(pack)
     rows = []
     # zip stops before the TV of k = b + 1 is taken.
     for k, tv in zip(ks, k_step_tvs(n, pack, ks.start)):
         estimate = cutoff_shape(math.exp(1.5 * math.log(n) - k * mu)) if mu > 0 else 1.0
-        rows.append(
-            {
-                "k": k,
-                "tv_exact": f"{int_to_decimal(tv.numerator)}/{int_to_decimal(tv.denominator)}",
-                "tv_float": float(tv),
-                "bd_estimate": estimate,
-            }
-        )
-    _emit_rows(rows, ["k", "tv_exact", "tv_float", "bd_estimate"], fmt)
+        tv_exact = f"{int_to_decimal(tv.numerator)}/{int_to_decimal(tv.denominator)}"
+        rows.append({"k": k, "tv_exact": tv_exact, "tv_float": float(tv), "bd_estimate": estimate})
+    _emit_rows(opts, rows, ["k", "tv_exact", "tv_float", "bd_estimate"])
 
 
-@main.command()
-@click.option("--n", type=int, default=None, help="Deck size.")
-@click.option("--n-grid", "n_grid", default=None, help="Deck sizes, a:b:step.")
-@click.option("--p", "p_spec", required=True, help="Pack distribution or 'invsq'.")
-@click.option("--a-n", "a_n_expr", default=None, help="Truncation level; 'logn' allowed.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json")
-def cutoff(
-    n: int | None, n_grid: str | None, p_spec: str, a_n_expr: str | None, fmt: str
-) -> None:
+def cutoff(opts: argparse.Namespace) -> None:
     """Discrete- and continuous-time cutoff reports, or per-n condition values over an n-grid."""
-    parsed = parse_pack_spec(p_spec)
-    if (n is None) == (n_grid is None):
-        raise click.UsageError("give exactly one of --n or --n-grid")
+    from dataclasses import asdict
 
-    if n is not None:
-        if fmt == "csv":
-            raise click.UsageError("the --n report is JSON only; --format csv needs --n-grid")
+    from .cutoff import _critical_time, continuous_cutoff_report, cutoff_report
+    from .cutoff import hyp_check, lindeberg_value, truncation_report
+
+    parsed, a_n_expr = parse_pack_spec(opts.p_spec), opts.a_n_expr
+    if opts.n is not None:
+        if opts.fmt == "csv":
+            raise ValueError("the --n report is JSON only; --format csv needs --n-grid")
+        n = opts.n
         pack = _pack_at(parsed, n)
         payload = {"report": asdict(cutoff_report(pack, n))}
         payload["continuous"] = asdict(continuous_cutoff_report(pack, n))
         if a_n_expr is not None:
             payload["truncation"] = asdict(truncation_report(pack, n, parse_a_n(a_n_expr, n)))
-        _emit(payload)
+        _emit(opts, payload)
         return
 
     rows = []
-    for size in parse_int_grid(n_grid):
+    for size in parse_int_grid(opts.n_grid):
         pack = _pack_at(parsed, size)
         mu, sigma, _, t_n = _critical_time(pack, size)
         row = {
@@ -332,49 +262,35 @@ def cutoff(
         row["hyp1"], row["hyp2"] = hyp_check(pack, size, 0.5)
         if a_n_expr is not None:
             trunc = truncation_report(pack, size, parse_a_n(a_n_expr, size))
-            row["ratio_z"] = trunc.ratio_z
-            row["ratio_y"] = trunc.ratio_y
-            row["t_n_truncated"] = trunc.t_n_truncated
+            row.update(ratio_z=trunc.ratio_z, ratio_y=trunc.ratio_y, t_n_truncated=trunc.t_n_truncated)
         rows.append(row)
-    _emit_rows(rows, list(rows[0]), fmt)
+    _emit_rows(opts, rows, list(rows[0]))
 
 
-@main.command()
-@click.option("--suite", "suite", default="all", help="Suite name or 'all'.")
-@click.option("--n", type=click.IntRange(min=1), default=None, help="Deck-size bound override.")
-@click.option("--m", type=click.IntRange(min=1), default=None, help="Pack-count bound override.")
-@click.option("--seed", type=int, default=0)
-@click.option(
-    "--N", "n_samples", type=click.IntRange(min=1), default=100_000, help="Sampler suite sample count."
-)
-@click.option("--dump-csv", "dump_csv", default=None, help="Write sampler draws (n,m,trial,r) here.")
-@click.option("--cache", "cache_dir", default=None)
-def verify(
-    suite: str,
-    n: int | None,
-    m: int | None,
-    seed: int,
-    n_samples: int,
-    dump_csv: str | None,
-    cache_dir: str | None,
-) -> None:
+def verify(opts: argparse.Namespace) -> int:
     """Run exact property suites; nonzero exit on any violation."""
-    _apply_cache_dir(cache_dir)
+    from .verify import SUITES, suite_names
+
+    _apply_cache_dir(opts.cache_dir)
+    suite, n, m = opts.suite, opts.n, opts.m
     if suite == "all":
         selected = suite_names()
     elif suite in SUITES:
         selected = [suite]
     else:
-        raise click.UsageError(f"unknown suite {suite!r}; try one of {suite_names()}")
-    if dump_csv is not None and "sampler" not in selected:
-        raise click.UsageError(f"--dump-csv needs the sampler suite, not {suite!r}")
-    if n is not None and n < 2 and "sampler" in selected:
-        raise click.BadParameter(f"the sampler suite needs n >= 2, got {n}", param_hint="'--n'")
+        raise ValueError(f"unknown suite {suite!r}; try one of {suite_names()}")
+    if opts.dump_csv is not None and "sampler" not in selected:
+        raise ValueError(f"--dump-csv needs the sampler suite, not {suite!r}")
+    # The sampler suite needs decks of two cards or more to shuffle.
+    lows = {"--n": 2 if "sampler" in selected else 1, "--m": 1, "--N": 1}
+    for (flag, low), value in zip(lows.items(), (n, m, opts.n_samples)):
+        if value is not None and value < low:
+            raise ValueError(f"argument {flag}: want an integer >= {low}, got {value}")
 
     results: dict[str, list[dict]] = {}
-    with open(dump_csv, "w") if dump_csv is not None else nullcontext() as dump:
+    with open(opts.dump_csv, "w") if opts.dump_csv is not None else nullcontext() as dump:
         for name in selected:
-            kwargs: dict = {"seed": seed, "n_samples": n_samples}
+            kwargs: dict = {"seed": opts.seed, "n_samples": opts.n_samples}
             if n is not None:
                 kwargs["n_max"] = n
             if m is not None:
@@ -384,29 +300,116 @@ def verify(
             results[name] = SUITES[name](**kwargs)
 
     ok = all(v["ok"] for verdicts in results.values() for v in verdicts)
-    _emit({"ok": ok, "suites": results})
-    if not ok:
-        sys.exit(1)
+    _emit(opts, {"ok": ok, "suites": results})
+    return 0 if ok else 1
 
 
-@main.command()
-@click.option("--n", type=int, required=True, help="Deck size.")
-@click.option("--p", "p_spec", required=True, help="Pack distribution, m:prob[,m:prob...], or 'invsq'.")
-@click.option("--t", "t_grid", required=True, help="Times, a:b:step.")
-@click.option("--tol", type=float, default=1e-9, help="Poisson tail tolerance.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--cache", "cache_dir", default=None)
-def poisson(n: int, p_spec: str, t_grid: str, tol: float, fmt: str, cache_dir: str | None) -> None:
+def poisson(opts: argparse.Namespace) -> None:
     """TV distance of the continuous-time chain on a time grid."""
-    _apply_cache_dir(cache_dir)
-    pack = _pack_at(parse_pack_spec(p_spec), n)
-    ts = parse_float_grid(t_grid)
+    from .continuous_time import poissonized_laws
+
+    _apply_cache_dir(opts.cache_dir)
+    n, tol = opts.n, opts.tol
+    pack = _pack_at(parse_pack_spec(opts.p_spec), n)
+    ts = parse_float_grid(opts.t_grid)
     # map holds no law past its row, as a loop variable would while the next is built.
     rows = list(map(
         lambda t, law: {"t": t, "tv": float(law.tv_to_uniform()), "certificate": tol, "truncation_k": law.truncation_k},
         ts, poissonized_laws(n, pack, ts, tol),
     ))
-    _emit_rows(rows, ["t", "tv", "certificate", "truncation_k"], fmt)
+    _emit_rows(opts, rows, ["t", "tv", "certificate", "truncation_k"])
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and its subcommands' parsers, with ``--help`` only, no
+    abbreviated options, and usage errors that print one line and exit 2."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        print(f"Error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
+def _parser(prog: str) -> _Parser:
+    parser = _Parser(
+        prog=prog, description="Exact and Monte-Carlo mixing profiles for randomized riffle shuffles."
+    )
+    commands = parser.add_subparsers(dest="command", title="Commands", metavar="COMMAND")
+
+    def command(run: Callable[[argparse.Namespace], int | None]) -> _Parser:
+        sub = commands.add_parser(run.__name__, help=run.__doc__.split("\n")[0], description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    pack_help = "Pack distribution, m:prob[,m:prob...], or 'invsq'."
+    formats = ["csv", "json"]
+    cmd = command(profile)
+    cmd.add_argument("--n", type=int, required=True, help="Deck size.")
+    cmd.add_argument("--p", dest="p_spec", required=True, help=pack_help)
+    cmd.add_argument("--k", dest="k_range", required=True, help="Shuffle counts, a..b.")
+    cmd.add_argument("--format", dest="fmt", choices=formats, default="csv")
+    cmd.add_argument("--cache", dest="cache_dir", help="Eulerian cache directory.")
+
+    cmd = command(cutoff)
+    sizes = cmd.add_mutually_exclusive_group(required=True)
+    sizes.add_argument("--n", type=int, help="Deck size.")
+    sizes.add_argument("--n-grid", dest="n_grid", help="Deck sizes, a:b:step.")
+    cmd.add_argument("--p", dest="p_spec", required=True, help=pack_help)
+    cmd.add_argument("--a-n", dest="a_n_expr", help="Truncation level; 'logn' allowed.")
+    cmd.add_argument("--format", dest="fmt", choices=formats, default="json")
+
+    cmd = command(verify)
+    cmd.add_argument("--suite", default="all", help="Suite name or 'all'.")
+    cmd.add_argument("--n", type=int, help="Deck-size bound override; 2 or more with the sampler.")
+    cmd.add_argument("--m", type=int, help="Pack-count bound override.")
+    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--N", dest="n_samples", type=int, default=100_000, help="Sampler suite sample count.")
+    cmd.add_argument("--dump-csv", dest="dump_csv", help="Write sampler draws (n,m,trial,r) here.")
+    cmd.add_argument("--cache", dest="cache_dir")
+
+    cmd = command(poisson)
+    cmd.add_argument("--n", type=int, required=True, help="Deck size.")
+    cmd.add_argument("--p", dest="p_spec", required=True, help=pack_help)
+    cmd.add_argument("--t", dest="t_grid", required=True, help="Times, a:b:step.")
+    cmd.add_argument("--tol", type=float, default=1e-9, help="Poisson tail tolerance.")
+    cmd.add_argument("--format", dest="fmt", choices=formats, default="csv")
+    cmd.add_argument("--cache", dest="cache_dir")
+    return parser
+
+
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    atexit.register(gc.freeze)
+
+
+def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one ``riffle`` call on ``args`` (default ``sys.argv[1:]``); see the module docstring."""
+    _freeze_heap_at_exit()
+    parser = _parser(prog_name or "riffle")
+    opts = parser.parse_args(args)
+    if opts.command is None:
+        parser.print_help()
+        return
+    from .combinatorics import SizeGuardError
+
+    try:
+        code = opts.run(opts)
+        sys.stdout.flush()  # a closed stdout fails here, and not in the flush at exit
+    except SizeGuardError as exc:
+        print(f"size guard: {exc}", file=sys.stderr)
+        sys.exit(3)
+    except BrokenPipeError:
+        # Python's documented way out: stdout goes to devnull for the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except (ValueError, OSError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    if code:
+        sys.exit(code)
 
 
 def _plain(value: Any) -> Any:
@@ -419,6 +422,8 @@ def _plain(value: Any) -> Any:
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, Fraction):
+        from .combinatorics import int_to_decimal
+
         return {"num": int_to_decimal(value.numerator), "den": int_to_decimal(value.denominator)}
     if isinstance(value, dict):
         return {_plain(k): _plain(v) for k, v in value.items()}
@@ -427,26 +432,21 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def _emit(payload: dict) -> None:
-    """Print payload as sorted, indent-2 JSON under the running command's config.
-
-    The config holds the command name and every parameter that has a value,
-    as click parsed it; it skips the encoder, so a float option stays a
-    JSON number.
-    """
-    ctx = click.get_current_context()
-    config = {"command": ctx.info_name, **{k: v for k, v in ctx.params.items() if v is not None}}
-    click.echo(json.dumps({"config": config, **_plain(payload)}, sort_keys=True, indent=2))
+def _emit(opts: argparse.Namespace, payload: dict) -> None:
+    """Print payload as sorted, indent-2 JSON under the config: the command and
+    every option that has a value, as parsed, so a float option stays a number."""
+    config = {k: v for k, v in vars(opts).items() if v is not None and k != "run"}
+    print(json.dumps({"config": config, **_plain(payload)}, sort_keys=True, indent=2))
 
 
-def _emit_rows(rows: Sequence[dict], header: Sequence[str], fmt: str) -> None:
+def _emit_rows(opts: argparse.Namespace, rows: Sequence[dict], header: Sequence[str]) -> None:
     rows = _plain(rows)
-    if fmt == "csv":
-        click.echo(",".join(header))
+    if opts.fmt == "csv":
+        print(",".join(header))
         for row in rows:
-            click.echo(",".join("" if row.get(col) is None else str(row[col]) for col in header))
+            print(",".join("" if row.get(col) is None else str(row[col]) for col in header))
     else:
-        _emit({"rows": rows})
+        _emit(opts, {"rows": rows})
 
 
 if __name__ == "__main__":

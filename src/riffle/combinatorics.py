@@ -22,6 +22,8 @@ __all__ = [
     "DISK_CACHE_MIN_N",
     "EulerianCache",
     "EulerianRow",
+    "MAX_EXACT_N",
+    "SizeGuardError",
     "decimal_to_int",
     "default_cache",
     "eulerian_row",
@@ -34,6 +36,21 @@ CACHE_ENV_VAR = "RIFFLE_CACHE_DIR"
 
 #: Rows with n below this are cheap to recompute and are kept in memory only.
 DISK_CACHE_MIN_N = 32
+
+#: Size guard: the largest deck size an exact computation builds a row for.
+MAX_EXACT_N = 10_000
+
+
+class SizeGuardError(RuntimeError):
+    """Raised when an exact computation would exceed its configured size."""
+
+
+def _check_deck(n: int) -> None:
+    """Refuse a deck size before any work on it: below 1, or over :data:`MAX_EXACT_N`."""
+    if n < 1:
+        raise ValueError(f"deck size must be >= 1, got {n}")
+    if n > MAX_EXACT_N:
+        raise SizeGuardError(f"deck size {n} is over the exact limit of {MAX_EXACT_N}")
 
 
 def int_to_decimal(x: int) -> str:
@@ -221,9 +238,9 @@ def eulerian_row(n: int, cache: EulerianCache | None = None) -> EulerianRow:
     recomputation dominates runtime once n reaches the hundreds and distance
     profiles reuse the same row across many shuffle counts. A write that
     fails, as on a full disk, is skipped: the row is returned all the same.
+    A deck of more than :data:`MAX_EXACT_N` cards raises :class:`SizeGuardError`.
     """
-    if n < 1:
-        raise ValueError(f"deck size must be >= 1, got {n}")
+    _check_deck(n)
     with _memo_lock:
         hit = _memo.get(n)
     if hit is not None:
@@ -259,15 +276,3 @@ def eulerian_row(n: int, cache: EulerianCache | None = None) -> EulerianRow:
         with suppress(OSError):
             cache.write(row)
     return row
-
-
-def brute_force_row(n: int) -> EulerianRow:
-    """Row computed by enumerating all n! arrangements. Test oracle; n <= 9."""
-    if n > 9:
-        raise ValueError("brute force row limited to n <= 9")
-    from itertools import permutations
-
-    counts = [0] * n
-    for deck in permutations(range(1, n + 1)):
-        counts[rising_sequences(deck) - 1] += 1
-    return EulerianRow(n, tuple(counts))

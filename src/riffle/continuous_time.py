@@ -23,10 +23,10 @@ from functools import partial, reduce
 from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
+from .combinatorics import SizeGuardError, _check_deck
 from .laws import (
     PackDistribution,
     RisingSeqLaw,
-    SizeGuardError,
     _fold,
     _k_step_numerators,
     _moment_numerators,
@@ -117,8 +117,7 @@ def poissonized_laws(
     one law at a time.
     """
     ts = [float(t) for t in ts]
-    if n < 1:
-        raise ValueError(f"deck size must be >= 1, got {n}")
+    _check_deck(n)
     for t in ts:
         if not 0 <= t <= 700:
             raise ValueError(f"time must be in [0, 700] for float Poisson weights, got {t}")

@@ -34,13 +34,12 @@ from itertools import accumulate, chain, islice
 from operator import mul
 from typing import ClassVar, Iterable, Iterator
 
-from .combinatorics import decimal_to_int, eulerian_row, int_to_decimal
+from .combinatorics import SizeGuardError, _check_deck, decimal_to_int, eulerian_row, int_to_decimal
 
 __all__ = [
     "PackDistribution",
     "ProductLaw",
     "RisingSeqLaw",
-    "SizeGuardError",
     "inverse_square_pack",
     "k_step_laws",
     "k_step_tvs",
@@ -57,10 +56,6 @@ __all__ = [
 
 #: Size guard: :func:`product_laws` refuses a step of more products than this.
 MAX_PRODUCT_ATOMS = 1_000_000
-
-
-class SizeGuardError(RuntimeError):
-    """Raised when an exact computation would exceed its configured size."""
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,7 @@ def _fold(n: int, nums: Iterable[int], den: int, mass: Fraction = Fraction(1)) -
     integers. The first failing check in that order is the one reported,
     so a stream gives the message its list would.
     """
-    if n < 1:
-        raise ValueError(f"deck size must be >= 1, got {n}")
+    _check_deck(n)
     shape = f"law for n={n} needs {n} class entries over a positive den"
     if den < 1:
         raise ValueError(shape)
@@ -171,8 +165,7 @@ def _shuffle_numerators(n: int, m: int, scale: int = 1) -> Iterator[int]:
     is a binomial; the entries vanish from r = m + 1 on. They come one at a
     time, each made as it is taken.
     """
-    if n < 1:
-        raise ValueError(f"deck size must be >= 1, got {n}")
+    _check_deck(n)
     if m < 1:
         raise ValueError(f"pack count must be >= 1, got {m}")
     first = scale * math.comb(n + m - 1, n)
@@ -375,8 +368,7 @@ def _k_step_numerators(
     numerators come one class at a time, unreduced, and must be taken
     before the next law is asked for.
     """
-    if n < 1:
-        raise ValueError(f"deck size must be >= 1, got {n}")
+    _check_deck(n)
     if start < 0:
         raise ValueError(f"k must be >= 0, got {start}")
     for k, (weights, den) in enumerate(product_laws(p)):

@@ -11,13 +11,11 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
-from types import ModuleType
 
 import pytest
-from click.testing import CliRunner
 
 import riffle
-from riffle import laws
+from riffle import combinatorics, laws
 from riffle.cli import (
     MAX_GRID_POINTS,
     _plain,
@@ -28,13 +26,8 @@ from riffle.cli import (
     parse_k_range,
     parse_pack_spec,
 )
-from riffle.combinatorics import decimal_to_int
+from riffle.combinatorics import MAX_EXACT_N, decimal_to_int
 from riffle.cutoff import continuous_cutoff_report, second_eigenvalue
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 class TestParsers:
@@ -46,31 +39,23 @@ class TestParsers:
         assert parse_pack_spec("2:1").atoms == ((2, Fraction(1)),)
 
     def test_pack_spec_rejects_floats(self):
-        import click
-
-        with pytest.raises(click.UsageError):
+        with pytest.raises(ValueError):
             parse_pack_spec("2:0.5,3:0.5")
 
     def test_pack_spec_rejects_bad_mass(self):
-        import click
-
-        with pytest.raises(click.UsageError):
+        with pytest.raises(ValueError):
             parse_pack_spec("2:1/3,3:1/3")
 
     def test_pack_spec_rejects_a_repeated_pack_count(self):
-        import click
-
-        with pytest.raises(click.UsageError, match="duplicate pack count 2"):
+        with pytest.raises(ValueError, match="duplicate pack count 2"):
             parse_pack_spec("2:1/2,3:1/4,2:1/4")
 
     def test_k_range(self):
         assert parse_k_range("1..12") == range(1, 13)
 
     def test_k_range_holds_at_most_max_grid_points(self):
-        import click
-
         assert len(parse_k_range(f"1..{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
-        with pytest.raises(click.UsageError, match="more than"):
+        with pytest.raises(ValueError, match="more than"):
             parse_k_range(f"0..{MAX_GRID_POINTS}")
 
     def test_a_n_expressions(self):
@@ -339,7 +324,7 @@ class TestVerify:
         args = ["verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "100"]
         result = runner.invoke(main, [*args, option, value])
         assert result.exit_code == 2
-        assert f"Invalid value for '{option}'" in result.output
+        assert f"Error: argument {option}: " in result.output
 
     @pytest.mark.parametrize("suite", ["sampler", "all"])
     def test_sampler_deck_bound_below_two_is_a_usage_error(self, runner, suite):
@@ -348,7 +333,7 @@ class TestVerify:
         args = ["verify", "--suite", suite, "--m", "2", "--N", "100"]
         result = runner.invoke(main, [*args, "--n", "1"])
         assert result.exit_code == 2
-        assert result.output.count("\n") == 1 and "Invalid value for '--n'" in result.output
+        assert result.output.count("\n") == 1 and "Error: argument --n: " in result.output
 
     def test_deck_bound_of_one_still_runs_the_exact_suites(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "tailsets", "--n", "1", "--m", "2"])
@@ -429,12 +414,12 @@ class TestVerify:
         }
 
     def test_violation_exits_1(self, runner, monkeypatch):
-        import riffle.cli as cli_mod
+        from riffle import verify
 
         def broken_suite(**kwargs):
             return [{"property": "always_fails", "ok": False, "detail": "forced"}]
 
-        monkeypatch.setitem(cli_mod.SUITES, "tailsets", broken_suite)
+        monkeypatch.setitem(verify.SUITES, "tailsets", broken_suite)
         result = runner.invoke(main, ["verify", "--suite", "tailsets"])
         assert result.exit_code == 1
         assert json.loads(result.output)["ok"] is False
@@ -561,9 +546,10 @@ class TestSizeGuardExit:
 
 
 class TestLibraryValueErrorExit:
-    # Values the parsers accept but the library rejects, and click's own
-    # usage errors: a one-line error and exit 2, checked on the real stderr
-    # of a CLI process.
+    # Values the parsers accept but the library rejects, and the usage errors
+    # argparse finds (the click-* cases, named for the front end that first
+    # had them): a one-line error and exit 2, checked on the real stderr of a
+    # CLI process.
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -577,18 +563,18 @@ class TestLibraryValueErrorExit:
             ),
             (["cutoff", "--n", "0", "--p", "2:1"], "deck size must be >= 2, got 0"),
             (["cutoff", "--n", "1", "--p", "2:1"], "deck size must be >= 2, got 1"),
-            (["verify", "--N", "0"], "Error: Invalid value for '--N'"),
-            (["verify", "--N", "abc"], "Error: Invalid value for '--N'"),
+            (["verify", "--N", "0"], "Error: argument --N: "),
+            (["verify", "--N", "abc"], "Error: argument --N: "),
             (["profile", "--n", "5", "--p", "2.0:1", "--k", "1..2"], "Error: bad pack entry '2.0:1'"),
-            (["profile", "--n", "5", "--p", "2:1"], "Error: Missing option '--k'"),
-            (["nosuch"], "Error: No such command 'nosuch'"),
-            (["--bogus"], "Error: No such option"),
+            (["profile", "--n", "5", "--p", "2:1"], "Error: the following arguments are required: --k"),
+            (["nosuch"], "Error: argument COMMAND: invalid choice: 'nosuch'"),
+            (["--bogus"], "Error: unrecognized arguments: --bogus"),
             (
                 ["cutoff", "--n-grid", "0:3:1", "--p", "2:1", "--format", "csv"],
                 "deck size must be >= 2, got 0",
             ),
             # cutoff reads no Eulerian row, so it has no --cache.
-            (["cutoff", "--n", "52", "--p", "2:1", "--cache", "cache"], "Error: No such option '--cache'"),
+            (["cutoff", "--n", "52", "--p", "2:1", "--cache", "cache"], "Error: unrecognized arguments: --cache"),
         ],
         ids=[
             "profile", "poisson", "cutoff", "profile-invsq", "verify", "cutoff-n0", "cutoff-n1",
@@ -695,8 +681,8 @@ def test_undecodable_cache_file_is_recomputed(tmp_path):
 
 
 def test_broken_stdout_pipe_keeps_clicks_quiet_exit(tmp_path):
-    # The OSError mapping leaves a closed stdout to click, which exits 1
-    # without a message, as a pipe into `head` expects.
+    # A closed stdout is not an OSError that exits 2: main exits 1 without a
+    # message, as a pipe into `head` expects (the quiet exit click once gave).
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -843,6 +829,41 @@ def test_oversized_k_range_exits_2_at_once(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("n", [MAX_EXACT_N + 1, 99_999_999_999])
+@pytest.mark.parametrize(
+    "args", [["profile", "--k", "1..1"], ["poisson", "--t", "1:1:1"]], ids=["profile", "poisson"]
+)
+def test_deck_past_the_exact_limit_exits_3_at_once(args, n, tmp_path):
+    # Both used to run until killed, growing the Eulerian row or a power of
+    # the pack count with n.
+    env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "riffle.cli", args[0], "--n", str(n), "--p", "2:1", *args[1:],
+         "--cache", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        f"size guard: deck size {n} is over the exact limit of {MAX_EXACT_N}"
+    ]
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args", [["profile", "--k", "1..2"], ["poisson", "--t", "1:2:1"]], ids=["profile", "poisson"]
+)
+def test_deck_at_the_exact_limit_runs(runner, monkeypatch, tmp_path, args):
+    # The limit is lowered, so that the deck at it is quick to compute.
+    monkeypatch.setattr(combinatorics, "MAX_EXACT_N", 40)
+    monkeypatch.setattr(combinatorics, "_memo", {})
+    calls = [
+        runner.invoke(main, [args[0], "--n", str(n), "--p", "2:1", *args[1:], "--cache", str(tmp_path)])
+        for n in (40, 41)
+    ]
+    assert [call.exit_code for call in calls] == [0, 3]
+    assert calls[1].output == "size guard: deck size 41 is over the exact limit of 40\n"
+
+
 @pytest.mark.parametrize("text", ["inf:inf:1", "1:nan:1", "-inf:0:1", "0:1:inf", "0:1e300:1", "0:1:1e-300", "1e308:1e308:1e-308"])
 def test_float_grid_rejects_non_finite_and_oversized(text):
     with pytest.raises(ValueError):
@@ -899,7 +920,7 @@ runs = [
 codes = []
 for args in runs:
     try:
-        riffle.cli.main(args=args, prog_name="riffle")
+        codes.append(riffle.cli.main(args=args, prog_name="riffle") or 0)
     except SystemExit as exc:
         codes.append(exc.code)
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}), file=sys.stderr)
@@ -911,11 +932,41 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}), file=sys.st
     assert json.loads(proc.stderr.strip().splitlines()[-1]) == {"codes": [0] * 8, "numpy": False}
 
 
-def _run_script(script: str, tmp_path) -> subprocess.CompletedProcess:
+def _run_script(script: str, tmp_path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(riffle.__file__).parents[1]), RIFFLE_CACHE_DIR=str(tmp_path))
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    # import riffle.cli loads no other riffle module and no click; each
+    # command then imports what it uses, and nothing of the other commands.
+    script = """
+import json, sys
+import riffle.cli
+loaded = [sorted(sys.modules)]
+riffle.cli.main(args=sys.argv[1:], prog_name="riffle")
+loaded.append(sorted(sys.modules))
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+    def loaded(*args):
+        proc = _run_script(script, tmp_path, *args)
+        assert proc.returncode == 0, proc.stderr
+        return [set(names) for names in json.loads(proc.stderr.splitlines()[-1])]
+
+    def riffle_and_click(names):
+        return {m for m in names if m.split(".")[0] in ("riffle", "click")}
+
+    on_import, after = loaded("profile", "--n", "12", "--p", "2:1/2,3:1/2", "--k", "1..3")
+    assert riffle_and_click(on_import) == {"riffle", "riffle.cli"}
+    assert {"riffle.laws", "riffle.cutoff"} <= after
+    assert not {"riffle.continuous_time", "riffle.verify", "riffle.oracles", "numpy"} & after
+    on_import, after = loaded("poisson", "--n", "8", "--p", "2:1/2,3:1/2", "--t", "1:2:1")
+    assert riffle_and_click(on_import) == {"riffle", "riffle.cli"}
+    assert "riffle.continuous_time" in after
+    assert not {"riffle.cutoff", "riffle.verify", "riffle.oracles", "numpy"} & after
 
 
 def test_a_call_freezes_the_heap_at_exit(tmp_path):
@@ -941,16 +992,19 @@ atexit.register = lambda func, *args, **kwargs: registered.append(func) or regis
 import riffle
 on_import = len(registered)
 import riffle.cli
-from click.testing import CliRunner
 freezes = [registered.count(gc.freeze)]
-for _ in range(3):
-    CliRunner().invoke(riffle.cli.main, ["profile", "--n", "6", "--p", "2:1", "--k", "1..2"])
+for args in (["profile", "--n", "6", "--p", "2:1", "--k", "1..2"], ["nosuch"], ["--help"]):
+    try:
+        riffle.cli.main(args=args, prog_name="riffle")
+    except SystemExit:
+        pass
     freezes.append(registered.count(gc.freeze))
 print(on_import, freezes, file=sys.stderr)
 """
     proc = _run_script(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["0 [0, 1, 1, 1]"]
+    error, *rest = proc.stderr.splitlines()
+    assert error.startswith("Error: argument COMMAND: ") and rest == ["0 [0, 1, 1, 1]"]
 
 
 def test_sampler_dump_is_closed_before_the_frozen_exit(runner, tmp_path):
@@ -981,21 +1035,18 @@ def test_sampling_names_still_import_from_the_package():
         if hasattr(module, "__all__"):
             exports[info.name] = set(module.__all__)
             assert [n for n in module.__all__ if not hasattr(module, n)] == [], info.name
-    # The package's public names are exactly its modules' __all__, bound to
-    # the modules' own objects; the sampling names load on first use.
-    eager = ["combinatorics", "continuous_time", "cutoff", "laws", "oracles"]
-    public = {
-        name for name, value in vars(riffle).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
+    # The package serves exactly its modules' __all__ (verify's suite table
+    # is the CLI's), each name bound to its module's own object on first use.
+    served = ["combinatorics", "continuous_time", "cutoff", "laws", "oracles", "sampling"]
+    assert {m: set(names.split()) for m, names in riffle._EXPORTS.items()} == {
+        m: exports[m] for m in served
     }
-    assert public == set().union(*(exports[m] for m in eager))
-    for m in eager:
+    assert sorted(riffle.__all__) == sorted(set().union(*(exports[m] for m in served)))
+    assert set(riffle.__all__) <= set(dir(riffle))
+    for m in served:
         module = importlib.import_module(f"riffle.{m}")
         for name in exports[m]:
             assert getattr(riffle, name) is getattr(module, name), name
-    assert riffle._SAMPLING_NAMES == exports["sampling"]
-    for name in riffle._SAMPLING_NAMES:
-        assert getattr(riffle, name) is getattr(sampling, name)
     assert riffle.EmpiricalHistogram.__module__ == "riffle.sampling"
     with pytest.raises(AttributeError):
         riffle.no_such_name

@@ -9,7 +9,6 @@ none can raise a size.
 
 import json
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -94,8 +93,8 @@ def argvs(draw):
 @example(["poisson", "--n", "40", "--p", "2:1", "--t", "1:nan:1"])
 # log 1 = 0 used to divide the condition ratios by zero.
 @example(["cutoff", "--n-grid", "1:3:1", "--p", "2:1/2,3:1/2", "--a-n", "1"])
-def test_cli_fuzz_exit_contract(argv):
-    result = CliRunner().invoke(main, argv)
+def test_cli_fuzz_exit_contract(runner, argv):
+    result = runner.invoke(main, argv)
     assert result.exit_code in (0, 2, 3), (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
     assert "Traceback" not in result.output

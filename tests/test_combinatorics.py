@@ -15,7 +15,6 @@ import riffle.combinatorics as comb
 from riffle.combinatorics import (
     EulerianCache,
     EulerianRow,
-    brute_force_row,
     decimal_to_int,
     eulerian_row,
     int_to_decimal,
@@ -387,6 +386,16 @@ def brute_force_row_free(n):
     return tuple(prev)
 
 
+def brute_force_row(n: int) -> EulerianRow:
+    """Row computed by enumerating all n! arrangements; n <= 9."""
+    if n > 9:
+        raise ValueError("brute force row limited to n <= 9")
+    counts = [0] * n
+    for deck in permutations(range(1, n + 1)):
+        counts[rising_sequences(deck) - 1] += 1
+    return EulerianRow(n, tuple(counts))
+
+
 # Enumerating 9! decks takes seconds; do it once per row.
 enumerated_row = functools.cache(brute_force_row)
 
@@ -434,3 +443,31 @@ def test_row_sum_and_symmetry_property(n):
     row = eulerian_row(n)
     assert sum(row.counts) == math.factorial(n)
     assert row.counts == row.counts[::-1]
+
+
+@pytest.mark.parametrize("n", [comb.MAX_EXACT_N + 1, 99_999_999_999])
+def test_exact_entry_points_refuse_a_deck_past_the_limit_at_once(n):
+    # Each used to grow a row, or a power of the pack counts, card by card
+    # without end; now each raises before its first step.
+    from riffle.continuous_time import poissonized_laws
+    from riffle.laws import PackDistribution, k_step_tvs, m_shuffle_law
+
+    gsr = PackDistribution([(2, 1)])
+    calls = [
+        lambda: eulerian_row(n),
+        lambda: next(k_step_tvs(n, gsr)),
+        lambda: m_shuffle_law(n, 2),
+        lambda: next(poissonized_laws(n, gsr, [1.0], 1e-9)),
+    ]
+    for call in calls:
+        with pytest.raises(comb.SizeGuardError, match=f"deck size {n} is over the exact limit"):
+            call()
+
+
+def test_the_deck_limit_itself_is_accepted(monkeypatch):
+    # At the real limit the row takes minutes, so the limit is lowered here.
+    monkeypatch.setattr(comb, "_memo", {})
+    monkeypatch.setattr(comb, "MAX_EXACT_N", 12)
+    assert eulerian_row(12).n == 12
+    with pytest.raises(comb.SizeGuardError):
+        eulerian_row(13)
