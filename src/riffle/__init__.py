@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 #: Each module's ``__all__``, which the package serves; a test keeps them equal.
 _EXPORTS = {
-    "combinatorics": """CACHE_ENV_VAR DISK_CACHE_MIN_N EulerianCache EulerianRow MAX_EXACT_N
+    "combinatorics": """CACHE_ENV_VAR DISK_CACHE_MIN_N EulerianCache MAX_EXACT_N
         SizeGuardError decimal_to_int default_cache eulerian_row int_to_decimal
         rising_sequences validate_arrangement""",
     "continuous_time": """PoissonizedLaw UnitTimePackLaw poissonized_law poissonized_laws

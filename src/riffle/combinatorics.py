@@ -12,7 +12,6 @@ import os
 import sys
 import threading
 from contextlib import suppress
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +20,6 @@ __all__ = [
     "CACHE_ENV_VAR",
     "DISK_CACHE_MIN_N",
     "EulerianCache",
-    "EulerianRow",
     "MAX_EXACT_N",
     "SizeGuardError",
     "decimal_to_int",
@@ -125,40 +123,20 @@ def rising_sequences(arrangement: Sequence[int]) -> int:
     return 1 + breaks
 
 
-@dataclass(frozen=True)
-class EulerianRow:
-    """Counts of n-card arrangements by number of rising sequences.
-
-    ``counts[i]`` holds the number of arrangements with ``r = i + 1`` rising
-    sequences; use :meth:`count` to stay in the 1-based r convention. Rows are
-    validated on construction: they sum to n! and are symmetric.
-    """
-
-    n: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if n < 1:
-            raise ValueError(f"deck size must be >= 1, got {n}")
-        if len(self.counts) != n:
-            raise ValueError(f"row must have {n} entries, got {len(self.counts)}")
-        if sum(self.counts) != math.factorial(n):
-            raise ValueError(f"row for n={n} does not sum to n!")
-        for r in range(1, n + 1):
-            if self.counts[r - 1] != self.counts[n - r]:
-                raise ValueError(f"row for n={n} is not symmetric at r={r}")
-        if self.counts[0] != 1 or self.counts[-1] != 1:
-            raise ValueError(f"row for n={n} must have 1 at both ends")
-
-    def count(self, r: int) -> int:
-        """Number of arrangements with exactly ``r`` rising sequences."""
-        if not 1 <= r <= self.n:
-            raise ValueError(f"r must be in 1..{self.n}, got {r}")
-        return self.counts[r - 1]
-
-    def r_values(self) -> range:
-        return range(1, self.n + 1)
+def _checked_row(n: int, counts: tuple[int, ...]) -> tuple[int, ...]:
+    """``counts`` if it is row n: n entries summing to n!, symmetric, 1 at both ends."""
+    if n < 1:
+        raise ValueError(f"deck size must be >= 1, got {n}")
+    if len(counts) != n:
+        raise ValueError(f"row must have {n} entries, got {len(counts)}")
+    if sum(counts) != math.factorial(n):
+        raise ValueError(f"row for n={n} does not sum to n!")
+    for r in range(1, n + 1):
+        if counts[r - 1] != counts[n - r]:
+            raise ValueError(f"row for n={n} is not symmetric at r={r}")
+    if counts[0] != 1 or counts[-1] != 1:
+        raise ValueError(f"row for n={n} must have 1 at both ends")
+    return counts
 
 
 def _mirror(half: list[int], n: int) -> tuple[int, ...]:
@@ -186,7 +164,8 @@ class EulerianCache:
     def path_for(self, n: int) -> Path:
         return self.directory / f"eulerian_{n}.txt"
 
-    def read(self, n: int) -> EulerianRow | None:
+    def read(self, n: int) -> tuple[int, ...] | None:
+        """Row n as a checked ``tuple[int, ...]``, or ``None`` if missing or bad."""
         try:
             with self.path_for(n).open("rb") as f:
                 # next() gives b"" past the end, which int() rejects as it
@@ -199,21 +178,22 @@ class EulerianCache:
                         return None
                 if next(f, None) is not None:
                     return None
-            return EulerianRow(n, _mirror(half, n))
+            return _checked_row(n, _mirror(half, n))
         except (OSError, ValueError):
             # Missing or corrupt cache entry; caller recomputes and overwrites.
             return None
 
-    def write(self, row: EulerianRow) -> None:
+    def write(self, row: tuple[int, ...]) -> None:
+        """Store a ``tuple[int, ...]`` row; its length is its deck size."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(row.n)
+        path = self.path_for(len(row))
         # One temp file per writing thread, so concurrent writers never rename
         # each other's file away.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             with tmp.open("w", encoding="ascii") as f:
-                f.write(f"{row.n}\n")
-                for c in row.counts:
+                f.write(f"{len(row)}\n")
+                for c in row:
                     f.write(f"{c:#x}\n")
             os.replace(tmp, path)
         except BaseException:
@@ -226,12 +206,15 @@ def default_cache() -> EulerianCache:
     return EulerianCache(os.environ.get(CACHE_ENV_VAR, "cache"))
 
 
-_memo: dict[int, EulerianRow] = {}
+_memo: dict[int, tuple[int, ...]] = {}
 _memo_lock = threading.Lock()
 
 
-def eulerian_row(n: int, cache: EulerianCache | None = None) -> EulerianRow:
+def eulerian_row(n: int, cache: EulerianCache | None = None) -> tuple[int, ...]:
     """Eulerian row for deck size n, computed by the two-term recurrence.
+
+    The row is a ``tuple[int, ...]``; entry r - 1 counts the arrangements
+    with r rising sequences.
 
     Rows are memoized in memory for the process lifetime. Rows with
     ``n >= DISK_CACHE_MIN_N`` are also persisted to the on-disk cache, since
@@ -263,13 +246,13 @@ def eulerian_row(n: int, cache: EulerianCache | None = None) -> EulerianRow:
     # row k - 1's half, which equals its last entry by symmetry.
     with _memo_lock:
         start = max((k for k in _memo if k < n), default=1)
-        half = list(_memo[start].counts[: (start + 1) // 2]) if start in _memo else [1]
+        half = list(_memo[start][: (start + 1) // 2]) if start in _memo else [1]
     for k in range(start + 1, n + 1):
         if k % 2:
             half.append(half[-1])
         for r in range(len(half), 1, -1):
             half[r - 1] = r * half[r - 1] + (k - r + 1) * half[r - 2]
-    row = EulerianRow(n, _mirror(half, n))
+    row = _checked_row(n, _mirror(half, n))
     with _memo_lock:
         _memo[n] = row
     if n >= DISK_CACHE_MIN_N:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .combinatorics import EulerianRow
 from .laws import PackDistribution, m_shuffle_law
 
 __all__ = [
@@ -50,8 +49,6 @@ def cutoff_shape(x: float) -> float:
     """
     if x < 0:
         raise ValueError(f"argument must be >= 0, got {x}")
-    if math.isinf(x):
-        return 1.0
     return math.erf(x / _FOUR_SQRT_SIX)
 
 
@@ -242,18 +239,19 @@ def uniform_crossing_asymptotic(n: int, m: int) -> float:
     return -math.sqrt(n) / (24 * c)
 
 
-def gaussian_row_deviation(row: EulerianRow) -> float:
+def gaussian_row_deviation(row: Sequence[int]) -> float:
     """Sup distance between the scaled Eulerian row and its Gaussian shape.
 
-    Compares ``count(r) / n!`` against ``exp(-6 h^2 / n) / sqrt(pi n / 6)``
-    with h = r - n/2, maximized over r.
+    ``row`` is the ``tuple[int, ...]`` of counts for r = 1..n. Compares
+    ``count / n!`` against ``exp(-6 h^2 / n) / sqrt(pi n / 6)`` with
+    h = r - n/2, maximized over r.
     """
-    n = row.n
+    n = len(row)
     nfact = math.factorial(n)
     worst = 0.0
-    for r in row.r_values():
+    for r, count in enumerate(row, 1):
         h = r - n / 2.0
-        exact = row.count(r) / nfact
+        exact = count / nfact
         approx = math.exp(-6.0 * h * h / n) / math.sqrt(math.pi * n / 6.0)
         worst = max(worst, abs(exact - approx))
     return worst

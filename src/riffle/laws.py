@@ -111,7 +111,7 @@ class RisingSeqLaw:
 
     def class_mass(self, r: int) -> Fraction:
         """Total probability of the class of arrangements with r rising seqs."""
-        return eulerian_row(self.n).count(r) * self.prob(r)
+        return self.prob(r) * eulerian_row(self.n)[r - 1]  # prob rejects r outside 1..n
 
 
 def _fold(n: int, nums: Iterable[int], den: int, mass: Fraction = Fraction(1)) -> tuple[int, int]:
@@ -131,7 +131,7 @@ def _fold(n: int, nums: Iterable[int], den: int, mass: Fraction = Fraction(1)) -
     shape = f"law for n={n} needs {n} class entries over a positive den"
     if den < 1:
         raise ValueError(shape)
-    counts, floor = eulerian_row(n).counts, den // math.factorial(n)
+    counts, floor = eulerian_row(n), den // math.factorial(n)
     nums = iter(nums)
     first = last = next(nums, None)
     if first is None:
@@ -485,14 +485,14 @@ def tail_set_gap(n: int, m: int, r: int) -> Fraction:
         raise ValueError(f"r must be in 1..{n}, got {r}")
     law = m_shuffle_law(n, m)
     nfact = math.factorial(n)
-    counts = eulerian_row(n).counts[r - 1 :]
+    counts = eulerian_row(n)[r - 1 :]
     total = sum(c * (law.den - x * nfact) for c, x in zip(counts, law.nums[r - 1 :]))
     return Fraction(total, law.den * nfact)
 
 
 def law_to_json(law: RisingSeqLaw) -> str:
     """Serialize a class law with exact decimal-string fields (never floats)."""
-    counts = eulerian_row(law.n).counts
+    counts = eulerian_row(law.n)
     entries = [
         {
             "r": r,
@@ -529,7 +529,7 @@ def law_from_json(text: str) -> RisingSeqLaw:
     if len(fields) != n:
         raise ValueError(f"law for n={n} needs an entry for each class r = 1..{n}")
     probs = []
-    for r, count in enumerate(eulerian_row(n).counts, 1):
+    for r, count in enumerate(eulerian_row(n), 1):
         written, num, den = fields[r]
         if written != count:
             raise ValueError(f"class r={r} of n={n} has count {written}, not {count}")

@@ -58,7 +58,7 @@ def _fold(n: int, table: Mapping[Perm, int], den: int) -> RisingSeqLaw:
         if hits[i] and nums[i] != num:
             raise AssertionError(f"law not constant on class r={i + 1} for n={n}")
         nums[i], hits[i] = num, hits[i] + 1
-    for i, (seen, count) in enumerate(zip(hits, eulerian_row(n).counts)):
+    for i, (seen, count) in enumerate(zip(hits, eulerian_row(n))):
         if seen and seen != count:
             raise AssertionError(f"law not constant on class r={i + 1} for n={n}")
     return RisingSeqLaw(n, nums, den)

@@ -27,7 +27,6 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .combinatorics import EulerianRow
 from .laws import PackDistribution, RisingSeqLaw, SizeGuardError
 
 __all__ = [
@@ -247,22 +246,22 @@ class TvEstimate(NamedTuple):
     std_error: float
 
 
-def empirical_tv(hist: EmpiricalHistogram, exact_row: EulerianRow) -> TvEstimate:
+def empirical_tv(hist: EmpiricalHistogram, exact_row: Sequence[int]) -> TvEstimate:
     """Plug-in estimate of the TV distance to uniform over classes.
 
     Valid because the sampled law is constant on rising-sequence classes; the
-    uniform class masses come from the exact Eulerian row. The standard error
-    is the delta-method binomial estimate with a 1/(2N) floor; the estimator
-    itself is upward-biased at small N, so comparisons should always use a
-    multiple-of-SE band rather than equality.
+    uniform class masses come from the exact Eulerian row, a ``tuple[int, ...]``
+    of class counts. The standard error is the delta-method binomial estimate
+    with a 1/(2N) floor; the estimator itself is upward-biased at small N, so
+    comparisons should always use a multiple-of-SE band rather than equality.
     """
-    if hist.n != exact_row.n:
+    if hist.n != len(exact_row):
         raise ValueError("histogram and row have different deck sizes")
     N = hist.sample_count
     if N == 0:
         raise ValueError("empty histogram")
     nfact = math.factorial(hist.n)
-    u = np.array([exact_row.count(r) / nfact for r in exact_row.r_values()])
+    u = np.array([count / nfact for count in exact_row])
     p_hat = hist.counts / N
     diff = p_hat - u
     tv = 0.5 * float(np.abs(diff).sum())

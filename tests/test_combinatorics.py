@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import riffle.combinatorics as comb
 from riffle.combinatorics import (
     EulerianCache,
-    EulerianRow,
     decimal_to_int,
     eulerian_row,
     int_to_decimal,
@@ -122,33 +121,38 @@ class TestDecimalText:
 
 class TestEulerianRow:
     def test_n1(self):
-        assert eulerian_row(1).counts == (1,)
+        assert eulerian_row(1) == (1,)
 
     def test_n4_against_brute_force(self):
-        assert eulerian_row(4).counts == brute_force_row(4).counts == (1, 11, 11, 1)
+        assert eulerian_row(4) == brute_force_row(4) == (1, 11, 11, 1)
 
     def test_n6_sums_to_720(self):
-        assert sum(eulerian_row(6).counts) == 720
+        assert sum(eulerian_row(6)) == 720
 
     def test_brute_force_agreement_up_to_8(self):
         for n in range(1, 9):
-            assert eulerian_row(n).counts == brute_force_row(n).counts
+            assert eulerian_row(n) == brute_force_row(n)
 
     def test_symmetry_and_sum_large(self):
         row = eulerian_row(101)
-        assert sum(row.counts) == math.factorial(101)
-        for r in row.r_values():
-            assert row.count(r) == row.count(101 + 1 - r)
+        assert sum(row) == math.factorial(101)
+        for r in range(1, 102):
+            assert row[r - 1] == row[101 - r]
 
     def test_n0_rejected(self):
         with pytest.raises(ValueError):
             eulerian_row(0)
 
     def test_row_validation(self):
-        with pytest.raises(ValueError):
-            EulerianRow(3, (1, 5, 1))  # wrong sum
-        with pytest.raises(ValueError):
-            EulerianRow(3, (2, 2, 2))  # ends not 1
+        with pytest.raises(ValueError, match="does not sum to n!"):
+            comb._checked_row(3, (1, 5, 1))
+        with pytest.raises(ValueError, match="must have 1 at both ends"):
+            comb._checked_row(3, (2, 2, 2))
+        with pytest.raises(ValueError, match="not symmetric at r=1"):
+            comb._checked_row(3, (1, 3, 2))
+        # The requested n, not the row's length, sets what a row must be.
+        with pytest.raises(ValueError, match="row must have 4 entries, got 3"):
+            comb._checked_row(4, (1, 4, 1))
 
 
 class TestCache:
@@ -164,7 +168,7 @@ class TestCache:
         lines = (tmp_path / "eulerian_35.txt").read_text().splitlines()
         assert lines[0] == "35"
         assert len(lines) == 36
-        assert lines[1:] == [hex(c) for c in eulerian_row(35).counts]
+        assert lines[1:] == [hex(c) for c in eulerian_row(35)]
 
     def test_committed_decimal_file_reads_unchanged(self, tmp_path, monkeypatch):
         # Files written before hex hold decimal counts: they read as they are
@@ -173,7 +177,7 @@ class TestCache:
         (tmp_path / "eulerian_52.txt").write_bytes(legacy)
         monkeypatch.setattr(comb, "_memo", {})
         row = eulerian_row(52, EulerianCache(tmp_path))
-        assert row.counts == tuple(int(s) for s in legacy.split()[1:])
+        assert row == tuple(int(s) for s in legacy.split()[1:])
         assert (tmp_path / "eulerian_52.txt").read_bytes() == legacy
 
     @pytest.mark.skipif(
@@ -185,7 +189,7 @@ class TestCache:
         # rewritten as hex.
         row = eulerian_row(400)
         path = tmp_path / "eulerian_400.txt"
-        path.write_text("\n".join(["400", *map(str, row.counts)]) + "\n")
+        path.write_text("\n".join(["400", *map(str, row)]) + "\n")
         monkeypatch.setattr(comb, "_memo", {})
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
@@ -194,7 +198,7 @@ class TestCache:
             assert eulerian_row(400, EulerianCache(tmp_path)) == row
         finally:
             sys.set_int_max_str_digits(limit)
-        assert path.read_text().split()[1:] == [hex(c) for c in row.counts]
+        assert path.read_text().split()[1:] == [hex(c) for c in row]
 
     def test_corrupt_file_ignored(self, tmp_path):
         cache = EulerianCache(tmp_path)
@@ -216,7 +220,7 @@ class TestCache:
         assert (tmp_path / f"eulerian_{n}.txt").exists()
         # Second call reads the file back.
         monkeypatch.setattr(comb, "_memo", {})
-        assert eulerian_row(n).counts == brute_force_row_free(n)
+        assert eulerian_row(n) == brute_force_row_free(n)
 
     def test_row_past_the_str_digit_limit_round_trips(self, tmp_path, monkeypatch):
         # The middle counts of row 1800 have more digits than str() converts
@@ -228,8 +232,8 @@ class TestCache:
         row = eulerian_row(1800, cache)
         lines = (tmp_path / "eulerian_1800.txt").read_text().splitlines()
         assert lines[0] == "1800" and len(lines) == 1801
-        assert len(int_to_decimal(max(row.counts))) > 4300
-        assert lines[1:] == [hex(c) for c in row.counts]
+        assert len(int_to_decimal(max(row))) > 4300
+        assert lines[1:] == [hex(c) for c in row]
         monkeypatch.setattr(comb, "_memo", {})
         assert eulerian_row(1800, cache) == row
 
@@ -285,22 +289,43 @@ class TestCache:
         path.write_text("".join(line + "\n" for line in lines))
         assert cache.read(n) is None
 
-    @pytest.mark.parametrize("n", [33, 40])
-    def test_unmirrored_second_half_is_recomputed(self, tmp_path, monkeypatch, n):
-        # Moving one unit between two second-half counts keeps the sum n! but
-        # breaks the symmetry; the reader rejects it, and eulerian_row
+    @staticmethod
+    def assert_recomputed(tmp_path, monkeypatch, n, counts):
+        # The reader rejects a file holding these bad counts, and eulerian_row
         # recomputes the row and rewrites the file as hex.
         row = eulerian_row(n)
-        counts = list(row.counts)
-        counts[n - 3] += 1
-        counts[n - 2] -= 1
         path = tmp_path / f"eulerian_{n}.txt"
         path.write_text("\n".join([str(n), *map(hex, counts)]) + "\n")
         cache = EulerianCache(tmp_path)
         assert cache.read(n) is None
         monkeypatch.setattr(comb, "_memo", {})
         assert eulerian_row(n, cache) == row
-        assert path.read_text().splitlines()[1:] == [hex(c) for c in row.counts]
+        assert path.read_text().splitlines()[1:] == [hex(c) for c in row]
+
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_unmirrored_second_half_is_recomputed(self, tmp_path, monkeypatch, n):
+        # Moving one unit between two second-half counts keeps the sum n! but
+        # breaks the symmetry.
+        counts = list(eulerian_row(n))
+        counts[n - 3] += 1
+        counts[n - 2] -= 1
+        self.assert_recomputed(tmp_path, monkeypatch, n, counts)
+
+    @pytest.mark.parametrize(
+        "n, edit",
+        [
+            # Every middle count grows by one, mirror kept: the sum is off n!.
+            (33, lambda counts: [1, *(c + 1 for c in counts[1:-1]), 1]),
+            # An end count of 2, its mirror 2 as well: mirrored, sum off n!.
+            (40, lambda counts: [2, *counts[1:-1], 2]),
+        ],
+        ids=["middle-counts", "end-counts"],
+    )
+    def test_mirrored_wrong_counts_are_recomputed(self, tmp_path, monkeypatch, n, edit):
+        # The halves agree, so only the row checks see the fault.
+        counts = edit(list(eulerian_row(n)))
+        assert counts == counts[::-1] and counts != list(eulerian_row(n))
+        self.assert_recomputed(tmp_path, monkeypatch, n, counts)
 
     @pytest.mark.parametrize("n", [33, 40])
     def test_read_row_shares_mirrored_ints(self, tmp_path, n):
@@ -308,7 +333,7 @@ class TestCache:
         cache.write(eulerian_row(n))
         row = cache.read(n)
         assert row == eulerian_row(n)
-        assert all(row.counts[i] is row.counts[n - 1 - i] for i in range(n))
+        assert all(row[i] is row[n - 1 - i] for i in range(n))
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
         def no_space(src, dst):
@@ -321,14 +346,13 @@ class TestCache:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_body_leaves_no_temp_file(self, tmp_path):
-        row = eulerian_row(40)
-
-        def counts():
-            yield from row.counts[:5]
-            raise RuntimeError("counts failed")
+        class FailingRow(tuple):
+            def __iter__(self):
+                yield from self[:5]  # a slice is a plain tuple
+                raise RuntimeError("counts failed")
 
         with pytest.raises(RuntimeError, match="counts failed"):
-            EulerianCache(tmp_path).write(mock.Mock(n=40, counts=counts()))
+            EulerianCache(tmp_path).write(FailingRow(eulerian_row(40)))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -358,7 +382,7 @@ class TestCacheMemory:
         cache.write(eulerian_row(n))
         read, peak = self.traced_peak(lambda: cache.read(n))
         assert read == eulerian_row(n)
-        ints = sum(map(sys.getsizeof, read.counts[: (n + 1) // 2]))
+        ints = sum(map(sys.getsizeof, read[: (n + 1) // 2]))
         assert peak < 1.25 * ints
 
     def test_cold_row_holds_one_half_row(self):
@@ -367,8 +391,8 @@ class TestCacheMemory:
         n = 600
         with mock.patch.object(comb, "_memo", {}):
             row, peak = self.traced_peak(lambda: eulerian_row(n, _NoDisk()))
-        assert row.counts == brute_force_row_free(n)
-        ints = sum(map(sys.getsizeof, row.counts[: (n + 1) // 2]))
+        assert row == brute_force_row_free(n)
+        ints = sum(map(sys.getsizeof, row[: (n + 1) // 2]))
         assert peak < 1.25 * ints
 
 
@@ -386,14 +410,14 @@ def brute_force_row_free(n):
     return tuple(prev)
 
 
-def brute_force_row(n: int) -> EulerianRow:
+def brute_force_row(n: int) -> tuple[int, ...]:
     """Row computed by enumerating all n! arrangements; n <= 9."""
     if n > 9:
         raise ValueError("brute force row limited to n <= 9")
     counts = [0] * n
     for deck in permutations(range(1, n + 1)):
         counts[rising_sequences(deck) - 1] += 1
-    return EulerianRow(n, tuple(counts))
+    return comb._checked_row(n, tuple(counts))
 
 
 # Enumerating 9! decks takes seconds; do it once per row.
@@ -420,9 +444,9 @@ class TestHalfRowRecurrence:
     def test_matches_full_rows(self, n, start):
         # Restart from a memoized row of either parity below n, or from scratch.
         start = start % n
-        memo = {start: EulerianRow(start, brute_force_row_free(start))} if start else {}
+        memo = {start: brute_force_row_free(start)} if start else {}
         with mock.patch.object(comb, "_memo", memo):
-            assert eulerian_row(n, _NoDisk()).counts == brute_force_row_free(n)
+            assert eulerian_row(n, _NoDisk()) == brute_force_row_free(n)
 
     @pytest.mark.parametrize("start", range(1, 9))
     def test_restarts_match_brute_force(self, start):
@@ -441,8 +465,8 @@ class TestHalfRowRecurrence:
 @given(st.integers(min_value=1, max_value=40))
 def test_row_sum_and_symmetry_property(n):
     row = eulerian_row(n)
-    assert sum(row.counts) == math.factorial(n)
-    assert row.counts == row.counts[::-1]
+    assert sum(row) == math.factorial(n)
+    assert row == row[::-1]
 
 
 @pytest.mark.parametrize("n", [comb.MAX_EXACT_N + 1, 99_999_999_999])
@@ -468,6 +492,6 @@ def test_the_deck_limit_itself_is_accepted(monkeypatch):
     # At the real limit the row takes minutes, so the limit is lowered here.
     monkeypatch.setattr(comb, "_memo", {})
     monkeypatch.setattr(comb, "MAX_EXACT_N", 12)
-    assert eulerian_row(12).n == 12
+    assert len(eulerian_row(12)) == 12
     with pytest.raises(comb.SizeGuardError):
         eulerian_row(13)

@@ -83,6 +83,18 @@ class TestMShuffleLaw:
         expected = [math.comb(n + m - r, n) for r in range(1, n + 1)]
         assert list(_shuffle_numerators(n, m)) == expected
 
+    @pytest.mark.parametrize("n, m", [(1, 2), (5, 3), (12, 5)])
+    def test_class_mass_is_count_times_prob(self, n, m):
+        law = m_shuffle_law(n, m)
+        counts = eulerian_row(n)
+        masses = [law.class_mass(r) for r in range(1, n + 1)]
+        assert masses == [c * law.prob(r) for r, c in enumerate(counts, 1)]
+        assert sum(masses) == 1
+        # r = 0 would index the last count and r = n + 1 past the row.
+        for r in (0, n + 1):
+            with pytest.raises(ValueError, match=rf"r must be in 1..{n}, got {r}"):
+                law.class_mass(r)
+
     @settings(deadline=None)
     @given(st.integers(1, 6), st.integers(1, 12))
     def test_law_invariants_property(self, n, m):
@@ -511,7 +523,7 @@ class TestTvToUniform:
     )
     def test_truncated_poissonized_law_matches_reference(self, n, p, t, tol):
         law = poissonized_law(n, p, t, tol)
-        counts = eulerian_row(n).counts
+        counts = eulerian_row(n)
         # The reduction takes the law's mass as given; it must be the exact total.
         assert law.mass == Fraction(sum(c * x for c, x in zip(counts, law.nums)), law.den)
         assert law.tv_to_uniform() == tv_reference(law)
@@ -533,7 +545,7 @@ class TestTvToUniform:
 def tv_reference(law):
     """sum(count * |num * n! - den|) / (2 * den * n!): TV summed over every class."""
     nfact = math.factorial(law.n)
-    counts = eulerian_row(law.n).counts
+    counts = eulerian_row(law.n)
     total = sum(c * abs(x * nfact - law.den) for c, x in zip(counts, law.nums))
     return Fraction(total, 2 * law.den * nfact)
 
