@@ -33,7 +33,6 @@ import argparse
 import atexit
 import functools
 import gc
-import json
 import math
 import os
 import re
@@ -230,8 +229,6 @@ def profile(opts: argparse.Namespace) -> None:
 
 def cutoff(opts: argparse.Namespace) -> None:
     """Discrete- and continuous-time cutoff reports, or per-n condition values over an n-grid."""
-    from dataclasses import asdict
-
     from .cutoff import _critical_time, continuous_cutoff_report, cutoff_report
     from .cutoff import hyp_check, lindeberg_value, truncation_report
 
@@ -241,10 +238,10 @@ def cutoff(opts: argparse.Namespace) -> None:
             raise ValueError("the --n report is JSON only; --format csv needs --n-grid")
         n = opts.n
         pack = _pack_at(parsed, n)
-        payload = {"report": asdict(cutoff_report(pack, n))}
-        payload["continuous"] = asdict(continuous_cutoff_report(pack, n))
+        payload = {"report": cutoff_report(pack, n)._asdict()}
+        payload["continuous"] = continuous_cutoff_report(pack, n)._asdict()
         if a_n_expr is not None:
-            payload["truncation"] = asdict(truncation_report(pack, n, parse_a_n(a_n_expr, n)))
+            payload["truncation"] = truncation_report(pack, n, parse_a_n(a_n_expr, n))._asdict()
         _emit(opts, payload)
         return
 
@@ -393,8 +390,9 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> Non
     if opts.command is None:
         parser.print_help()
         return
-    from .combinatorics import SizeGuardError
+    from .combinatorics import CACHE_ENV_VAR, SizeGuardError
 
+    cache_dir = os.environ.get(CACHE_ENV_VAR)
     try:
         code = opts.run(opts)
         sys.stdout.flush()  # a closed stdout fails here, and not in the flush at exit
@@ -408,6 +406,11 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> Non
     except (ValueError, OSError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         sys.exit(2)
+    finally:
+        # A --cache holds for its own call only.
+        os.environ.pop(CACHE_ENV_VAR, None)
+        if cache_dir is not None:
+            os.environ[CACHE_ENV_VAR] = cache_dir
     if code:
         sys.exit(code)
 
@@ -435,6 +438,8 @@ def _plain(value: Any) -> Any:
 def _emit(opts: argparse.Namespace, payload: dict) -> None:
     """Print payload as sorted, indent-2 JSON under the config: the command and
     every option that has a value, as parsed, so a float option stays a number."""
+    import json
+
     config = {k: v for k, v in vars(opts).items() if v is not None and k != "run"}
     print(json.dumps({"config": config, **_plain(payload)}, sort_keys=True, indent=2))
 

@@ -17,11 +17,10 @@ each moment of p, with no k-step law built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import SizeGuardError, _check_deck
 from .laws import (
@@ -44,7 +43,6 @@ __all__ = [
     "unit_time_pack_law",
 ]
 
-@dataclass(frozen=True)
 class PoissonizedLaw(RisingSeqLaw):
     """Deck law of the continuous-time chain at time t, tail-truncated.
 
@@ -56,8 +54,12 @@ class PoissonizedLaw(RisingSeqLaw):
     :class:`~riffle.laws.RisingSeqLaw` with total ``mass`` in place of 1.
     """
 
-    mass: Fraction = field()
-    truncation_k: int
+    __slots__ = ("mass", "truncation_k")
+    _fields = ("n", "nums", "den", "mass", "truncation_k")
+
+    def __init__(self, n: int, nums: Sequence[int], den: int, mass: Fraction, truncation_k: int) -> None:
+        self.mass, self.truncation_k = mass, truncation_k
+        super().__init__(n, nums, den)
 
     def tv_to_uniform(self) -> Fraction:
         """Exact TV distance to uniform of the truncated law.
@@ -192,8 +194,7 @@ def poissonized_law(
     return next(poissonized_laws(n, p, [t], tol))
 
 
-@dataclass(frozen=True)
-class UnitTimePackLaw:
+class UnitTimePackLaw(NamedTuple):
     """Pack distribution whose p-shuffle equals one unit of continuous time.
 
     Atom ``l`` carries the probability that the continuous chain performs a

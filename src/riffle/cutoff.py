@@ -10,7 +10,6 @@ n-grid are for the caller (or the CLI) to inspect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -110,8 +109,7 @@ def lindeberg_value(p: PackDistribution, n: int, eps: float) -> float:
     return math.fsum(float(w) * xi2 for (_, w), xi2 in zip(p.atoms, squares) if xi2 > threshold)
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(NamedTuple):
     """Truncated log-moment diagnostics at a truncation level a_n.
 
     ``ey`` is E[log X ; log X <= a_n] and ``ez2`` is E[min(log X, a_n)^2].
@@ -257,8 +255,7 @@ def gaussian_row_deviation(row: Sequence[int]) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class CutoffReport:
+class CutoffReport(NamedTuple):
     """Cutoff parameters of a p-shuffle family evaluated at one deck size.
 
     ``t_n`` is ``3 log n / (2 mu)``. For nondegenerate packs the window is
@@ -318,8 +315,7 @@ def cutoff_report(p: PackDistribution, n: int) -> CutoffReport:
     )
 
 
-@dataclass(frozen=True)
-class ContinuousCutoffReport:
+class ContinuousCutoffReport(NamedTuple):
     """Cutoff parameters of the continuous-time chain at one deck size.
 
     ``criterion_value`` is ``log n / mu``; the continuous family has a cutoff

@@ -26,13 +26,11 @@ the path for both the k-step and the continuous-time laws.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import mul
-from typing import ClassVar, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import SizeGuardError, _check_deck, decimal_to_int, eulerian_row, int_to_decimal
 
@@ -58,8 +56,28 @@ __all__ = [
 MAX_PRODUCT_ATOMS = 1_000_000
 
 
-@dataclass(frozen=True)
-class RisingSeqLaw:
+class _Record:
+    """Equality, hashing and repr by the ``_fields`` a subclass names, within one class."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class RisingSeqLaw(_Record):
     """Probability law on deck arrangements, constant on rising-seq classes.
 
     ``nums[i] / den`` is the probability of each arrangement with r = i + 1
@@ -68,17 +86,20 @@ class RisingSeqLaw:
     numerators exist once (the caller must not use it again); any other
     sequence is copied first and never changed. ``nums`` is kept as a tuple.
     ``mass`` is the exact total ``sum(count * num) / den``: 1 here, less for
-    a subclass that declares it as a field.
+    a subclass that stores its own.
 
     Construction checks the reduced numerators with :func:`_fold`, which
     raises ValueError for a law that is not one, and keeps its sum and count
     of the classes above uniform as ``_above`` for :func:`tv_to_uniform`.
     """
 
-    n: int
-    nums: tuple[int, ...]
-    den: int
-    mass: ClassVar[Fraction] = Fraction(1)
+    __slots__ = ("n", "nums", "den", "_above")
+    _fields = ("n", "nums", "den")
+    mass = Fraction(1)
+
+    def __init__(self, n: int, nums: Sequence[int], den: int) -> None:
+        self.n, self.nums, self.den = n, nums, den
+        self.__post_init__()  # looked up on the class, so that it can be wrapped there
 
     def __post_init__(self) -> None:
         nums = self.nums if type(self.nums) is list else list(self.nums)
@@ -87,9 +108,9 @@ class RisingSeqLaw:
         if g > 1:
             for i, x in enumerate(nums):
                 nums[i] = x // g
-            object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "_above", _fold(self.n, self.nums, self.den, self.mass))
+            self.den //= g
+        self.nums = tuple(nums)
+        self._above = _fold(self.n, self.nums, self.den, self.mass)
 
     @property
     def class_prob(self) -> tuple[Fraction, ...]:
@@ -182,8 +203,7 @@ def m_shuffle_law(n: int, m: int) -> RisingSeqLaw:
     return RisingSeqLaw(n, list(_shuffle_numerators(n, m)), m**n)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class PackDistribution:
+class PackDistribution(_Record):
     """Finite-support distribution of the random number of packs m.
 
     Probabilities are exact, sum to exactly 1, and the support values are
@@ -191,10 +211,10 @@ class PackDistribution:
     order and keeps those of positive probability, sorted by m, as a tuple.
     """
 
-    atoms: tuple[tuple[int, Fraction], ...]
+    __slots__ = _fields = ("atoms",)
 
-    def __post_init__(self) -> None:
-        pairs = sorted(((int(m), Fraction(p)) for m, p in self.atoms))
+    def __init__(self, atoms: Iterable[tuple[int, Fraction]]) -> None:
+        pairs = sorted(((int(m), Fraction(p)) for m, p in atoms))
         if not pairs:
             raise ValueError("pack distribution needs at least one atom")
         seen: set[int] = set()
@@ -210,7 +230,7 @@ class PackDistribution:
             total += p
         if total != 1:
             raise ValueError(f"pack probabilities sum to {total}, not 1")
-        object.__setattr__(self, "atoms", tuple((m, p) for m, p in pairs if p > 0))
+        self.atoms = tuple((m, p) for m, p in pairs if p > 0)
 
     @classmethod
     def delta(cls, m: int) -> "PackDistribution":
@@ -263,15 +283,14 @@ def _floor_exp(i: int) -> int:
     return int(ctx.exp(Decimal(i)))
 
 
-@dataclass(frozen=True)
-class ProductLaw:
+class ProductLaw(_Record):
     """Exact law of the product of i.i.d. pack counts, keyed by product value."""
 
-    atoms: dict[int, Fraction]
+    __slots__ = _fields = ("atoms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, atoms: dict[int, Fraction]) -> None:
         total = Fraction(0)
-        for v, p in self.atoms.items():
+        for v, p in atoms.items():
             if v < 1:
                 raise ValueError(f"product value must be >= 1, got {v}")
             if p < 0:
@@ -279,6 +298,7 @@ class ProductLaw:
             total += p
         if total != 1:
             raise ValueError(f"product law has total mass {total}, not 1")
+        self.atoms = atoms
 
 
 def product_laws(p: PackDistribution) -> Iterator[tuple[dict[int, int], int]]:
@@ -492,6 +512,8 @@ def tail_set_gap(n: int, m: int, r: int) -> Fraction:
 
 def law_to_json(law: RisingSeqLaw) -> str:
     """Serialize a class law with exact decimal-string fields (never floats)."""
+    import json
+
     counts = eulerian_row(law.n)
     entries = [
         {
@@ -513,6 +535,8 @@ def law_from_json(text: str) -> RisingSeqLaw:
     for ``count`` (the class's Eulerian count), ``prob_num`` and a positive
     ``prob_den``.
     """
+    import json
+
     data = json.loads(text)
     n = data.get("n") if isinstance(data, dict) else None
     if type(n) is not int or n < 1:

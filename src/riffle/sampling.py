@@ -21,7 +21,6 @@ same samples, via a counter-based Philox generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -217,19 +216,17 @@ def rising_counts(decks: np.ndarray) -> np.ndarray:
     return _kernels.rising_counts(decks)
 
 
-@dataclass(frozen=True)
 class EmpiricalHistogram:
     """Sampled rising-sequence class counts for decks of size n."""
 
-    n: int
-    counts: np.ndarray
-    sample_count: int
+    __slots__ = ("n", "counts", "sample_count")
 
-    def __post_init__(self) -> None:
-        if self.counts.shape != (self.n,):
-            raise ValueError(f"histogram needs {self.n} class bins")
-        if int(self.counts.sum()) != self.sample_count:
+    def __init__(self, n: int, counts: np.ndarray, sample_count: int) -> None:
+        if counts.shape != (n,):
+            raise ValueError(f"histogram needs {n} class bins")
+        if int(counts.sum()) != sample_count:
             raise ValueError("histogram bins do not sum to the sample count")
+        self.n, self.counts, self.sample_count = n, counts, sample_count
 
     @classmethod
     def from_decks(cls, decks: np.ndarray) -> "EmpiricalHistogram":

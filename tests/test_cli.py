@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -6,9 +7,9 @@ import os
 import pkgutil
 import random
 import shlex
+import shutil
 import subprocess
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -160,7 +161,7 @@ class TestCutoff:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         report = continuous_cutoff_report(parse_pack_spec("2:1/2,3:1/2"), 52)
-        assert payload["continuous"] == _plain(asdict(report))
+        assert payload["continuous"] == _plain(report._asdict())
         # Both clocks share the critical time t_n = 3 log n / (2 mu).
         assert payload["continuous"]["t_n"] == payload["report"]["t_n"]
         assert payload["continuous"]["single_atom"] is False
@@ -680,6 +681,22 @@ def test_undecodable_cache_file_is_recomputed(tmp_path):
     assert lines[0] == "40" and len(lines) == 41
 
 
+def test_cache_option_holds_for_its_own_call_only(runner, tmp_path, monkeypatch):
+    # A later call in the same process without --cache reads and writes rows
+    # where it did before, whether the call with --cache returned or failed.
+    monkeypatch.setattr(combinatorics, "_memo", {})
+    before, first = os.environ["RIFFLE_CACHE_DIR"], tmp_path / "first"
+    result = runner.invoke(main, ["profile", "--n", "40", "--p", "2:1", "--k", "1..1", "--cache", str(first)])
+    assert result.exit_code == 0 and (first / "eulerian_40.txt").exists()
+    assert os.environ["RIFFLE_CACHE_DIR"] == before
+    shutil.rmtree(first)
+    assert runner.invoke(main, ["profile", "--n", "41", "--p", "2:1", "--k", "1..1"]).exit_code == 0
+    assert not first.exists()
+    monkeypatch.delenv("RIFFLE_CACHE_DIR")
+    result = runner.invoke(main, ["profile", "--n", "40", "--p", "2:1", "--k", "bad", "--cache", str(first)])
+    assert result.exit_code == 2 and "RIFFLE_CACHE_DIR" not in os.environ
+
+
 def test_broken_stdout_pipe_keeps_clicks_quiet_exit(tmp_path):
     # A closed stdout is not an OSError that exits 2: main exits 1 without a
     # message, as a pipe into `head` expects (the quiet exit click once gave).
@@ -942,19 +959,21 @@ def _run_script(script: str, tmp_path, *args: str) -> subprocess.CompletedProces
 def test_each_command_loads_only_its_own_modules(tmp_path):
     # import riffle.cli loads no other riffle module and no click; each
     # command then imports what it uses, and nothing of the other commands.
+    # The script imports nothing itself, so that json shows only where a
+    # command writes JSON.
     script = """
-import json, sys
+import sys
 import riffle.cli
 loaded = [sorted(sys.modules)]
 riffle.cli.main(args=sys.argv[1:], prog_name="riffle")
 loaded.append(sorted(sys.modules))
-print(json.dumps(loaded), file=sys.stderr)
+print(repr(loaded), file=sys.stderr)
 """
 
     def loaded(*args):
         proc = _run_script(script, tmp_path, *args)
         assert proc.returncode == 0, proc.stderr
-        return [set(names) for names in json.loads(proc.stderr.splitlines()[-1])]
+        return [set(names) for names in ast.literal_eval(proc.stderr.splitlines()[-1])]
 
     def riffle_and_click(names):
         return {m for m in names if m.split(".")[0] in ("riffle", "click")}
@@ -963,10 +982,14 @@ print(json.dumps(loaded), file=sys.stderr)
     assert riffle_and_click(on_import) == {"riffle", "riffle.cli"}
     assert {"riffle.laws", "riffle.cutoff"} <= after
     assert not {"riffle.continuous_time", "riffle.verify", "riffle.oracles", "numpy"} & after
+    assert not {"dataclasses", "json"} & after
     on_import, after = loaded("poisson", "--n", "8", "--p", "2:1/2,3:1/2", "--t", "1:2:1")
     assert riffle_and_click(on_import) == {"riffle", "riffle.cli"}
     assert "riffle.continuous_time" in after
     assert not {"riffle.cutoff", "riffle.verify", "riffle.oracles", "numpy"} & after
+    assert not {"dataclasses", "json"} & after
+    _, after = loaded("verify", "--suite", "sampler", "--n", "3", "--m", "2", "--N", "200")
+    assert {"riffle.sampling", "numpy", "json"} <= after and "dataclasses" not in after
 
 
 def test_a_call_freezes_the_heap_at_exit(tmp_path):

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -315,9 +315,21 @@ class TestPoissonizedLawChecks:
     def test_is_a_class_law_with_a_mass_and_a_truncation(self):
         law = poissonized_law(4, MIX23, 1.0, 1e-6)
         assert isinstance(law, RisingSeqLaw)
-        assert [f.name for f in dataclasses.fields(PoissonizedLaw)] == [
+        assert list(inspect.signature(PoissonizedLaw).parameters) == [
             "n", "nums", "den", "mass", "truncation_k",
         ]
+
+    def test_equality_is_by_class_and_every_field(self):
+        law = PoissonizedLaw(**self._fields())
+        twin = poissonized_law(4, MIX23, 1.0, 1e-6)
+        assert law == twin and hash(law) == hash(twin)
+        assert law != PoissonizedLaw(**self._fields(truncation_k=law.truncation_k + 1))
+        # A class law with the same n, nums and den is another law.
+        whole = m_shuffle_law(4, 2)
+        as_poisson = PoissonizedLaw(whole.n, whole.nums, whole.den, Fraction(1), 0)
+        assert whole != as_poisson and as_poisson != whole
+        assert RisingSeqLaw(whole.n, list(whole.nums), whole.den) == whole
+        assert hash(RisingSeqLaw(whole.n, whole.nums, whole.den)) == hash(whole)
 
     def test_zero_deck_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ from scipy.integrate import quad
 
 from riffle.cli import _plain
 from riffle.cutoff import (
+    continuous_cutoff_report,
     cutoff_report,
     cutoff_shape,
     gaussian_row_deviation,
@@ -277,9 +277,21 @@ class TestCutoffReport:
         with pytest.raises(ValueError):
             cutoff_report(PackDistribution.delta(1), 52)
 
+    def test_fields_keep_their_order(self):
+        assert list(cutoff_report(MIX23, 52)._asdict()) == [
+            "n", "mu", "sigma", "t_n", "b_n", "window_reciprocal_mu", "window_unit",
+            "degenerate", "lindeberg", "beta", "relaxation", "step_gap_times_mu", "xi",
+        ]
+        assert list(continuous_cutoff_report(MIX23, 52)._asdict()) == [
+            "n", "mu", "sigma", "t_n", "b_n", "criterion_value", "single_atom", "window_sqrt_tn",
+        ]
+        assert list(truncation_report(MIX23, 52, 1.0)._asdict()) == [
+            "n", "a_n", "ey", "ez2", "ratio_a", "ratio_z", "ratio_y", "t_n_truncated",
+        ]
+
     def test_json_rendering(self):
         rep = cutoff_report(MIX23, 52)
-        data = _plain(asdict(rep))
+        data = _plain(rep._asdict())
         assert data["beta"] == {"num": "5", "den": "12"}
         assert data["relaxation"] == {"num": "12", "den": "7"}
         assert isinstance(data["mu"], str)
