@@ -16,18 +16,16 @@ from the drop uniforms a slice at a time. All kernels work card-major
 inside: every per-card or per-pack array is (n, rows) or (m, rows), so each
 numpy operation runs along the long row axis rather than the short deck
 axis; the (rows, n) uniforms are read through their transposed view, never
-copied. Card counts and positions are int8
-below 2^7 cards, int16 below 2^15 and int64 from there; flat indices are
-int32, and int64 once rows*n or m*rows reaches 2^31. Up to
-``_COMPARE_PACKS`` packs the cut takes each card's pack digit trunc(u*m) as
-int8 and counts the cards in packs 0..j by comparing the digits with j;
-past that it counts every pack with ``bincount`` of intp flat indices,
-which at many packs costs less than one comparison per pack, on at most
-``_BINCOUNT_CELLS`` (pack, row) cells at a time. A drop
-compares integer pack counts c with u*(n - s) for the s-th drop, and for an
-integer c, c <= x iff c <= floor(x); so all n thresholds floor(u*(n - s))
-of a step are taken as integers from the very floats the comparison would
-use.
+copied. Card counts and positions are int8 below 2^7 cards, int16 below
+2^15 and int64 from there; flat indices are int32, and int64 once rows*n or
+m*rows reaches 2^31. The cut gives each card the pack digit trunc(u*m),
+typed by the pack count the same way, and counts the cards in packs 0..j
+by comparing every digit with j: 2(m - 1) passes over (n, rows) digits,
+where the n drops that follow make 4 to 9 passes each over (m, rows)
+packs. A drop compares integer pack counts c with u*(n - s) for the s-th
+drop, and for an integer c, c <= x iff c <= floor(x); so all n thresholds
+floor(u*(n - s)) of a step are taken as integers from the very floats the
+comparison would use.
 """
 
 from __future__ import annotations
@@ -42,18 +40,11 @@ __all__ = ["NUMBA_ENABLED", "chain_step", "rising_counts", "shuffled_rising_coun
 NUMBA_ENABLED = False
 
 
-#: Largest pack count the cut counts by comparing each card's digit with
-#: every pack. Each comparison is one pass over the cards, so past it the cut
-#: counts with one ``bincount`` over flat indices.
-_COMPARE_PACKS = 16
-
-#: Most (pack, row) cells one ``bincount`` of the cut counts at once: its
-#: int64 counts then take at most 2 MiB, whatever the pack count.
-_BINCOUNT_CELLS = 2**18
-
-
 def _count_type(n: int) -> type:
-    """Integer type for card counts and positions of an n-card deck."""
+    """Integer type for card counts and positions of an n-card deck.
+
+    The cut types its pack digits, all below the pack count m, by ``_count_type(m)``.
+    """
     return np.int8 if n < 2**7 else np.int16 if n < 2**15 else np.int64
 
 
@@ -68,31 +59,13 @@ def _cut(digit_t: np.ndarray, m) -> np.ndarray:
     m_max = int(np.max(m))
     count_t = _count_type(n)
     cum = np.empty((m_max, rows), count_t)
-    if m_max <= _COMPARE_PACKS:
-        # u*m < m for every u < 1, so no digit needs clamping, and a row with
-        # m[row] <= j counts all n cards in packs 0..j.
-        digits = np.multiply(digit_t, m, out=np.empty((n, rows), np.int8), casting="unsafe")
-        below = np.empty((n, rows), bool)
-        for j in range(m_max - 1):
-            np.add.reduce(np.less_equal(digits, j, out=below), axis=0, dtype=count_t, out=cum[j])
-        cum[m_max - 1] = n
-        return cum
-    # bincount's counts are int64, so it counts a slice of rows at a time.
-    width = max(1, _BINCOUNT_CELLS // m_max)
-    for lo in range(0, rows, width):
-        hi = min(lo + width, rows)
-        w = hi - lo
-        m_part = m[lo:hi] if np.ndim(m) else m
-        # bincount counts intp indices; any narrower type it would copy first.
-        digits = np.empty((n, w), np.intp)
-        np.multiply(digit_t[:, lo:hi], m_part, out=digits, casting="unsafe")
-        np.minimum(digits, m_part - 1, out=digits)
-        # Pack-major flat index, entry (pack j, row) at j*w + row - lo.
-        digits *= w
-        digits += np.arange(w)
-        cum[:, lo:hi] = np.bincount(digits.ravel(), minlength=m_max * w).reshape(m_max, w)
-    for j in range(1, m_max):
-        cum[j] += cum[j - 1]
+    # u*m < m for every u < 1, so no digit needs clamping, and a row with
+    # m[row] <= j counts all n cards in packs 0..j.
+    digits = np.multiply(digit_t, m, out=np.empty((n, rows), _count_type(m_max)), casting="unsafe")
+    below = np.empty((n, rows), bool)
+    for j in range(m_max - 1):
+        np.add.reduce(np.less_equal(digits, j, out=below), axis=0, dtype=count_t, out=cum[j])
+    cum[m_max - 1] = n
     return cum
 
 

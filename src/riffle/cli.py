@@ -69,12 +69,16 @@ def parse_pack_spec(spec: str) -> PackDistribution | Callable[[int], PackDistrib
         prob_text = prob_text.strip()
         if "." in prob_text or "e" in prob_text.lower():
             raise ValueError(f"probability {prob_text!r} looks like a float; use exact fractions")
+        # int() and Fraction() alone would also take "_" separators (Fraction
+        # from Python 3.11 on), signs and non-ASCII digits.
+        m_text = m_text.strip()
+        if not (re.fullmatch(r"[0-9]+", m_text) and re.fullmatch(r"[0-9]+(/[0-9]+)?", prob_text)):
+            raise ValueError(f"bad pack entry {item!r}")
         try:
-            m = int(m_text)
             prob = Fraction(prob_text)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             raise ValueError(f"bad pack entry {item!r}") from None
-        pairs.append((m, prob))
+        pairs.append((int(m_text), prob))
     return PackDistribution(pairs)
 
 

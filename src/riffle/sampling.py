@@ -50,11 +50,11 @@ _CHUNK = 16384
 
 #: Largest max(pack count, deck size) times chunk rows a sampler allocates
 #: for. At the guard with m = 1024 (one full chunk) a sampler call, kernel and
-#: its own state together, peaks near 6.1 to 7.1 bytes a cell for decks under
-#: 2^7 cards and 11.3 with int16 counts (traced): 98 to 180 MiB, whatever other
-#: pack counts it runs, mostly per-pack state. With n = 1024 it is per-card
-#: draws: 12.0 bytes a cell (192 MiB) for rising counts, 8 of them float64 cut
-#: uniforms, and 26.1 (417 MiB) for the deck samplers (traced at n <= 512).
+#: its own state together, peaks near 6.1 (n = 6) to 7.1 (n = 127) bytes a
+#: cell, and 11.3 with int16 counts at n = 128 (traced): 97 to 180 MiB,
+#: mostly per-pack state. With n = 1024 it is per-card draws: 12.0 bytes a
+#: cell (192 MiB) for rising counts at m = 2 and at m = 17, 8 of them float64
+#: cut uniforms, and 26.1 (417 MiB) for the deck samplers (traced at n <= 512).
 MAX_CHUNK_CELLS = 2**24
 
 #: Drop uniforms drawn at a time by every sampler, in whole rows: 64
@@ -343,7 +343,8 @@ def write_sample_csv(
     ``trials``, the trial column's text (``"0,"``, ``"1,"``, ..., one per
     row), lets a caller that writes many cells of one size build it once.
     """
-    r_list = np.asarray(r_values).tolist()
+    # np.asarray of an iterator would be a 0-d object array.
+    r_list = r_values.tolist() if isinstance(r_values, np.ndarray) else list(r_values)
     r_text = {r: f"{r}\n" for r in set(r_list)}
     parts = [f"{n},{m},"] * (3 * len(r_list))
     parts[1::3] = _trial_column(len(r_list)) if trials is None else trials

@@ -363,8 +363,7 @@ class TestVerify:
     def test_sampler_dump_is_pinned(self, runner, tmp_path, args, lines, digest):
         # m5: 25 cells of 20000 draws; each deck size crosses a chunk
         # boundary and shares one draw of its uniforms among its five pack
-        # counts. m20: 60 cells of 5000 draws, whose pack counts run past
-        # the kernels' comparison cut (_COMPARE_PACKS) onto its bincount.
+        # counts. m20: 60 cells of 5000 draws, with pack counts up to 20.
         dump = tmp_path / "samples.csv"
         result = runner.invoke(
             main, ["verify", "--suite", "sampler", *args, "--dump-csv", str(dump)]
@@ -567,6 +566,9 @@ class TestLibraryValueErrorExit:
             (["verify", "--N", "0"], "Error: argument --N: "),
             (["verify", "--N", "abc"], "Error: argument --N: "),
             (["profile", "--n", "5", "--p", "2.0:1", "--k", "1..2"], "Error: bad pack entry '2.0:1'"),
+            (["profile", "--n", "4", "--p", "2:1_0/2_0,3:1/2", "--k", "1..1"], "Error: bad pack entry '2:1_0/2_0'"),
+            (["profile", "--n", "4", "--p", "\uff12:1/2,3:1/2", "--k", "1..1"], "Error: bad pack entry '\uff12:1/2'"),
+            (["profile", "--n", "4", "--p", "2:1/2,3:+1/2", "--k", "1..1"], "Error: bad pack entry '3:+1/2'"),
             (["profile", "--n", "5", "--p", "2:1"], "Error: the following arguments are required: --k"),
             (["nosuch"], "Error: argument COMMAND: invalid choice: 'nosuch'"),
             (["--bogus"], "Error: unrecognized arguments: --bogus"),
@@ -579,7 +581,8 @@ class TestLibraryValueErrorExit:
         ],
         ids=[
             "profile", "poisson", "cutoff", "profile-invsq", "verify", "cutoff-n0", "cutoff-n1",
-            "click-range", "click-type", "click-pack-spec", "click-missing", "click-command",
+            "click-range", "click-type", "click-pack-spec", "pack-spec-underscores",
+            "pack-spec-wide-digit", "pack-spec-sign", "click-missing", "click-command",
             "click-group-option", "cutoff-grid-n0", "cutoff-cache",
         ],
     )

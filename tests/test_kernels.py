@@ -77,14 +77,18 @@ def _edge_batch(rows, n, m_low, m_high, seed=5):
         (50, 9, 1, 1),
         (300, 3, 1, 12),
         (1, 6, 7, 7),
-        (50, 9, _kernels._COMPARE_PACKS, _kernels._COMPARE_PACKS),
-        (50, 9, _kernels._COMPARE_PACKS + 1, _kernels._COMPARE_PACKS + 1),
-        (300, 9, 1, _kernels._COMPARE_PACKS + 1),
+        (50, 9, 16, 16),
+        (50, 9, 17, 17),
+        (300, 9, 1, 17),
         (1000, 5, 1, 600),
+        (50, 9, 127, 127),
+        (50, 9, 128, 128),
+        (300, 9, 100, 160),
     ],
     ids=[
         "n1", "all_m1", "m_max_above_n", "one_row",
-        "all_m_compare", "all_m_bincount", "m_across_cut_sides", "rows_across_bincount_slices",
+        "all_m_compare", "all_m17", "m_across_cut_sides", "m_up_to_600",
+        "all_m127", "all_m128", "m_across_int8_digits",
     ],
 )
 def test_numpy_path_matches_reference_on_edge_batches(rows, n, m_low, m_high):
@@ -94,12 +98,13 @@ def test_numpy_path_matches_reference_on_edge_batches(rows, n, m_low, m_high):
     _assert_matches_reference(*batch, out)
 
 
-def test_bincount_cut_holds_int64_counts_for_one_slice_of_rows():
-    # Past _COMPARE_PACKS the cut counts packs with bincount, whose counts are
-    # int64; one count per (pack, row) cell at once would take m * rows * 8 bytes.
+def test_cut_holds_only_its_digits_mask_and_counts():
+    # One full chunk of 1024-card decks cut into 17 packs: the cut keeps its
+    # (n, rows) int8 digits and bool mask and the (m, rows) counts, nothing
+    # per (card, row) wider than a byte.
     import tracemalloc
 
-    rows, n, m = 16384, 6, 64
+    rows, n, m = 16384, 1024, 17
     digit_u = np.random.default_rng(3).random((rows, n))
     tracemalloc.start()
     try:
@@ -107,9 +112,8 @@ def test_bincount_cut_holds_int64_counts_for_one_slice_of_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cum.dtype == np.int8 and np.all(cum[-1] == n)
-    assert peak < m * rows * 8
-    assert peak < cum.nbytes + 2 * 8 * _kernels._BINCOUNT_CELLS
+    assert cum.dtype == np.int16 and np.all(cum[-1] == n)
+    assert peak < 2 * n * rows + cum.nbytes + 2**20
 
 
 @settings(deadline=None)
@@ -202,11 +206,11 @@ def _rising_counts_of_moved_decks(ms, digit_u, drop_u):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_counts_off_the_drops_equal_counts_of_moved_decks(n):
     # Every chunk of a sampler stream that crosses a chunk boundary; m = 300
-    # takes the wide pack type, m = n + 3 leaves packs empty, and the cut
-    # compares digits up to _COMPARE_PACKS packs and counts by bincount past it.
+    # takes the wide pack type, m = n + 3 leaves packs empty, and m = 128
+    # takes int16 pack digits.
     from riffle import sampling
 
-    ms = [1, 2, n, n + 3, _kernels._COMPARE_PACKS, _kernels._COMPARE_PACKS + 1, 300]
+    ms = [1, 2, n, n + 3, 16, 17, 128, 300]
     rng = sampling.make_generator(n)
     size = sampling._CHUNK + 7
     for lo in sampling._chunks(size, max(ms), n):

@@ -451,6 +451,12 @@ class TestCsvDump:
         write_sample_csv(buf, 4, 2, [3, 1, 2])
         assert buf.getvalue() == "4,2,0,3\n4,2,1,1\n4,2,2,2\n"
 
+    @pytest.mark.parametrize("make", [list, np.array, iter], ids=["list", "array", "iterator"])
+    def test_any_iterable_of_counts(self, make):
+        buf = io.StringIO()
+        write_sample_csv(buf, 3, 2, make([1, 2]))
+        assert buf.getvalue() == "3,2,0,1\n3,2,1,2\n"
+
 
 def test_rising_counts_matches_exact():
     decks = sample_m_shuffles(9, 4, make_generator(9), 500)
