@@ -2,38 +2,24 @@
 
 The continuous chain performs p-shuffles at the arrival times of a unit-rate
 Poisson process. Its deck law at time t is the Poisson-weighted mixture of
-the discrete k-step laws; the mixture is truncated at a certified tail mass.
+the discrete k-step laws, truncated at a certified tail mass. This module
+owns the Poisson clock: the float weights, their exact values c_k / D
+(:func:`_exact_weights`) and the truncated law. The sums of the k-step laws,
+and the rule that picks how they are taken, live behind :func:`riffle.laws._poisson_sums`.
 The unit-time view of the same chain is an ordinary p-shuffle for a modified
 pack distribution, constructed here as well.
-
-Float weight k is exactly c_k / D (:func:`_exact_weights`) and the k-step
-law has numerators nums_k over d**k, d from p alone (:mod:`riffle.laws`),
-so a time's law is ``sum(c_k * d**(K - k) * nums_k)`` over ``D * d**K``. Both
-paths sum it by Horner, as :func:`~riffle.laws._moments_pay` decides: in k
-over the k-step numerators, or, as E[M_k**(i - n)] = E[m**(i - n)]**k, in
-each moment of p, with no k-step law built.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import accumulate, islice
+from functools import partial
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import SizeGuardError, _check_deck
-from .laws import (
-    PackDistribution,
-    RisingSeqLaw,
-    _fold,
-    _k_step_numerators,
-    _moment_numerators,
-    _moments_pay,
-    _pack_moments,
-    product_laws,
-    tv_to_uniform,
-)
+from .laws import PackDistribution, RisingSeqLaw, _poisson_sums, product_laws, tv_to_uniform
 
 __all__ = [
     "PoissonizedLaw",
@@ -109,14 +95,11 @@ def poissonized_laws(
     """Truncated deck laws of the continuous-time p-shuffle chain at times ts.
 
     The call checks its inputs, fixes each time's truncation K and exact weights
-    (:func:`_exact_weights`) before any law is built, and picks one of two paths
-    for the class numerators and denominators: :func:`_moment_sums` when the
-    product laws of k = 0..K hold enough atoms in all for ``len(ts)`` moment
-    evaluations to pay (:func:`~riffle.laws._moments_pay`; the product laws are
-    built only until they do), and :func:`_per_k_sums` otherwise. Both give the
-    same laws. The laws come in input order, each built as the iterator reaches
-    it and held nowhere else, so a caller that takes one time at a time holds
-    one law at a time.
+    (:func:`_exact_weights`) and picks the path of the class numerators and
+    denominators (:func:`riffle.laws._poisson_sums`) before any law is built.
+    The laws come in input order, each built as the iterator reaches it and
+    held nowhere else, so a caller that takes one time at a time holds one
+    law at a time.
     """
     ts = [float(t) for t in ts]
     _check_deck(n)
@@ -127,11 +110,8 @@ def poissonized_laws(
         raise ValueError(f"tolerance must be in (0, 1), got {tol}")
 
     plans = [_exact_weights(_poisson_weights(t, Fraction(tol))) for t in ts]
-    steps = max((len(c) for c, _ in plans), default=0)
-    atoms = accumulate(len(weights) for weights, _ in islice(product_laws(p), steps))
-    sums = _moment_sums if any(_moments_pay(n, a, len(ts)) for a in atoms) else _per_k_sums
     # map, unlike a generator, keeps no numerators once a law is handed out.
-    return map(partial(_truncated_law, n), plans, sums(n, p, plans))
+    return map(partial(_truncated_law, n), plans, _poisson_sums(n, p, plans))
 
 
 def _truncated_law(n: int, plan: tuple[list[int], int], sums: tuple[list[int], int]) -> PoissonizedLaw:
@@ -140,56 +120,7 @@ def _truncated_law(n: int, plan: tuple[list[int], int], sums: tuple[list[int], i
     return PoissonizedLaw(n, nums, den, Fraction(sum(c), denom), len(c) - 1)
 
 
-def _per_k_sums(
-    n: int, p: PackDistribution, plans: list[tuple[list[int], int]]
-) -> Iterator[tuple[list[int], int]]:
-    """Numerators and denominator of each time in turn, from the k-step laws.
-
-    Law k has numerators over d**k (:func:`~riffle.laws._k_step_numerators`),
-    so each is drawn once, checked by :func:`~riffle.laws._fold` and taken
-    into ``acc = acc * d + c_k * nums_k``, by Horner in k, for every time not
-    yet yielded whose K is at least k. A time is yielded as soon as its last
-    law is in, and its accumulator let go when the next time is asked for.
-    """
-    d = _pack_moments(n, p)[1]
-    accs = [[0] * n for _ in plans]
-    steps = _k_step_numerators(n, p, 0)
-    k = 0
-    for i, (c, denom) in enumerate(plans):
-        while k < len(c):
-            nums, den = next(steps)
-            nums = list(nums)
-            _fold(n, nums, den)
-            for (weights, _), acc in zip(plans[i:], accs[i:]):
-                if k < len(weights):
-                    for r, y in enumerate(nums):
-                        acc[r] = acc[r] * d + weights[k] * y
-            k += 1
-        yield accs[i], denom * d ** (len(c) - 1)
-        accs[i] = None
-
-
-def _moment_sums(
-    n: int, p: PackDistribution, plans: list[tuple[list[int], int]]
-) -> Iterator[tuple[list[int], int]]:
-    """Numerators and denominator of each time in turn, from the moments of p alone.
-
-    With E[m**(i - n)] = x[i] / d (:func:`~riffle.laws._pack_moments`), the
-    time's E[M**(i - n)] is ``sum(c_k * d**(K - k) * x[i]**k) / (D * d**K)``:
-    one polynomial in x[i], whose coefficients are built once per time and
-    evaluated by Horner for every i.
-    """
-    x, d = _pack_moments(n, p)
-    for c, denom in plans:
-        last = len(c) - 1
-        coeffs = [ck * d ** (last - k) for k, ck in enumerate(c)]
-        v = [reduce(lambda acc, a: acc * xi + a, reversed(coeffs)) for xi in x]
-        yield list(_moment_numerators(n, v)), denom * d**last
-
-
-def poissonized_law(
-    n: int, p: PackDistribution, t: float, tol: float
-) -> PoissonizedLaw:
+def poissonized_law(n: int, p: PackDistribution, t: float, tol: float) -> PoissonizedLaw:
     """Truncated deck law at time t: the one-time :func:`poissonized_laws`."""
     return next(poissonized_laws(n, p, [t], tol))
 

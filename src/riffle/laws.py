@@ -20,14 +20,15 @@ in :func:`_scaled_atoms`.
 
 For the k-step law M_k is a product of k independent draws from p, so
 E[M_k**(i - n)] = E[m**(i - n)]**k = x[i]**k / d**k with x and d from p
-alone (:func:`_pack_moments`). One predicate, :func:`_moments_pay`, picks
-the path for both the k-step and the continuous-time laws.
+alone (:func:`_pack_moments`). One predicate, :func:`_moments_pay`, picks the
+path for both the k-step laws and the Poisson sums of them (:func:`_poisson_sums`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, islice
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -404,6 +405,71 @@ def _k_step_numerators(
         v, den = list(map(mul, v, x)), den * d
 
 
+def _poisson_path(n: int, p: PackDistribution, plans: list[tuple[list[int], int]]) -> str:
+    """How :func:`_poisson_sums` sums ``plans``: ``"moments"`` or ``"per_k"``.
+
+    Plan ``(c, D)`` weighs k-step law k by c[k] / D for k = 0..K. The moments
+    pay once the product laws of k <= K hold enough atoms in all for
+    ``len(plans)`` evaluations (:func:`_moments_pay`), built only until they do.
+    """
+    steps = max((len(c) for c, _ in plans), default=0)
+    atoms = accumulate(len(weights) for weights, _ in islice(product_laws(p), steps))
+    return "moments" if any(_moments_pay(n, a, len(plans)) for a in atoms) else "per_k"
+
+
+def _poisson_sums(
+    n: int, p: PackDistribution, plans: list[tuple[list[int], int]]
+) -> Iterator[tuple[list[int], int]]:
+    """Each plan's numerators and denominator in turn, by the :func:`_poisson_path` of the call."""
+    return (_moment_sums if _poisson_path(n, p, plans) == "moments" else _per_k_sums)(n, p, plans)
+
+
+def _per_k_sums(
+    n: int, p: PackDistribution, plans: list[tuple[list[int], int]]
+) -> Iterator[tuple[list[int], int]]:
+    """Numerators and denominator of each plan in turn, from the k-step laws.
+
+    Law k, over d**k (:func:`_k_step_numerators`), is drawn once, checked by
+    :func:`_fold` and added by Horner in k, ``acc = acc * d + c_k * nums_k``,
+    to every plan not yet yielded whose K is at least k. A plan is yielded once
+    its last law is in, and let go when the next is asked for.
+    """
+    d = _pack_moments(n, p)[1]
+    accs = [[0] * n for _ in plans]
+    steps = _k_step_numerators(n, p, 0)
+    k = 0
+    for i, (c, denom) in enumerate(plans):
+        while k < len(c):
+            nums, den = next(steps)
+            nums = list(nums)
+            _fold(n, nums, den)
+            for (weights, _), acc in zip(plans[i:], accs[i:]):
+                if k < len(weights):
+                    for r, y in enumerate(nums):
+                        acc[r] = acc[r] * d + weights[k] * y
+            k += 1
+        yield accs[i], denom * d ** (len(c) - 1)
+        accs[i] = None
+
+
+def _moment_sums(
+    n: int, p: PackDistribution, plans: list[tuple[list[int], int]]
+) -> Iterator[tuple[list[int], int]]:
+    """Numerators and denominator of each plan in turn, from the moments of p alone.
+
+    With E[m**(i - n)] = x[i] / d (:func:`_pack_moments`), the plan's
+    E[M**(i - n)] is ``sum(c_k * d**(K - k) * x[i]**k) / (D * d**K)``: one
+    polynomial in x[i], whose coefficients are built once per plan and
+    evaluated by Horner for every i.
+    """
+    x, d = _pack_moments(n, p)
+    for c, denom in plans:
+        last = len(c) - 1
+        coeffs = [ck * d ** (last - k) for k, ck in enumerate(c)]
+        v = [reduce(lambda acc, a: acc * xi + a, reversed(coeffs)) for xi in x]
+        yield list(_moment_numerators(n, v)), denom * d**last
+
+
 def k_step_laws(n: int, p: PackDistribution, start: int = 0) -> Iterator[RisingSeqLaw]:
     """Deck laws after k = start, start + 1, ... successive p-shuffles."""
     for nums, den in _k_step_numerators(n, p, start):
@@ -537,7 +603,10 @@ def law_from_json(text: str) -> RisingSeqLaw:
     """
     import json
 
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:  # json's parser recurses once per nesting level
+        raise ValueError("law document is nested too deeply") from None
     n = data.get("n") if isinstance(data, dict) else None
     if type(n) is not int or n < 1:
         raise ValueError(f"law needs a deck size n that is a JSON integer >= 1, got n={n!r}")

@@ -2,17 +2,20 @@ import inspect
 import json
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle import continuous_time, laws
+from riffle import laws
 from riffle.combinatorics import eulerian_row
 from riffle.continuous_time import (
     PoissonizedLaw,
+    _exact_weights,
     _poisson_weights,
+    _truncated_law,
     poissonized_law,
     poissonized_laws,
     unit_time_pack_law,
@@ -70,6 +73,11 @@ class TestPoissonizedLaw:
         for k in range(1, len(weights)):
             assert weights[k] == pytest.approx(weights[k - 1] * t / k, rel=1e-15)
 
+    def test_weights_stop_only_once_past_one_minus_tol(self):
+        # 1 - exp(-0.5) is exact in floats, so the first weight leaves exactly
+        # tol unretained: not less than tol, and a second weight is kept.
+        assert len(_poisson_weights(0.5, Fraction(1 - math.exp(-0.5)))) == 2
+
     def test_two_tolerances_agree(self):
         a = poissonized_law(8, DELTA2, 3.0, 1e-9)
         b = poissonized_law(8, DELTA2, 3.0, 1e-6)
@@ -124,14 +132,13 @@ class TestPoissonizedLaw:
         assert laws == [poissonized_law(6, MIX23, t, 1e-8) for t in ts]
 
 
-def _laws_by_path(moments, n, p, ts, tol):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(continuous_time, "_moments_pay", lambda *args: moments)
-        return list(poissonized_laws(n, p, ts, tol))
+def _plans(ts, tol):
+    """Each time's exact Poisson weights ``(c, D)``, as :func:`poissonized_laws` plans them."""
+    return [_exact_weights(_poisson_weights(t, Fraction(tol))) for t in ts]
 
 
 class TestPoissonPaths:
-    """The moment path and the per-k path give the same laws."""
+    """Each Poisson path is called by name; both give the same sums, and the rule names one."""
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -148,10 +155,14 @@ class TestPoissonPaths:
         p = PackDistribution.from_pairs({m: Fraction(w, sum(raw)) for m, w in zip(support, raw)})
         # Repeated and unordered times.
         ts = data.draw(st.lists(st.sampled_from(times), min_size=1, max_size=4))
-        by_moments = _laws_by_path(True, n, p, ts, tol)
-        assert by_moments == _laws_by_path(False, n, p, ts, tol)
-        assert [law.truncation_k for law in by_moments] == [
-            len(_poisson_weights(t, Fraction(tol))) - 1 for t in ts
+        plans = _plans(ts, tol)
+        # Both paths give law k over d**k, so their sums share a denominator
+        # and must agree integer for integer, before any gcd.
+        by_moments = list(laws._moment_sums(n, p, plans))
+        assert by_moments == list(laws._per_k_sums(n, p, plans))
+        assert list(poissonized_laws(n, p, ts, tol)) == [
+            PoissonizedLaw(n, nums, den, Fraction(sum(c), denom), len(c) - 1)
+            for (c, denom), (nums, den) in zip(plans, by_moments)
         ]
 
     @settings(deadline=None, max_examples=40)
@@ -173,86 +184,78 @@ class TestPoissonPaths:
             mixed = record_mixtures(patch)
             list(islice(k_step_laws(n, p), switch + 2))
         assert mixed == [len(w) for w, _ in islice(product_laws(p), switch)]
-        # Poisson laws take the moment path exactly when the atoms of steps
+        # Poisson sums take the moment path exactly when the atoms of steps
         # k <= K, K the largest truncation, make len(ts) moment evaluations
-        # pay. Both paths are stubbed out, so every n <= 40 is cheap to ask.
-        steps = max(len(_poisson_weights(t, Fraction(tol))) for t in ts)
+        # pay. The rule sums nothing, so every n <= 40 is cheap to ask.
+        plans = _plans(ts, tol)
+        steps = max(len(c) for c, _ in plans)
         total = sum(len(w) for w, _ in islice(product_laws(p), steps))
-        taken = []
-        with pytest.MonkeyPatch.context() as patch:
-            for name in ("_moment_sums", "_per_k_sums"):
-                patch.setattr(continuous_time, name, lambda *a, name=name: taken.append(name) or [])
-            for size in range(1, 41):
-                poissonized_laws(size, p, ts, tol)
-        assert taken == [
-            "_moment_sums" if laws._moments_pay(size, total, len(ts)) else "_per_k_sums"
+        assert [laws._poisson_path(size, p, plans) for size in range(1, 41)] == [
+            "moments" if laws._moments_pay(size, total, len(ts)) else "per_k"
             for size in range(1, 41)
         ]
 
     @pytest.mark.parametrize("times", [1, 2])
-    def test_rule_boundary(self, times, monkeypatch):
+    def test_rule_boundary(self, times):
         # Steps k < s of {2, 3} hold s(s + 1)/2 atoms in all: the moment path
         # needs more than times * n / 2 of them.
         s = len(_poisson_weights(1.0, Fraction(1e-3)))
         assert s >= 3
         edge = s * (s + 1) // times
-        taken = []
-        for name in ("_moment_sums", "_per_k_sums"):
-            monkeypatch.setattr(continuous_time, name, lambda *a, name=name: taken.append(name) or [])
-        poissonized_laws(edge, MIX23, [1.0] * times, 1e-3)
-        poissonized_laws(edge - 1, MIX23, [1.0] * times, 1e-3)
-        assert taken == ["_per_k_sums", "_moment_sums"]
+        plans = _plans([1.0] * times, 1e-3)
+        assert laws._poisson_path(edge, MIX23, plans) == "per_k"
+        assert laws._poisson_path(edge - 1, MIX23, plans) == "moments"
 
     def test_rule_stops_building_once_passed(self, monkeypatch):
-        built = record_product_steps(monkeypatch, continuous_time)
+        built = record_product_steps(monkeypatch, laws)
         # 1 + 2 + 3 + 4 = 10 > 19 / 2 after four of the K + 1 > 50 steps.
-        law = poissonized_law(19, MIX23, 40.0, 1e-9)
-        assert law.truncation_k >= 50
+        plans = _plans([40.0], 1e-9)
+        assert len(plans[0][0]) > 50
+        assert laws._poisson_path(19, MIX23, plans) == "moments"
         assert built == [1, 2, 3, 4]
 
     def test_per_k_path_hands_out_each_time_when_done(self, monkeypatch):
-        # Each time's law comes once its own last k-step law is added, in
+        # Each time's sums come once its own last k-step law is added, in
         # input order, and not after the whole grid's.
-        tol = 1e-9
         drawn = []
-        k_step = continuous_time._k_step_numerators
+        k_step = laws._k_step_numerators
 
         def counted(*args):
             for step in k_step(*args):
                 drawn.append(step[1])
                 yield step
 
-        monkeypatch.setattr(continuous_time, "_moments_pay", lambda *args: False)
-        monkeypatch.setattr(continuous_time, "_k_step_numerators", counted)
-        short, long = (len(_poisson_weights(t, Fraction(tol))) for t in (1.0, 4.0))
+        monkeypatch.setattr(laws, "_k_step_numerators", counted)
+        plans = _plans([1.0, 4.0], 1e-9)
+        short, long = (len(c) for c, _ in plans)
         assert short < long
-        laws = poissonized_laws(8, MIX23, [1.0, 4.0], tol)
+        sums = laws._per_k_sums(8, MIX23, plans)
         assert drawn == []
-        first = next(laws)
+        first = next(sums)
         assert len(drawn) == short
-        second = next(laws)
+        second = next(sums)
         assert len(drawn) == long
-        assert next(laws, None) is None
-        drawn.clear()
-        assert [first, second] == list(poissonized_laws(8, MIX23, [1.0, 4.0], tol))
+        assert next(sums, None) is None
         assert len(drawn) == long
+        assert [first, second] == list(laws._moment_sums(8, MIX23, plans))
 
     def test_per_k_path_builds_one_law_per_time(self, monkeypatch):
         # The k-step laws are summed from their numerator streams, each
-        # checked by the fold; the only law constructed is each time's own.
+        # checked by the fold, and no law is built; the only law constructed
+        # from the sums is each time's own.
         built, folded = [], []
-        post_init, fold = RisingSeqLaw.__post_init__, continuous_time._fold
+        post_init, fold = RisingSeqLaw.__post_init__, laws._fold
         monkeypatch.setattr(
             RisingSeqLaw, "__post_init__", lambda law: built.append(type(law)) or post_init(law)
         )
-        monkeypatch.setattr(continuous_time, "_fold", lambda *a: folded.append(a[2]) or fold(*a))
-        monkeypatch.setattr(continuous_time, "_moments_pay", lambda *args: False)
-        ts, tol = [4.0, 1.0, 0.5], 1e-9
-        list(poissonized_laws(8, MIX23, ts, tol))
-        assert built == [PoissonizedLaw] * len(ts)
-        steps = max(len(_poisson_weights(t, Fraction(tol))) for t in ts)
+        monkeypatch.setattr(laws, "_fold", lambda *a: folded.append(a[2]) or fold(*a))
+        plans = _plans([4.0, 1.0, 0.5], 1e-9)
+        sums = list(laws._per_k_sums(8, MIX23, plans))
+        assert built == []
         d = laws._pack_moments(8, MIX23)[1]
-        assert folded == [d**k for k in range(steps)]
+        assert folded == [d**k for k in range(max(len(c) for c, _ in plans))]
+        list(map(partial(_truncated_law, 8), plans, sums))
+        assert built == [PoissonizedLaw] * len(plans)
 
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from(SUPPORTS), st.integers(1, 40), st.integers(1, 3), st.data())
@@ -275,16 +278,13 @@ class TestPoissonPaths:
             (200, DELTA2, [4.0, 8.0, 12.0], False),
         ],
     )
-    def test_path_taken(self, n, p, ts, moments, monkeypatch):
-        taken = []
-        for name in ("_moment_sums", "_per_k_sums"):
-            path = getattr(continuous_time, name)
-            monkeypatch.setattr(
-                continuous_time, name,
-                lambda *args, name=name, path=path: taken.append(name) or path(*args),
-            )
-        poissonized_laws(n, p, ts, 1e-9)
-        assert taken == ["_moment_sums" if moments else "_per_k_sums"]
+    def test_path_taken(self, n, p, ts, moments):
+        plans = _plans(ts, 1e-9)
+        assert laws._poisson_path(n, p, plans) == ("moments" if moments else "per_k")
+        # The one entry hands out that path's sums, picked on the call.
+        assert laws._poisson_sums(n, p, plans).__name__ == (
+            "_moment_sums" if moments else "_per_k_sums"
+        )
 
 
 class TestPoissonizedLawChecks:
@@ -353,19 +353,19 @@ class TestPoissonizedLawChecks:
         with pytest.raises(ValueError, match=message):
             PoissonizedLaw(**self._fields(**changes))
 
-    def test_float_weights_past_one_are_rescaled(self, monkeypatch):
+    def test_float_weights_past_one_are_rescaled(self):
         # The exact total of these 86 float weights is 1 + 8.1e-17.
         weights = _poisson_weights(31.25, Fraction(1e-15))
         assert sum(map(Fraction, weights)) > 1
+        plans = [_exact_weights(weights)]
         built = []
-        for pays in (True, False):
-            monkeypatch.setattr(continuous_time, "_moments_pay", lambda *args, pays=pays: pays)
-            law = poissonized_law(6, MIX23, 31.25, 1e-15)
+        for sums in (laws._moment_sums, laws._per_k_sums):
+            (law,) = map(partial(_truncated_law, 6), plans, sums(6, MIX23, plans))
             assert law.truncation_k == len(weights) - 1 == 85
             assert law.mass == 1
             assert sum(c * x for c, x in zip(eulerian_row(6), law.nums)) == law.den
             built.append(law)
-        assert built[0] == built[1]
+        assert built[0] == built[1] == poissonized_law(6, MIX23, 31.25, 1e-15)
 
 
 class TestUnitTimePackLaw:

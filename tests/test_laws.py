@@ -30,7 +30,7 @@ from riffle.laws import (
     tail_set_gap,
     tv_to_uniform,
 )
-from riffle import continuous_time, laws
+from riffle import laws
 from riffle.laws import (
     _fold,
     _moment_numerators,
@@ -133,8 +133,7 @@ class TestOneCopy:
             taken.append(1)
             return evaluate(*args)
 
-        for module in (laws, continuous_time):
-            monkeypatch.setattr(module, "_moment_numerators", record)
+        monkeypatch.setattr(laws, "_moment_numerators", record)
         eulerian_row(n)
         tracemalloc.start()
         try:
@@ -362,6 +361,21 @@ class TestMixtureEvaluators:
         )
         weights, den = next(islice(product_laws(p), k, None))
         assert _moment_law(n, weights, den) == mixture_of_m_shuffles(n, weights, den)
+
+    @pytest.mark.parametrize(
+        "support", [(2,), (2, 3), (1, 2, 5), (2, 3, 4, 6), (2, 3, 5, 7, 11)], ids=len
+    )
+    def test_agree_at_every_step_before_any_gcd(self, support):
+        # Law k by both evaluators for every k in 1..8 and n <= 30, not only
+        # where the k-step rule switches: the mixture over the product law
+        # and the moments' k-th powers give the same integers over d**k.
+        p = _pack(support, range(1, len(support) + 1))
+        for n in range(1, 31):
+            x, d = _pack_moments(n, p)
+            for k, (weights, den) in islice(enumerate(product_laws(p)), 1, 9):
+                nums, den = laws._mixture_numerators(n, weights, den)
+                moments = _moment_numerators(n, [a**k for a in x])
+                assert (list(nums), den) == (list(moments), d**k), (n, k)
 
     def test_agree_at_n200_on_a_21_atom_step(self):
         # Step 20 of {2, 3}: 21 atoms, well past n = 52 and a machine word.
@@ -720,6 +734,11 @@ class TestJsonExport:
             document = data
         with pytest.raises(ValueError, match=message):
             law_from_json(json.dumps(document))
+
+    def test_deeply_nested_document_raises_value_error(self):
+        # json's parser recurses once per level and raised RecursionError here.
+        with pytest.raises(ValueError, match="nested too deeply"):
+            law_from_json("[" * 100_000)
 
     # int() would take 5.9, "5" and true as a deck size; JSON true is a bool.
     @pytest.mark.parametrize("n", [5.9, "5", True, 0], ids=["float", "string", "true", "zero"])

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import riffle
+from riffle import _kernels, sampling, verify
+from riffle.cli import main
 from riffle.combinatorics import eulerian_row
 from riffle.laws import (
     PackDistribution,
@@ -336,6 +338,8 @@ class TestChiSquareTail:
         assert chi2_sf(0.0, 3) == 1.0
         assert chi2_sf(2.0, 2) == math.exp(-1.0)
         assert chi2_sf(1e6, 5) == 0.0
+        # fsum of these terms is 1.0000000000000002: the clamp is live.
+        assert chi2_sf(0.02, 15) == 1.0
         with pytest.raises(ValueError):
             chi2_sf(1.0, 0)
 
@@ -344,6 +348,22 @@ class TestChiSquareTail:
         hist = EmpiricalHistogram(3, np.zeros(3, np.int64), 0)
         with pytest.raises(ValueError):
             chi_square_against_law(hist, m_shuffle_law(3, 2))
+
+    def test_one_count_in_a_zero_mass_class_refutes_the_law(self):
+        # A 2-shuffle of 4 cards has at most 2 rising sequences; classes 1
+        # and 2 expect 500 and 1100 here, so only the count at r = 3 refutes.
+        hist = EmpiricalHistogram(4, np.array([500, 1099, 1, 0]), 1600)
+        stat, _, p_value = chi_square_against_law(hist, m_shuffle_law(4, 2))
+        assert (stat, p_value) == (math.inf, 0.0)
+
+    def test_low_expectation_bins_are_merged(self):
+        # A 3-shuffle of 4 cards, N = 30: classes 1..3 expect 50/9, 550/27
+        # and 110/27. The last expects under 5, so it joins class 2, and
+        # (4 - 50/9)**2 / (50/9) + (26 - 220/9)**2 / (220/9) = 588/1100.
+        hist = EmpiricalHistogram(4, np.array([4, 22, 4, 0]), 30)
+        stat, dof, p_value = chi_square_against_law(hist, m_shuffle_law(4, 3))
+        assert (stat, dof) == (pytest.approx(588 / 1100, rel=1e-12), 1)
+        assert p_value == chi2_sf(stat, 1)
 
     def test_sampler_suite_runs_without_scipy(self, tmp_path):
         # An import hook that refuses scipy: the CLI must not need it.
@@ -406,6 +426,57 @@ class TestSamplers:
         assert chi_square_passes(4, MIX23, 2, seed=77, n_samples=100_000)
 
 
+class TestPower:
+    """A wrong law or a wrong sampler fails the checks that the right ones pass."""
+
+    def test_m_shuffles_are_told_from_the_next_pack_count(self):
+        counts = rising_count_histograms(6, range(1, 6), make_generator(0), 100_000)
+        for m, row in enumerate(counts, 1):
+            hist = EmpiricalHistogram(6, row, 100_000)
+            assert chi_square_against_law(hist, m_shuffle_law(6, m))[2] >= 1e-3
+            assert chi_square_against_law(hist, m_shuffle_law(6, m + 1))[2] < 1e-3
+
+    def test_sampler_suite_fails_on_a_biased_cut(self, runner, monkeypatch):
+        # One card moves from pack 0 to pack 1 in every 8th row. The default
+        # suite fails down to every 20th row and passes from every 22nd on.
+        cut = _kernels._cut
+
+        def biased(digit_t, m):
+            cum = cut(digit_t, m)
+            if len(cum) > 1:
+                cum[0] -= (np.arange(cum.shape[1]) % 8 == 0) & (cum[0] > 0)
+            return cum
+
+        monkeypatch.setattr(_kernels, "_cut", biased)
+        result = runner.invoke(main, ["verify", "--suite", "sampler"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["ok"] is False
+
+
+class TestSamplerRerun:
+    """The sampler suite's rerun-once budget, its chi-square stubbed."""
+
+    def _verdict(self, monkeypatch, p_values):
+        splits, scripted, make = [], iter(p_values), sampling.make_generator
+        monkeypatch.setattr(
+            sampling, "make_generator", lambda seed, split=0: splits.append(split) or make(seed, split)
+        )
+        monkeypatch.setattr(sampling, "chi_square_against_law", lambda hist, law: (0.0, 1, next(scripted)))
+        (verdict,) = verify.suite_sampler(n_max=2, m_max=1, n_samples=100)
+        return verdict, splits
+
+    @pytest.mark.parametrize("p_values, splits", [([1e-3], [0]), ([9e-4, 1e-3], [0, 1])])
+    def test_a_cell_passes_on_its_first_attempt_or_its_rerun(self, monkeypatch, p_values, splits):
+        assert self._verdict(monkeypatch, p_values) == (
+            {"property": "sampler_chi_square_n<=2_m<=1_N=100", "ok": True, "detail": ""}, splits,
+        )
+
+    def test_a_cell_that_fails_twice_is_reported_with_both_p_values(self, monkeypatch):
+        verdict, splits = self._verdict(monkeypatch, [1e-4, 2e-4])
+        assert splits == [0, 1]
+        assert (verdict["ok"], verdict["detail"]) == (False, "violations: [(2, 1, [0.0001, 0.0002])]")
+
+
 class TestEmpiricalTv:
     def test_uniform_samples_near_zero(self):
         rng = make_generator(13)
@@ -433,6 +504,16 @@ class TestEmpiricalTv:
         hist = EmpiricalHistogram(3, np.zeros(3, np.int64), 0)
         with pytest.raises(ValueError):
             empirical_tv(hist, eulerian_row(3))
+
+    def test_standard_error_at_one_sample_and_at_both_ends_of_d(self):
+        # d = +-1 zeroes the delta-method variance (1 - d**2) / (4N), so the
+        # 1/(2N) floor is the standard error. One sample lies above uniform.
+        row = eulerian_row(3)
+        assert empirical_tv(EmpiricalHistogram(3, np.array([0, 1, 0]), 1), row).std_error == 0.5
+        top = EmpiricalHistogram(3, np.array([100, 0, 0]), 100)
+        assert empirical_tv(top, row) == (pytest.approx(5 / 6), 0.005)
+        # d = -1 needs a row that is not a deck's: every draw below uniform.
+        assert empirical_tv(top, (12, 0, 0)) == (0.5, 0.005)
 
 
 class TestHistogram:
